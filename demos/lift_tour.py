@@ -38,7 +38,7 @@ def main():
         TL = lifts.complete_lift(theta, k, target)
         print("lift at k=%d onto %s:" % (k, target.name))
         print("  potential:", to_text(TL))
-        sc = courant.weighted_classify(TL)
+        sc = courant.classify(TL)
         print("  verdict:", sc.verdict)
         P = parse_expr(flat, "xi1*pi2")
         Q = parse_expr(flat, "pi3")

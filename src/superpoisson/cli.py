@@ -18,12 +18,11 @@ import random
 import sys
 
 from . import complexes, courant, gallery, lifts, sampling
-from .charts import chart_to_json, validate_chart
+from .charts import validate_chart
 from .courant import PotentialError
+from .gallery import SCHEMA_VERSION
 from .poisson import bracket
 from .superpoly import ParseError, parse_expr, to_text
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -34,22 +33,35 @@ class UsageError(Exception):
     pass
 
 
+class ChartFailure(Exception):
+    """The instance's chart failed validation; the message lists every
+    problem, one per line."""
+
+
 def _load_instance(ref):
-    """A catalogue name, or a path to an instance file."""
-    if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return gallery.instance_from_json(data, strict=False)
-    if ref in gallery.INSTANCE_NAMES:
-        return gallery.build(ref)
-    raise UsageError(
-        "unknown instance %r: not a catalogue name and not a file; "
-        "catalogue names are %s" % (ref, ", ".join(gallery.names())))
+    """A path to an instance file, or a catalogue name standing for its
+    data file."""
+    if os.path.isfile(ref):
+        path = ref
+    elif ref in gallery.INSTANCE_NAMES:
+        path = gallery.data_path(ref)
+    else:
+        raise UsageError(
+            "unknown instance %r: not a catalogue name and not a file; "
+            "catalogue names are %s" % (ref, ", ".join(gallery.names())))
+    try:
+        return gallery.load_instance(path, strict=False)
+    except OSError as e:
+        raise UsageError("cannot read %s: %s" % (path, e.strerror))
 
 
-def _chart_failures(inst):
-    report = validate_chart(inst.chart)
-    return ["chart: " + p for p in report.problems]
+def _load_valid_instance(ref):
+    """_load_instance, refusing a chart that fails validation."""
+    inst = _load_instance(ref)
+    problems = validate_chart(inst.chart).problems
+    if problems:
+        raise ChartFailure("\n".join("chart: " + p for p in problems))
+    return inst
 
 
 def _emit(args, payload, lines):
@@ -139,12 +151,7 @@ def cmd_check(args):
 
 
 def cmd_bracket(args):
-    inst = _load_instance(args.instance)
-    failures = _chart_failures(inst)
-    if failures:
-        for fail in failures:
-            print(fail, file=sys.stderr)
-        return EXIT_FAILED
+    inst = _load_valid_instance(args.instance)
     chart = inst.chart
     if args.pre is not None:
         op, (a, b) = "pre", args.pre
@@ -173,12 +180,7 @@ def cmd_bracket(args):
 
 
 def cmd_jacobiator(args):
-    inst = _load_instance(args.instance)
-    failures = _chart_failures(inst)
-    if failures:
-        for fail in failures:
-            print(fail, file=sys.stderr)
-        return EXIT_FAILED
+    inst = _load_valid_instance(args.instance)
     chart = inst.chart
     T = inst.default_potential
     secs = [parse_expr(chart, a) for a in args.sections]
@@ -204,28 +206,18 @@ def cmd_lift(args):
     if args.degree < 2:
         raise UsageError("lift degree must be at least 2, got %d"
                          % args.degree)
-    inst = _load_instance(args.instance)
-    failures = _chart_failures(inst)
-    if failures:
-        for fail in failures:
-            print(fail, file=sys.stderr)
-        return EXIT_FAILED
+    inst = _load_valid_instance(args.instance)
     try:
         flat = lifts.flatten_chart(inst.chart)
         low = lifts.flatten_poly(inst.default_potential, flat)
         lifted = lifts.complete_lift(low, args.degree)
     except lifts.LiftError as e:
         raise UsageError(str(e))
-    verdict = courant.weighted_classify(lifted)
+    verdict = courant.classify(lifted)
     out_name = "%s_lift%d" % (inst.name, args.degree)
     out_path = args.out or (out_name + ".json")
-    doc = {
-        "schema_version": gallery.SCHEMA_VERSION,
-        "name": out_name,
-        "chart": chart_to_json(lifted.chart),
-        "potential": to_text(lifted),
-        "expected": {"verdict": verdict.verdict},
-    }
+    doc = gallery.instance_to_json(gallery.Instance(
+        out_name, lifted.chart, lifted, {"verdict": verdict.verdict}))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(gallery.canonical_json(doc))
     payload = {
@@ -345,6 +337,9 @@ def main(argv=None):
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
+    except ChartFailure as e:
+        print(e, file=sys.stderr)
+        return EXIT_FAILED
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,7 @@ algebroid; classify() sorts potentials into three classes by inspecting it.
 
 from fractions import Fraction
 
-from .superpoly import ODD, SuperPoly, homogeneity, left_partial, to_text
+from .superpoly import ODD, left_partial, to_text
 from .poisson import bracket
 from . import linalg
 
@@ -224,19 +224,6 @@ def classify(theta):
             return StructureClass(NEARLY, sigma, gen.name, value)
     raise PotentialError("self-bracket uses a momentum generator but kills "
                          "every base coordinate; chart pairing is inconsistent")
-
-
-def weighted_classify(theta):
-    """classify() for potentials on charts with a lift axis.
-
-    The base sector is every generator of symplectic weight 0 regardless of
-    lift weight, which is exactly how the chart indexes its sectors, so the
-    verdict logic is shared; this wrapper additionally insists the chart
-    declares a lift degree and the potential has the matching bi-weight.
-    """
-    if theta.chart.lift_degree is None:
-        raise PotentialError("weighted_classify needs a chart with a lift degree")
-    return classify(theta)
 
 
 def metric_frame(chart):

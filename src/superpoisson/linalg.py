@@ -109,18 +109,3 @@ def invert(rows):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in m[:n]]
-
-
-def solve(rows, rhs):
-    """One solution of A x = b, or None when inconsistent."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x

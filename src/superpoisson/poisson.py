@@ -1,4 +1,4 @@
-"""The graded Poisson bracket of a chart and its axiom checker.
+"""The graded Poisson bracket of a chart.
 
 The bracket of the constant-rank symplectic structure is
 
@@ -15,11 +15,9 @@ which the test suite checks term by term against an independent
 transcription of that display.
 """
 
-import random
 from fractions import Fraction
 
-from .superpoly import EVEN, ODD, SuperPoly, left_partial, to_text
-from . import sampling
+from .superpoly import EVEN, ODD, SuperPoly, left_partial
 
 
 def bracket(X, Y):
@@ -52,90 +50,3 @@ def bracket(X, Y):
             sign = -1 if (g.parity == ODD and flag == EVEN) else 1
             total = total + dX * dY * (coeff * sign)
     return total
-
-
-class AxiomsReport:
-    """Outcome of check_poisson_axioms: counts plus concrete failures."""
-
-    __slots__ = ("chart_name", "samples", "seed", "checked", "failures")
-
-    def __init__(self, chart_name, samples, seed):
-        self.chart_name = chart_name
-        self.samples = samples
-        self.seed = seed
-        self.checked = {"skew": 0, "leibniz": 0, "jacobi": 0,
-                        "weight": 0, "parity": 0}
-        self.failures = []
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def add_failure(self, identity, detail):
-        self.failures.append({"identity": identity, "detail": detail})
-
-    def __repr__(self):
-        return ("AxiomsReport(chart=%r, samples=%d, ok=%r, failures=%d)"
-                % (self.chart_name, self.samples, self.ok,
-                   len(self.failures)))
-
-
-def check_poisson_axioms(chart, samples=200, seed=0, *, max_terms=2,
-                         max_factors=3, allow_symbols=True):
-    """Graded skew, Leibniz, Jacobi, weight and parity of the bracket on
-    seeded random homogeneous triples.  Exact; any failure is reported with
-    the offending elements printed."""
-    rng = random.Random(seed)
-    report = AxiomsReport(chart.name, samples, seed)
-    pair_weight = chart.pair_weight
-    for _ in range(samples):
-        X = sampling.random_homogeneous(chart, rng, max_terms=max_terms,
-                                        max_factors=max_factors,
-                                        allow_symbols=allow_symbols)
-        Y = sampling.random_homogeneous(chart, rng, max_terms=max_terms,
-                                        max_factors=max_factors,
-                                        allow_symbols=allow_symbols)
-        Z = sampling.random_homogeneous(chart, rng, max_terms=max_terms,
-                                        max_factors=max_factors,
-                                        allow_symbols=allow_symbols)
-        px, py = X.parity(), Y.parity()
-        sxy = -1 if (px and py) else 1
-
-        BXY = bracket(X, Y)
-        skew = BXY + bracket(Y, X) * sxy
-        report.checked["skew"] += 1
-        if not skew.is_zero:
-            report.add_failure("skew", {
-                "X": to_text(X), "Y": to_text(Y), "defect": to_text(skew)})
-
-        leib = bracket(X, Y * Z) - BXY * Z - Y * bracket(X, Z) * sxy
-        report.checked["leibniz"] += 1
-        if not leib.is_zero:
-            report.add_failure("leibniz", {
-                "X": to_text(X), "Y": to_text(Y), "Z": to_text(Z),
-                "defect": to_text(leib)})
-
-        jac = (bracket(X, bracket(Y, Z)) - bracket(BXY, Z)
-               - bracket(Y, bracket(X, Z)) * sxy)
-        report.checked["jacobi"] += 1
-        if not jac.is_zero:
-            report.add_failure("jacobi", {
-                "X": to_text(X), "Y": to_text(Y), "Z": to_text(Z),
-                "defect": to_text(jac)})
-
-        if not BXY.is_zero:
-            wx, wy = X.weight(), Y.weight()
-            if wx is not None and wy is not None and pair_weight is not None:
-                report.checked["weight"] += 1
-                want = tuple(a + b - p
-                             for a, b, p in zip(wx, wy, pair_weight))
-                if BXY.weight() != want:
-                    report.add_failure("weight", {
-                        "X": to_text(X), "Y": to_text(Y),
-                        "expected": want, "got": BXY.weight()})
-            report.checked["parity"] += 1
-            if BXY.parity() != (px + py) % 2:
-                report.add_failure("parity", {
-                    "X": to_text(X), "Y": to_text(Y),
-                    "expected": (px + py) % 2, "got": BXY.parity()})
-    return report

@@ -331,7 +331,7 @@ def test_criterion_7_lifts_preserve_the_verdict():
         TL = lifts.complete_lift(
             lifts.flatten_poly(inst.default_potential, flat),
             inst.lift_k, lifted)
-        assert courant.weighted_classify(TL).verdict == verdict, name
+        assert courant.classify(TL).verdict == verdict, name
         seen[verdict] += 1
     assert seen["PreCourant"] >= 4
     assert seen["Courant"] >= 4
@@ -364,10 +364,9 @@ def test_criterion_8_cli_round_trips_and_stability(capsys):
 
 def test_criterion_8_negative_controls(tmp_path, capsys):
     inst = gallery.build("cross7")
-    truncated = tuple(t for t in gallery.CROSS7_TRIPLES if t != (3, 6, 5))
+    truncated = tuple(t for t in oracles.CROSS7_TRIPLES if t != (3, 6, 5))
     d = json.loads(gallery.canonical_json(gallery.instance_to_json(inst)))
-    d["potential"] = to_text(
-        gallery.cross_product_potential(inst.chart, truncated))
+    d["potential"] = to_text(oracles.cross_theta(inst.chart, truncated))
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text(json.dumps(d))
     code = cli.main(["check", str(corrupt)])

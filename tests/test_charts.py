@@ -6,7 +6,11 @@ from superpoisson.charts import (ChartError, chart_from_json, chart_to_json,
                                  hyperbolic_metric, identity_metric,
                                  make_cotangent_antivb_chart,
                                  make_darboux_chart, validate_chart)
-from superpoisson.gallery import degree2_vb_chart
+from superpoisson import gallery
+
+
+def vb_chart():
+    return gallery.build("vb_plain").chart
 
 
 def test_factories_validate():
@@ -14,7 +18,7 @@ def test_factories_validate():
                make_darboux_chart(0, 4, metric=hyperbolic_metric(2)),
                make_cotangent_antivb_chart(1, 3),
                make_cotangent_antivb_chart(0, 7),
-               degree2_vb_chart()):
+               vb_chart()):
         report = validate_chart(ch)
         assert report.problems == [], (ch.name, report.problems)
 
@@ -68,7 +72,7 @@ def test_metrics():
 def test_json_round_trip():
     for ch in (make_darboux_chart(1, 3),
                make_cotangent_antivb_chart(1, 2),
-               degree2_vb_chart()):
+               vb_chart()):
         doc = chart_to_json(ch)
         again = chart_from_json(doc)
         assert chart_to_json(again) == doc
@@ -92,8 +96,8 @@ def test_validate_reports_parity_weight_mismatch():
     assert validate_chart(lax).problems != []
 
 
-def test_degree2_vb_chart_shape():
-    ch = degree2_vb_chart()
+def test_vb_plain_chart_shape():
+    ch = vb_chart()
     assert ch.symplectic_axes == (1,)
     assert ch.lift_degree == 2
     dq = ch.generators[ch.name_to_index["dq1"]]

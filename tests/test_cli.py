@@ -1,5 +1,6 @@
 import json
 
+import oracles
 from superpoisson import cli, gallery
 from superpoisson.superpoly import to_text
 
@@ -120,10 +121,9 @@ def test_malformed_json_file(tmp_path, capsys):
 
 def test_corrupted_structure_constants_fail_with_witness(tmp_path, capsys):
     inst = gallery.build("cross7")
-    truncated = tuple(t for t in gallery.CROSS7_TRIPLES if t != (3, 6, 5))
+    truncated = tuple(t for t in oracles.CROSS7_TRIPLES if t != (3, 6, 5))
     d = json.loads(gallery.canonical_json(gallery.instance_to_json(inst)))
-    d["potential"] = to_text(
-        gallery.cross_product_potential(inst.chart, truncated))
+    d["potential"] = to_text(oracles.cross_theta(inst.chart, truncated))
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(d))
     code, out, err = run(capsys, ["check", str(path)])
@@ -142,3 +142,37 @@ def test_broken_pairing_fails_with_witness(tmp_path, capsys):
     assert code == 1
     text = out + err
     assert "pairing entries for (x1, p1) conflict" in text
+    for argv in (["bracket", str(path), "--pre", "pi2", "pi3"],
+                 ["jacobiator", str(path), "pi2", "pi3", "pi4"],
+                 ["lift", str(path), "-k", "2",
+                  "--out", str(tmp_path / "lifted.json")]):
+        code, out, err = run(capsys, argv)
+        assert code == 1, argv
+        assert out == "", argv
+        assert "pairing entries for (x1, p1) conflict" in err, argv
+    assert not (tmp_path / "lifted.json").exists()
+
+
+def test_catalogue_name_beside_a_directory_of_that_name(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cross3").mkdir()
+    code, out, _err = run(capsys, ["check", "cross3"])
+    assert code == 0
+    assert "instance cross3: ok" in out
+
+
+def test_unreadable_instance_file_is_a_usage_error(tmp_path, capsys,
+                                                   monkeypatch):
+    path = tmp_path / "cross3.json"
+    path.write_text(gallery.canonical_json(
+        gallery.instance_to_json(gallery.build("cross3"))))
+
+    def refuse(ref, strict=True):
+        raise PermissionError(13, "Permission denied", ref)
+
+    monkeypatch.setattr(gallery, "load_instance", refuse)
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "Permission denied" in err

@@ -168,10 +168,3 @@ def test_structure_residual_equivalence_samples():
             courant.structure_equations_residual(T))
         assert vanish == (sc.verdict != "Nearly")
         assert (sc.verdict == "Courant") == bracket(T, T).is_zero
-
-
-def test_weighted_classify_requires_lift_degree():
-    ch = make_darboux_chart(0, 3)
-    T = oracles.cross_theta(make_cotangent_antivb_chart(0, 3), ((1, 2, 3),))
-    with pytest.raises(PotentialError):
-        courant.weighted_classify(parse_expr(ch, "xi1*xi2*xi3"))

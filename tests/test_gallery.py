@@ -1,11 +1,15 @@
 import copy
-import json
+import glob
+import importlib.util
+import os
 from fractions import Fraction
 
 import pytest
 
+import identities
 import oracles
 from superpoisson import courant, gallery, lifts
+from superpoisson.charts import chart_to_json
 from superpoisson.gallery import GalleryError
 from superpoisson.poisson import bracket
 from superpoisson.superpoly import parse_expr, to_text
@@ -27,14 +31,43 @@ def test_build_rejects_unknown_names():
         gallery.build("no_such_thing")
 
 
+def test_catalogue_names_match_the_data_files():
+    stems = {os.path.splitext(os.path.basename(p))[0]
+             for p in glob.glob(os.path.join(gallery.data_dir(), "*.json"))}
+    assert set(gallery.names()) == stems
+    assert len(gallery.names()) == len(stems)
+
+
 def test_data_files_are_regenerated_bytes():
     for name in gallery.names():
         path = gallery.data_path(name)
         with open(path, "rb") as fh:
             stored = fh.read()
         fresh = gallery.canonical_json(
-            gallery.instance_to_json(gallery.build(name))).encode("utf-8")
-        assert stored == fresh, name
+            gallery.instance_to_json(gallery.load_instance(path)))
+        assert stored == fresh.encode("utf-8"), name
+
+
+def test_data_file_potentials_match_oracles():
+    cross = {"cross3": ((1, 2, 3),),
+             "cross7": oracles.CROSS7_TRIPLES,
+             "cross7_full": oracles.CROSS7_TRIPLES + ((3, 4, 7),)}
+    for name, triples in cross.items():
+        inst = gallery.build(name)
+        assert inst.theta == oracles.cross_theta(inst.chart, triples), name
+
+    quasi = gallery.build("quasi_poisson")
+    spots = [s for s in quasi.expected["spots"] if s["op"] == "potential_nest"]
+    assert len(spots) == 1
+    assert spots[0]["value"] == to_text(
+        oracles.quasi_obstruction(quasi.chart))
+
+    plain = gallery.build("vb_plain")
+    fixed = gallery.build("vb_dirac")
+    assert chart_to_json(plain.chart) == chart_to_json(fixed.chart)
+    theta0 = parse_expr(fixed.chart, to_text(plain.theta))
+    alpha = fixed.graph.form
+    assert fixed.theta == theta0 - bracket(theta0, alpha)
 
 
 def test_instance_json_round_trip():
@@ -115,10 +148,10 @@ def test_euclidean_sigma_against_literal_oracle():
     assert sigma == bracket(inst.theta, inst.theta)
 
 
-def test_section_frames_are_dual():
+def test_weight_one_frames_are_dual():
     for name in ("cross7", "vb_plain", "euclidean_cubic", "hyperbolic_cubic"):
         chart = gallery.build(name).chart
-        basis, dual = gallery.section_frame(chart)
+        basis, dual = identities.weight_one_frame(chart)
         for i, b in enumerate(basis):
             for j, d in enumerate(dual):
                 want = chart.one() if i == j else chart.zero()
@@ -140,3 +173,16 @@ def test_tampered_verdict_is_detected():
     d["expected"]["verdict"] = "PreCourant"
     failures = gallery.check_instance(gallery.instance_from_json(d))
     assert any("verdict" in f for f in failures)
+
+
+DEMOS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), "..", "demos", "*.py")))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path, capsys):
+    spec = importlib.util.spec_from_file_location("demo_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    assert capsys.readouterr().out.strip()

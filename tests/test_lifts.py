@@ -34,7 +34,7 @@ def test_flatten_collapses_weights_and_keeps_structure():
 
 
 def test_flatten_rejects_graded_vb_charts():
-    ch = gallery.degree2_vb_chart()
+    ch = gallery.build("vb_plain").chart
     with pytest.raises(LiftError, match="non-symplectic"):
         lifts.flatten_chart(ch)
 
@@ -188,6 +188,6 @@ def test_weighted_cohomology_needs_point_chart():
 
 def test_lifted_verdicts():
     lifted, TL = lifted_cross3(2)
-    assert courant.weighted_classify(TL).verdict == "Courant"
+    assert courant.classify(TL).verdict == "Courant"
     lifted3, TL3 = lifted_cross3(3)
-    assert courant.weighted_classify(TL3).verdict == "Courant"
+    assert courant.classify(TL3).verdict == "Courant"
