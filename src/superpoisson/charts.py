@@ -144,6 +144,10 @@ class Chart:
         self.momentum_indices = tuple(sorted(momenta))
         self.true_base_indices = tuple(
             g.index for g in self.generators if g.is_true_base)
+        rows = {}
+        for (gi, hj), c in sorted(self.pairing.items()):
+            rows.setdefault(gi, []).append((hj, c))
+        self.pairing_rows = {gi: tuple(row) for gi, row in rows.items()}
 
     # -- lookups ---------------------------------------------------------
 
@@ -168,8 +172,7 @@ class Chart:
                 for gi, hj in sorted(self.pairing)]
 
     def conjugates(self, idx):
-        return [(hj, c) for (gi, hj), c in sorted(self.pairing.items())
-                if gi == idx]
+        return list(self.pairing_rows.get(idx, ()))
 
     def role_indices(self, role):
         if self.roles is None:

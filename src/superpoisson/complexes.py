@@ -121,6 +121,11 @@ def classical_naive_differential(theta, psi, basis, dual):
     sum uniformly (checked for input degrees 0 through 5 on three chart
     families).  The result equals q_theta(theta, psi) exactly; that
     equality is a checked identity.
+
+    The basis tuples overlap heavily, so within one call every [[b_i, b_j]]
+    is computed once per index pair and every left-nested evaluation once
+    per prefix of section labels (a basis index, or an index pair standing
+    for its derived bracket).
     """
     if not naive_membership(theta, psi):
         raise PotentialError("element is not in the small complex: %s"
@@ -132,24 +137,39 @@ def classical_naive_differential(theta, psi, basis, dual):
     k = chart.symplectic_weight(hom.weight)
     _check_dual(basis, dual)
     ck = identification_constant(k)
+    brackets = {}
+    evaluations = {(): psi}
 
-    def form_value(sections):
-        return eval_on_sections(psi, sections) * Fraction(ck)
+    def section(label):
+        if isinstance(label, int):
+            return basis[label]
+        if label not in brackets:
+            brackets[label] = pre_bracket(theta, basis[label[0]],
+                                          basis[label[1]])
+        return brackets[label]
+
+    def form_value(labels):
+        start = len(labels)
+        while labels[:start] not in evaluations:
+            start -= 1
+        for end in range(start + 1, len(labels) + 1):
+            evaluations[labels[:end]] = bracket(evaluations[labels[:end - 1]],
+                                                section(labels[end - 1]))
+        return evaluations[labels] * Fraction(ck)
 
     out = chart.zero()
     n = len(basis)
     for combo in _ascending_tuples(n, k + 1):
         value = chart.zero()
         for i in range(k + 1):
-            rest = [basis[combo[m]] for m in range(k + 1) if m != i]
+            rest = tuple(combo[m] for m in range(k + 1) if m != i)
             sign = -1 if i % 2 else 1
             value = value + anchor_apply(theta, basis[combo[i]],
                                          form_value(rest)) * sign
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
-                rest = [pre_bracket(theta, basis[combo[i]], basis[combo[j]])]
-                rest.extend(basis[combo[m]] for m in range(k + 1)
-                            if m != i and m != j)
+                rest = ((combo[i], combo[j]),) + tuple(
+                    combo[m] for m in range(k + 1) if m != i and m != j)
                 sign = -1 if (i + j) % 2 else 1
                 value = value + form_value(rest) * sign
         if value.is_zero:

@@ -92,6 +92,11 @@ def build(name):
 
 # -- checking ---------------------------------------------------------------
 
+# Spot operations and the number of arguments each takes.
+SPOT_ARITY = {"poisson": 2, "nested_poisson": 3, "potential_nest": 1,
+              "pre_bracket": 2, "anchor": 2, "pairing": 2, "jacobiator": 3}
+
+
 def _spot_result(inst, spot):
     chart = inst.chart
     args = [parse_expr(chart, a) for a in spot["args"]]
@@ -126,6 +131,8 @@ def check_instance(inst):
     expected = inst.expected
     report = validate_chart(chart)
     failures.extend("chart: " + p for p in report.problems)
+    if failures:
+        return failures
 
     def check_verdict(P, want, label):
         try:
@@ -157,6 +164,8 @@ def check_instance(inst):
                     failures.append(
                         "lambda %s: {T,T} != %s*lambda*{theta,twist}"
                         % (lam, factor))
+    elif "verdict" not in expected:
+        failures.append("no expected verdict for the potential")
     else:
         check_verdict(inst.theta, expected["verdict"], "potential")
 
@@ -245,6 +254,194 @@ def run_all():
     return {"schema_version": SCHEMA_VERSION, "ok": ok, "instances": rows}
 
 
+# -- file format ------------------------------------------------------------
+#
+# A spec is a type (str, int, bool), RATIONAL, a one-element list [item]
+# for a list of items, a tuple for a list of fixed length, a dict for an
+# object (a key ending in "?" is optional, other keys are ignored), or a
+# function (value, path) that raises GalleryError itself.  A path is None
+# at the top or (parent path, key or index); it is spelled out only when
+# something is wrong.  Values that json.load made of exactly the type a
+# spec names are passed without a call, which keeps loading cheap.
+
+RATIONAL = "rational"
+
+
+def _path_text(path):
+    parts = []
+    while path is not None:
+        path, key = path
+        parts.append("[%d]" % key if isinstance(key, int) else "." + key)
+    return "".join(reversed(parts)).lstrip(".") or "$"
+
+
+def _malformed(path, message):
+    raise GalleryError("malformed instance: %s: %s"
+                       % (_path_text(path), message))
+
+
+def _got(value):
+    text = json.dumps(value)
+    return text if len(text) <= 40 else "a long " + type(value).__name__
+
+
+def _check(value, spec, path):
+    if isinstance(spec, type):
+        if not isinstance(value, spec) or (
+                spec is int and isinstance(value, bool)):
+            _malformed(path, "expected %s, got %s"
+                       % (_TYPE_WORDS[spec], _got(value)))
+    elif spec is RATIONAL:
+        try:
+            ok = not isinstance(value, bool) and isinstance(
+                value, (int, str)) and Fraction(value) is not None
+        except (ValueError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            _malformed(path, "expected a rational like \"3/2\", got %s"
+                       % _got(value))
+    elif callable(spec):
+        spec(value, path)
+    elif isinstance(spec, list):
+        if type(value) is not list:
+            _check(value, list, path)
+        sub = spec[0]
+        for i, item in enumerate(value):
+            if type(item) is not sub:
+                _check(item, sub, (path, i))
+    elif isinstance(spec, tuple):
+        if not isinstance(value, list) or len(value) != len(spec):
+            _malformed(path, "expected a list of %d entries, got %s"
+                       % (len(spec), _got(value)))
+        for i, (item, sub) in enumerate(zip(value, spec)):
+            _check(item, sub, (path, i))
+    else:
+        if type(value) is not dict:
+            _check(value, dict, path)
+        for key, sub in spec.items():
+            name = key.rstrip("?")
+            if name in value:
+                if type(value[name]) is not sub:
+                    _check(value[name], sub, (path, name))
+            elif not key.endswith("?"):
+                _malformed((path, name), "missing")
+
+
+_TYPE_WORDS = {str: "a string", int: "an integer", bool: "true or false",
+               list: "a list", dict: "an object"}
+
+
+def _nullable(spec):
+    def check(value, path):
+        if value is not None:
+            _check(value, spec, path)
+    return check
+
+
+def _map_of(spec):
+    def check(value, path):
+        _check(value, dict, path)
+        for key, item in value.items():
+            _check(item, spec, (path, key))
+    return check
+
+
+def _one_of(*choices):
+    def check(value, path):
+        if value not in choices or isinstance(value, bool):
+            _malformed(path, "expected one of %s, got %s"
+                       % (", ".join(json.dumps(c) for c in choices),
+                          _got(value)))
+    return check
+
+
+def _at_least(low):
+    def check(value, path):
+        _check(value, int, path)
+        if value < low:
+            _malformed(path, "expected an integer of at least %d, got %d"
+                       % (low, value))
+    return check
+
+
+_GRAPH_KIND = {"kind": _one_of("coords", "bivector", "twoform")}
+_GRAPH_BODY = {"coords": {"vanish?": [str]}, "bivector": {"expr": str},
+               "twoform": {"expr": str}}
+
+
+def _graph(value, path):
+    _check(value, _GRAPH_KIND, path)
+    _check(value, _GRAPH_BODY[value["kind"]], path)
+
+
+_SPOT_SPEC = {"op": _one_of(*sorted(SPOT_ARITY)), "args": [str], "value": str}
+
+
+def _spot(value, path):
+    _check(value, _SPOT_SPEC, path)
+    want = SPOT_ARITY[value["op"]]
+    if len(value["args"]) != want:
+        _malformed((path, "args"), "%s takes %d arguments, got %d"
+                   % (value["op"], want, len(value["args"])))
+
+
+_CHART_SPEC = {
+    "name?": str,
+    "axes": _at_least(1),
+    "generators": [{"name": str,
+                    "parity": _one_of("even", "odd", 0, 1),
+                    "weight": [int]}],
+    "pairing?": [(str, str, RATIONAL)],
+    "metric?": _nullable({"generators": [str], "rows": [[RATIONAL]]}),
+    "n_manifold?": bool,
+    "symplectic_axes?": [int],
+    "roles?": _nullable(_map_of(str)),
+    "lift_degree?": _nullable(_at_least(2)),
+}
+
+
+def _chart(value, path):
+    _check(value, _CHART_SPEC, path)
+    axes = value["axes"]
+    for i, g in enumerate(value["generators"]):
+        if len(g["weight"]) != axes:
+            _malformed((((path, "generators"), i), "weight"),
+                       "expected %d entries, one per axis, got %d"
+                       % (axes, len(g["weight"])))
+    for i, a in enumerate(value.get("symplectic_axes", ())):
+        if not 0 <= a < axes:
+            _malformed(((path, "symplectic_axes"), i),
+                       "axis %d out of range for %d axes" % (a, axes))
+
+
+# The instance file format, checked before anything is built from a file.
+# Only shapes and types are checked here; whether the chart is a valid
+# graded symplectic chart is validate_chart's question.
+INSTANCE_SPEC = {
+    "name": str,
+    "chart": _chart,
+    "potential": str,
+    "twist?": {"expr": str, "lambdas": [RATIONAL]},
+    "dirac?": _graph,
+    "lift?": {"k": _at_least(2)},
+    "l_elements?": [str],
+    "expected?": {
+        "verdict?": str,
+        "verdicts?": _map_of(str),
+        "twist_sigma_factor?": _nullable(RATIONAL),
+        "pre_courant?": _nullable(bool),
+        "witness_nonzero?": bool,
+        "witness_name?": _nullable(str),
+        "spots?": [_spot],
+        "dirac?": {"isotropic?": bool, "residual?": str,
+                   "residual_zero?": _nullable(bool)},
+        "cohomology_point?": [int],
+        "naive_condition?": bool,
+        "lift_verdict?": str,
+    },
+}
+
+
 # -- serialization ----------------------------------------------------------
 
 def instance_to_json(inst):
@@ -268,9 +465,11 @@ def instance_to_json(inst):
 
 
 def instance_from_json(d, *, strict=True):
+    _check(d, dict, None)
     if d.get("schema_version") != SCHEMA_VERSION:
         raise GalleryError("unsupported schema version %r"
                            % (d.get("schema_version"),))
+    _check(d, INSTANCE_SPEC, None)
     chart = chart_from_json(d["chart"], strict=strict)
     theta = parse_expr(chart, d["potential"])
     twist = None
@@ -280,7 +479,10 @@ def instance_from_json(d, *, strict=True):
         lambdas = tuple(Fraction(l) for l in d["twist"]["lambdas"])
     graph = None
     if "dirac" in d:
-        graph = dirac.graph_from_json(chart, d["dirac"])
+        try:
+            graph = dirac.graph_from_json(chart, d["dirac"])
+        except dirac.GraphError as e:
+            _malformed((None, "dirac"), str(e))
     lift_k = d.get("lift", {}).get("k")
     l_elements = [parse_expr(chart, e) for e in d.get("l_elements", ())]
     return Instance(d["name"], chart, theta, d.get("expected", {}),

@@ -337,7 +337,8 @@ def weighted_cohomology_module_check(theta):
     one-dimensional and the degree-one coboundaries vanish; the check
     computes dim H^{1,r} = dim ker {theta, .} on the weight-1 sections of
     each lift weight r by exact linear algebra.  Returns
-    {"h0": ..., "h1": {r: dim}, "problems": [...]}.
+    {"h0": ..., "h1": {r: dim}, "problems": []}; "problems" stays empty,
+    because {theta, 1} = 0 holds for every potential and so is not checked.
     """
     chart = theta.chart
     if chart.lift_degree is None:
@@ -347,9 +348,6 @@ def weighted_cohomology_module_check(theta):
         raise LiftError("point cohomology needs a chart over a point")
     validate_potential(theta)
     k = chart.lift_degree
-    problems = []
-    if not bracket(theta, chart.one()).is_zero:
-        problems.append("constants are not closed")
     h1 = {}
     for r in range(k):
         basis = [_poly_from_monomial(chart, m)
@@ -361,7 +359,7 @@ def weighted_cohomology_module_check(theta):
         rows = _coefficient_rows(chart, images)
         kernel = linalg.nullspace(rows, ncols=len(basis))
         h1[r] = len(kernel)
-    return {"h0": {0: 1}, "h1": h1, "problems": problems}
+    return {"h0": {0: 1}, "h1": h1, "problems": []}
 
 
 def lift_graph(graph, lifted, k):

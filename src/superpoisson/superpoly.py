@@ -97,6 +97,34 @@ def _merge_scal(a, b):
     return tuple(sorted(a + b))
 
 
+def mul_terms_into(acc, left, right, scale=None):
+    """Add the product of two term dicts, times scale, into acc.
+
+    Keys whose coefficient sums to zero are dropped, so acc stays a valid
+    term dict; both SuperPoly products and the Poisson bracket accumulate
+    through here.
+    """
+    for (s1, e1, o1), c1 in left.items():
+        if scale is not None:
+            c1 = c1 * scale
+        for (s2, e2, o2), c2 in right.items():
+            merged = _merge_odd(o1, o2)
+            if merged is None:
+                continue
+            odd, sign = merged
+            key = (_merge_scal(s1, s2), _merge_even(e1, e2), odd)
+            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            old = acc.get(key)
+            if old is None:
+                acc[key] = c
+            else:
+                c = old + c
+                if c:
+                    acc[key] = c
+                else:
+                    del acc[key]
+
+
 class SuperPoly:
     """Immutable-by-convention element of a chart's function algebra."""
 
@@ -114,6 +142,15 @@ class SuperPoly:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
+
+    @staticmethod
+    def from_clean_terms(chart, terms):
+        """Wrap a term dict whose coefficients are already nonzero
+        Fractions, without copying or re-checking it."""
+        P = SuperPoly.__new__(SuperPoly)
+        P.chart = chart
+        P.terms = terms
+        return P
 
     @staticmethod
     def constant(chart, value):
@@ -218,19 +255,8 @@ class SuperPoly:
         if other is None:
             return NotImplemented
         out = {}
-        for (s1, e1, o1), c1 in self.terms.items():
-            for (s2, e2, o2), c2 in other.terms.items():
-                merged = _merge_odd(o1, o2)
-                if merged is None:
-                    continue
-                odd, sign = merged
-                key = (_merge_scal(s1, s2), _merge_even(e1, e2), odd)
-                c = out.get(key, Fraction(0)) + c1 * c2 * sign
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-        return SuperPoly(self.chart, out)
+        mul_terms_into(out, self.terms, other.terms)
+        return SuperPoly.from_clean_terms(self.chart, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -287,9 +313,9 @@ class SuperPoly:
         return w
 
     def parity_part(self, parity):
-        return SuperPoly(self.chart,
-                         {k: c for k, c in self.terms.items()
-                          if self.term_parity(k) == parity})
+        return SuperPoly.from_clean_terms(
+            self.chart, {k: c for k, c in self.terms.items()
+                         if self.term_parity(k) == parity})
 
     def uses_generator(self, idx):
         for scal, even, odd in self.terms:
@@ -360,11 +386,15 @@ def left_partial(P, g):
     out = {}
 
     def put(key, c):
-        s = out.get(key, Fraction(0)) + c
-        if s:
-            out[key] = s
+        old = out.get(key)
+        if old is None:
+            out[key] = c
         else:
-            out.pop(key, None)
+            c = old + c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
 
     if g.parity == ODD:
         for (scal, even, odd), c in P.terms.items():
@@ -389,7 +419,7 @@ def left_partial(P, g):
                     entry = (name, tuple(sorted(jets + (gi,))))
                     new_scal = tuple(sorted(scal[:k] + (entry,) + scal[k + 1:]))
                     put((new_scal, even, odd), c)
-    return SuperPoly(chart, out)
+    return SuperPoly.from_clean_terms(chart, out)
 
 
 def substitute(P, genmap, target=None):
@@ -549,11 +579,17 @@ def _tokenize(text):
     return toks
 
 
+# Deepest parenthesis nesting parse_expr accepts; the parser recurses once
+# per level, so the bound keeps it well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, chart, text):
         self.chart = chart
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -625,7 +661,12 @@ class _Parser:
             return SuperPoly.constant(self.chart, self.rational_tail(val))
         if kind == "OP" and val == "(":
             self.next()
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nest deeper than %d levels"
+                                 % MAX_NESTING, pos)
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return value
         if kind != "IDENT":

@@ -176,3 +176,69 @@ def test_unreadable_instance_file_is_a_usage_error(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert "Permission denied" in err
+
+
+def write_instance(tmp_path, name, edit):
+    d = json.loads(gallery.canonical_json(
+        gallery.instance_to_json(gallery.build(name))))
+    edit(d)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def test_instance_file_without_chart_is_a_usage_error(tmp_path, capsys):
+    path = write_instance(tmp_path, "cross3", lambda d: d.pop("chart"))
+    code, out, err = run(capsys, ["check", path])
+    assert code == 2
+    assert out == ""
+    assert "malformed instance: chart: missing" in err
+
+
+def test_non_integer_generator_weight_is_a_usage_error(tmp_path, capsys):
+    def edit(d):
+        d["chart"]["generators"][1]["weight"] = ["a", 0]
+
+    path = write_instance(tmp_path, "cross3", edit)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 2
+    assert out == ""
+    assert "chart.generators[1].weight[0]: expected an integer" in err
+
+
+def test_text_lift_degree_is_a_usage_error(tmp_path, capsys):
+    def edit(d):
+        d["lift"] = {"k": "3"}
+
+    path = write_instance(tmp_path, "cross3", edit)
+    for argv in (["check", path],
+                 ["lift", path, "-k", "2", "--out", str(tmp_path / "F")]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert "lift.k: expected an integer" in err, argv
+    assert not (tmp_path / "F").exists()
+
+
+def test_deeply_nested_expression_is_a_parse_error(capsys):
+    deep = "(" * 3000 + "xi1" + ")" * 3000
+    code, out, err = run(capsys, ["bracket", "cross3", "--poisson",
+                                  deep, "pi1"])
+    assert code == 2
+    assert out == ""
+    assert "parentheses nest deeper than 100 levels" in err
+    nested = "(" * 100 + "xi1" + ")" * 100
+    code, out, _err = run(capsys, ["bracket", "cross3", "--poisson",
+                                   nested, "pi1"])
+    assert code == 0
+    assert out == "1\n"
+
+
+def test_instance_file_without_expected_block_fails_check(tmp_path, capsys):
+    path = write_instance(tmp_path, "cross3", lambda d: d.pop("expected"))
+    code, out, _err = run(capsys, ["check", path])
+    assert code == 1
+    assert "no expected verdict for the potential" in out
+    code, out, _err = run(capsys, ["bracket", path, "--pre", "pi1", "pi2"])
+    assert code == 0
+    assert out == "pi3\n"

@@ -132,3 +132,22 @@ def test_squared_differential_on_gallery_functions():
     f = nearly.chart.gen("x1")
     val = identities.d_squared_on_function(Tn, f)
     assert to_text(val) == "p1"
+
+
+def test_classical_differential_brackets_each_basis_pair_once(monkeypatch):
+    inst = gallery.build("cross7")
+    T = inst.default_potential
+    basis, dual = identities.weight_one_frame(inst.chart)
+    calls = []
+    original = complexes.pre_bracket
+
+    def counting(theta, s, p):
+        calls.append((to_text(s), to_text(p)))
+        return original(theta, s, p)
+
+    monkeypatch.setattr(complexes, "pre_bracket", counting)
+    el = inst.l_elements[1]
+    got = complexes.classical_naive_differential(T, el, basis, dual)
+    assert got == complexes.q_theta(T, el)
+    assert len(basis) == 14
+    assert len(calls) == len(set(calls)) == 91

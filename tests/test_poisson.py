@@ -1,10 +1,11 @@
 import random
 
 import oracles
-from superpoisson import lifts, sampling
+from superpoisson import gallery, lifts, poisson, sampling
 from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.poisson import bracket
+from superpoisson.superpoly import parse_expr, to_text
 
 
 def family_charts():
@@ -92,3 +93,35 @@ def test_bracket_spot_values():
     f = parse_expr(ch, "g")
     out = bracket(ch.gen("p1"), f)
     assert out == parse_expr(ch, "D[g; x1]")
+
+
+def test_literal_darboux_formula_on_symbol_carriers():
+    # A symbol's chain rule reaches the base coordinates even when no base
+    # coordinate is written, so those pairs must not be skipped.
+    ch = make_darboux_chart(2, 2)
+    texts = ["g", "g*xi1", "g*xi2", "p1*xi1", "p1*xi2", "g*p1", "g*p2*xi1",
+             "D[g; x1]*xi2", "g*h", "x1*h*xi2", "xi1*xi2", "p1*p2", "x2"]
+    elements = [parse_expr(ch, t) for t in texts]
+    for X in elements:
+        for Y in elements:
+            assert bracket(X, Y) == oracles.darboux_literal_bracket(X, Y), \
+                (to_text(X), to_text(Y))
+    assert bracket(parse_expr(ch, "g*xi1"), parse_expr(ch, "p1*xi2")) \
+        == parse_expr(ch, "-D[g; x1]*xi1*xi2")
+
+
+def test_bracket_differentiates_only_by_supported_generators(monkeypatch):
+    calls = []
+    original = poisson.left_partial
+
+    def counting(P, g):
+        calls.append(g.name)
+        return original(P, g)
+
+    monkeypatch.setattr(poisson, "left_partial", counting)
+    ch = gallery.build("cross7").chart
+    assert bracket(ch.gen("xi1"), ch.gen("xi2")).is_zero
+    assert len(calls) <= 2, calls
+    del calls[:]
+    assert bracket(ch.gen("xi1"), ch.gen("pi1")) == 1
+    assert calls == ["xi1", "pi1"]
