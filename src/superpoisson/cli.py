@@ -122,7 +122,11 @@ def cmd_check(args):
     inst = _load_instance(args.instance)
     failures = gallery.check_instance(inst)
     rng = random.Random(args.seed)
-    identities = identity_sweep(inst, rng, args.samples)
+    try:
+        identities = identity_sweep(inst, rng, args.samples)
+    except sampling.SamplingError as e:
+        raise UsageError("cannot run the identity sweeps on %s: %s"
+                         % (inst.name, e))
     ok = not failures and all(row["ok"] for row in identities)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -284,14 +288,14 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="canonical JSON output")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sweeps")
-        p.add_argument("--samples", type=int, default=4,
-                       help="samples per randomized identity")
 
     p = sub.add_parser("check", help="run an instance's checks")
     p.add_argument("instance")
     common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized sweeps")
+    p.add_argument("--samples", type=int, default=4,
+                   help="samples per randomized identity")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bracket", help="evaluate one bracket or pairing")

@@ -6,10 +6,13 @@ two copies is the original pairing exactly when the lift weights add up to
 k - 1, which makes the lifted bracket carry bi-weight (1-k, -2).  The
 complete lift of a polynomial substitutes z by the sum of its copies,
 Taylor-expands every scalar symbol around the weight-zero copy of its
-arguments, and keeps the part of lift weight k - 1.  No factorial
-normalization is applied to the extracted component; the convention is
-pinned by the bracket identity {P^c, Q^c} = ({P, Q})^c which the test
-suite checks on random inputs and which ``lift_identity_check`` exposes.
+arguments, and keeps the part of lift weight k - 1.  No copy has negative
+lift weight, so every product is cut back to lift weight at most k - 1 as
+soon as it is formed: the terms it drops could only feed higher weights.
+No factorial normalization is applied to the extracted component; the
+convention is pinned by the bracket identity {P^c, Q^c} = ({P, Q})^c which
+the test suite checks on random inputs and which ``lift_identity_check``
+exposes.
 
 Charts with two axes must be flattened to total weight before lifting;
 ``flatten_chart`` and ``flatten_poly`` do this by preserving names.
@@ -108,19 +111,17 @@ def lift_component(P, eps):
     return SuperPoly(P.chart, picked)
 
 
-def _gen_image(chart, lifted, k, idx):
-    total = lifted.zero()
-    name = chart.generators[idx].name
-    for eps in range(k):
-        total = total + lifted.gen(lifted_name(name, eps))
-    return total
+def _below(P, top):
+    """The part of P of lift weight at most top."""
+    return SuperPoly.from_clean_terms(
+        P.chart, {key: c for key, c in P.terms.items()
+                  if P.term_weight(key)[0] <= top})
 
 
-def _shift_image(chart, lifted, k, idx):
-    """Sum of the positive-weight copies of a base generator."""
+def _copies(lifted, name, start, k):
+    """Sum of the copies of a generator of lift weight start to k - 1."""
     total = lifted.zero()
-    name = chart.generators[idx].name
-    for eps in range(1, k):
+    for eps in range(start, k):
         total = total + lifted.gen(lifted_name(name, eps))
     return total
 
@@ -130,11 +131,13 @@ def _symbol_image(chart, lifted, k, scal_key):
 
     f with jets J maps to the sum over n and over ordered n-tuples of base
     generators b of (1/n!) f_{J,b} (at the zero copies) times the product
-    of the positive-weight shifts of the b's; n is capped by k - 1 since
-    every shift carries lift weight at least 1.
+    of the positive-weight copies of the b's, cut at lift weight k - 1;
+    n is capped by k - 1 since every such copy has lift weight at least 1.
     """
     name, jets = scal_key
     base_idxs = sorted(chart.true_base_indices)
+    shifts = {b: _copies(lifted, chart.generators[b].name, 1, k)
+              for b in base_idxs}
     out = lifted.zero()
     for n in range(k):
         coeff = Fraction(1, math.factorial(n))
@@ -144,7 +147,7 @@ def _symbol_image(chart, lifted, k, scal_key):
                 for j in tuple(jets) + extra)
             piece = SuperPoly.symbol(lifted, name, lifted_jets)
             for b in extra:
-                piece = piece * _shift_image(chart, lifted, k, b)
+                piece = _below(piece * shifts[b], k - 1)
             out = out + piece * coeff
     return out
 
@@ -152,7 +155,12 @@ def _symbol_image(chart, lifted, k, scal_key):
 def complete_lift(P, k, target=None):
     """Highest tangent prolongation of a homogeneous P: substitute every
     generator by the sum of its copies, expand symbols, keep lift weight
-    k - 1."""
+    k - 1.
+
+    No factor has negative lift weight, so every product drops its terms
+    above lift weight k - 1 as soon as it is formed; a dropped term could
+    only feed higher weights.
+    """
     chart = P.chart
     if target is None:
         target = tangent_lift_chart(chart, k)
@@ -162,8 +170,8 @@ def complete_lift(P, k, target=None):
     if not hom.homogeneous:
         raise LiftError("complete lift needs a homogeneous input: %s"
                         % to_text(P))
-    gen_cache = {}
     sym_cache = {}
+    gen_cache = {}
     total = target.zero()
     for key, c in P.items():
         scal, even, odd = key
@@ -171,16 +179,12 @@ def complete_lift(P, k, target=None):
         for scal_key in scal:
             if scal_key not in sym_cache:
                 sym_cache[scal_key] = _symbol_image(chart, target, k, scal_key)
-            piece = piece * sym_cache[scal_key]
-        for idx, e in even:
+            piece = _below(piece * sym_cache[scal_key], k - 1)
+        for idx in [i for i, e in even for _ in range(e)] + list(odd):
             if idx not in gen_cache:
-                gen_cache[idx] = _gen_image(chart, target, k, idx)
-            for _ in range(e):
-                piece = piece * gen_cache[idx]
-        for idx in odd:
-            if idx not in gen_cache:
-                gen_cache[idx] = _gen_image(chart, target, k, idx)
-            piece = piece * gen_cache[idx]
+                gen_cache[idx] = _copies(target, chart.generators[idx].name,
+                                         0, k)
+            piece = _below(piece * gen_cache[idx], k - 1)
         total = total + piece
     return lift_component(total, k - 1)
 
@@ -227,107 +231,40 @@ def weight_table_check(theta):
             for i in range(len(chart.generators))
             if chart.gen_symplectic_weight(i) == 0
             and chart.generators[i].parity == 0]
-    checks = 0
     problems = []
-    for (si, p), (tj, q) in itertools.product(sections, sections):
-        s = chart.gen(chart.generators[si].name)
-        t = chart.gen(chart.generators[tj].name)
-        target = p + q - k + 1
-        got = pre_bracket(theta, s, t)
+    checks = 0
+
+    def expect(what, got, target):
+        """got must vanish below weight zero and otherwise be zero or of
+        lift weight target."""
+        nonlocal checks
         checks += 1
         if target < 0:
             if not got.is_zero:
-                problems.append(
-                    "bracket of %s and %s should vanish below weight zero"
-                    % (chart.generators[si].name, chart.generators[tj].name))
+                problems.append("%s should vanish below weight zero" % what)
         elif not _is_lift_homogeneous(got, target):
-            problems.append(
-                "bracket of %s and %s misses lift weight %d: %s"
-                % (chart.generators[si].name, chart.generators[tj].name,
-                   target, to_text(got)))
+            problems.append("%s misses lift weight %d: %s"
+                            % (what, target, to_text(got)))
+
+    names = [g.name for g in chart.generators]
+    for (si, p), (tj, q) in itertools.product(sections, sections):
+        s = chart.gen(names[si])
+        t = chart.gen(names[tj])
+        pair = "%s and %s" % (names[si], names[tj])
+        got = pre_bracket(theta, s, t)
         pg = pairing(s, t)
-        checks += 1
-        if target < 0:
-            if not pg.is_zero:
-                problems.append(
-                    "pairing of %s and %s should vanish below weight zero"
-                    % (chart.generators[si].name, chart.generators[tj].name))
-        elif not _is_lift_homogeneous(pg, target):
-            problems.append(
-                "pairing of %s and %s misses lift weight %d: %s"
-                % (chart.generators[si].name, chart.generators[tj].name,
-                   target, to_text(pg)))
+        expect("bracket of " + pair, got, p + q - k + 1)
+        expect("pairing of " + pair, pg, p + q - k + 1)
         if k == 2 and p == 0 and q == 0:
             if not got.is_zero:
-                problems.append(
-                    "core-core bracket of %s and %s is nonzero"
-                    % (chart.generators[si].name, chart.generators[tj].name))
+                problems.append("core-core bracket of %s is nonzero" % pair)
             if not pg.is_zero:
-                problems.append(
-                    "core-core pairing of %s and %s is nonzero"
-                    % (chart.generators[si].name, chart.generators[tj].name))
+                problems.append("core-core pairing of %s is nonzero" % pair)
     for (si, p), (fa, r) in itertools.product(sections, base):
-        s = chart.gen(chart.generators[si].name)
-        f = chart.gen(chart.generators[fa].name)
-        got = anchor_apply(theta, s, f)
-        checks += 1
-        target = p + 1 - k + r
-        if target < 0:
-            if not got.is_zero:
-                problems.append(
-                    "anchor of %s on %s should vanish below weight zero"
-                    % (chart.generators[si].name, chart.generators[fa].name))
-        elif not _is_lift_homogeneous(got, target):
-            problems.append(
-                "anchor of %s on %s misses lift weight %d: %s"
-                % (chart.generators[si].name, chart.generators[fa].name,
-                   target, to_text(got)))
+        got = anchor_apply(theta, chart.gen(names[si]), chart.gen(names[fa]))
+        expect("anchor of %s on %s" % (names[si], names[fa]), got,
+               p + 1 - k + r)
     return {"checks": checks, "problems": problems}
-
-
-def _monomial_basis(chart, lift_weight, symplectic_weight):
-    """All monomials in the plain generators with the given bi-weight;
-    only usable over a point (no scalar symbols enter)."""
-    gens = list(range(len(chart.generators)))
-    out = []
-
-    def extend(start, even, odd, wl, ws):
-        if wl == lift_weight and ws == symplectic_weight:
-            out.append((tuple(even), tuple(odd)))
-        if wl > lift_weight or ws > symplectic_weight:
-            return
-        for idx in gens[start:]:
-            g = chart.generators[idx]
-            dl = g.weight[0]
-            ds = chart.gen_symplectic_weight(idx)
-            if dl == 0 and ds == 0:
-                continue
-            if g.parity:
-                extend(idx + 1, even, odd + [idx], wl + dl, ws + ds)
-            else:
-                extend(idx + 1, even + [(idx, 1)], odd, wl + dl, ws + ds)
-
-    extend(0, [], [], 0, 0)
-    return out
-
-
-def _poly_from_monomial(chart, mono):
-    even, odd = mono
-    out = chart.one()
-    for idx, e in even:
-        for _ in range(e):
-            out = out * chart.gen(chart.generators[idx].name)
-    for idx in odd:
-        out = out * chart.gen(chart.generators[idx].name)
-    return out
-
-
-def _coefficient_rows(chart, values):
-    """Matrix of the values in the shared monomial-key coordinates, one
-    column per value, so a nullspace vector is a dependency of the values."""
-    keys = sorted({key for v in values for key in v.terms})
-    rows = [[v.terms.get(key, Fraction(0)) for v in values] for key in keys]
-    return rows
 
 
 def weighted_cohomology_module_check(theta):
@@ -336,7 +273,9 @@ def weighted_cohomology_module_check(theta):
     Over a point the degree-zero cochains are the constants, so H^0 is
     one-dimensional and the degree-one coboundaries vanish; the check
     computes dim H^{1,r} = dim ker {theta, .} on the weight-1 sections of
-    each lift weight r by exact linear algebra.  Returns
+    each lift weight r by exact linear algebra.  Every generator has
+    symplectic weight at least 1, so those sections are spanned by the
+    generators of bi-weight (r, 1).  Returns
     {"h0": ..., "h1": {r: dim}, "problems": []}; "problems" stays empty,
     because {theta, 1} = 0 holds for every potential and so is not checked.
     """
@@ -350,15 +289,16 @@ def weighted_cohomology_module_check(theta):
     k = chart.lift_degree
     h1 = {}
     for r in range(k):
-        basis = [_poly_from_monomial(chart, m)
-                 for m in _monomial_basis(chart, r, 1)]
+        basis = [chart.gen(g.name) for g in chart.generators
+                 if g.weight[0] == r
+                 and chart.gen_symplectic_weight(g.index) == 1]
         if not basis:
             h1[r] = 0
             continue
         images = [bracket(theta, b) for b in basis]
-        rows = _coefficient_rows(chart, images)
-        kernel = linalg.nullspace(rows, ncols=len(basis))
-        h1[r] = len(kernel)
+        keys = sorted({key for v in images for key in v.terms})
+        rows = [[v.coefficient(key) for v in images] for key in keys]
+        h1[r] = len(linalg.nullspace(rows, ncols=len(basis)))
     return {"h0": {0: 1}, "h1": h1, "problems": []}
 
 

@@ -12,6 +12,10 @@ from .superpoly import EVEN, ODD, SuperPoly
 SYMBOL_NAMES = ("f", "g", "h")
 
 
+class SamplingError(ValueError):
+    """The chart has no elements of the kind asked for."""
+
+
 def random_coeff(rng):
     return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
                     rng.choice((1, 1, 2, 3)))
@@ -92,7 +96,8 @@ def random_section(chart, rng, *, max_terms=3, allow_symbols=True):
     """Random symplectic-weight-1 element with function coefficients."""
     ones = [g for g in chart.generators
             if chart.symplectic_weight(g.weight) == 1]
-    assert ones, "chart has no weight-1 sector"
+    if not ones:
+        raise SamplingError("chart %s has no weight-1 sector" % chart.name)
     total = chart.zero()
     for _ in range(rng.randint(1, max_terms)):
         g = rng.choice(ones)

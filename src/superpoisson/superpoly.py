@@ -690,7 +690,11 @@ class _Parser:
                     raise ParseError(
                         "odd generator %r squares to zero; write 0 instead"
                         % g.name, epos)
-                value = value ** e
+                if e == 0:
+                    value = self.chart.one()
+                elif g.parity == EVEN:
+                    value = SuperPoly(self.chart,
+                                      {((), ((g.index, e),), ()): 1})
             return value
         # Formal scalar symbol, optionally with a declared argument list.
         if self.at_op("("):

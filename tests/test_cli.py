@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import oracles
 from superpoisson import cli, gallery
 from superpoisson.superpoly import to_text
@@ -242,3 +244,29 @@ def test_instance_file_without_expected_block_fails_check(tmp_path, capsys):
     code, out, _err = run(capsys, ["bracket", path, "--pre", "pi1", "pi2"])
     assert code == 0
     assert out == "pi3\n"
+
+
+def test_sampling_flags_belong_to_check_only(capsys):
+    for argv in (["gallery", "--seed", "1"],
+                 ["lift", "cross3", "-k", "2", "--samples", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_without_weight_one_sector_is_a_usage_error(tmp_path, capsys):
+    doc = {"schema_version": 1, "name": "no_sections", "potential": "0",
+           "chart": {"name": "plain", "axes": 1, "n_manifold": True,
+                     "symplectic_axes": [0],
+                     "generators": [
+                         {"name": "x1", "parity": "even", "weight": [0]},
+                         {"name": "p1", "parity": "even", "weight": [2]}],
+                     "pairing": [["p1", "x1", "1"]]},
+           "expected": {"verdicts": {}}}
+    path = tmp_path / "no_sections.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "chart plain has no weight-1 sector" in err

@@ -97,6 +97,22 @@ def test_complete_lift_of_coordinates_and_symbols():
     assert to_text(lifts.complete_lift(ch.gen("p1"), 2, lifted)) == "p1_1"
     assert to_text(lifts.complete_lift(ch.symbol("g"), 2, lifted)) \
         == "D[g; x1_0]*x1_1"
+    higher = {
+        (3, "g"): "D[g; x1_0]*x1_2 + 1/2*D[g; x1_0, x1_0]*x1_1^2",
+        (3, "x1*g"): "g*x1_2 + D[g; x1_0]*x1_0*x1_2 + D[g; x1_0]*x1_1^2"
+                     " + 1/2*D[g; x1_0, x1_0]*x1_0*x1_1^2",
+        (4, "g"): "D[g; x1_0]*x1_3 + D[g; x1_0, x1_0]*x1_1*x1_2"
+                  " + 1/6*D[g; x1_0, x1_0, x1_0]*x1_1^3",
+        (4, "x1*g"): "g*x1_3 + D[g; x1_0]*x1_0*x1_3"
+                     " + 2*D[g; x1_0]*x1_1*x1_2"
+                     " + D[g; x1_0, x1_0]*x1_0*x1_1*x1_2"
+                     " + 1/2*D[g; x1_0, x1_0]*x1_1^3"
+                     " + 1/6*D[g; x1_0, x1_0, x1_0]*x1_0*x1_1^3",
+    }
+    for (k, text), want in higher.items():
+        got = lifts.complete_lift(parse_expr(ch, text), k,
+                                  lifts.tangent_lift_chart(ch, k))
+        assert to_text(got) == want, (k, text)
 
 
 def test_complete_lift_of_products():
@@ -191,3 +207,16 @@ def test_lifted_verdicts():
     assert courant.classify(TL).verdict == "Courant"
     lifted3, TL3 = lifted_cross3(3)
     assert courant.classify(TL3).verdict == "Courant"
+
+
+@pytest.mark.parametrize("name", ["rflux", "quasi_poisson"])
+def test_degree_four_lift_of_symbol_potentials(name):
+    inst = gallery.build(name)
+    flat = lifts.flatten_chart(inst.chart)
+    low = lifts.flatten_poly(inst.default_potential, flat)
+    assert low.symbol_names()
+    target = lifts.tangent_lift_chart(flat, 4)
+    assert lifts.lift_identity_check(low, low, 4, target).is_zero
+    lifted = lifts.complete_lift(low, 4, target)
+    assert courant.classify(lifted).verdict \
+        == courant.classify(inst.default_potential).verdict

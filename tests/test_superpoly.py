@@ -109,6 +109,15 @@ def test_parse_error_has_position():
     assert "offset" in str(err.value)
 
 
+def test_parse_huge_exponent_is_one_term():
+    ch = chart()
+    P = parse_expr(ch, "x1^1000000000")
+    assert to_text(P) == "x1^1000000000"
+    assert parse_expr(ch, to_text(P)) == P
+    assert parse_expr(ch, "x1^0") == ch.one()
+    assert parse_expr(ch, "xi1^1") == ch.gen("xi1")
+
+
 def test_parse_rejects_odd_exponent():
     ch = chart()
     with pytest.raises(ParseError):
