@@ -10,7 +10,8 @@ nondegeneracy over the rationals) is checked here, not in the engine.
 
 from fractions import Fraction
 
-from .superpoly import (EVEN, ODD, Generator, SuperPoly, parse_expr, to_text)
+from .superpoly import (EVEN, ODD, Generator, SuperPoly, _norm, parse_expr,
+                        to_text)
 from . import linalg
 
 ROLES = ("base", "fibre", "momentum", "cofibre")
@@ -144,9 +145,11 @@ class Chart:
         self.momentum_indices = tuple(sorted(momenta))
         self.true_base_indices = tuple(
             g.index for g in self.generators if g.is_true_base)
+        # The bracket's pairing coefficients, stored integer-first like every
+        # SuperPoly coefficient; self.pairing keeps the Fractions.
         rows = {}
         for (gi, hj), c in sorted(self.pairing.items()):
-            rows.setdefault(gi, []).append((hj, c))
+            rows.setdefault(gi, []).append((hj, _norm(c)))
         self.pairing_rows = {gi: tuple(row) for gi, row in rows.items()}
 
     # -- lookups ---------------------------------------------------------
@@ -172,7 +175,9 @@ class Chart:
                 for gi, hj in sorted(self.pairing)]
 
     def conjugates(self, idx):
-        return list(self.pairing_rows.get(idx, ()))
+        """(hj, Fraction coefficient) for every generator idx pairs with."""
+        return [(hj, self.pairing[(idx, hj)])
+                for hj, _ in self.pairing_rows.get(idx, ())]
 
     def role_indices(self, role):
         if self.roles is None:

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from .superpoly import homogeneity, to_text
 from .poisson import bracket
-from .courant import (PotentialError, anchor_apply, jacobiator, pairing,
-                      pre_bracket, validate_potential)
+from .courant import (PotentialError, anchor_apply, anchor_vector,
+                      apply_anchor_vector, jacobiator, pairing, pre_bracket,
+                      validate_potential)
 from . import linalg
 
 
@@ -123,7 +124,8 @@ def classical_naive_differential(theta, psi, basis, dual):
     equality is a checked identity.
 
     The basis tuples overlap heavily, so within one call every [[b_i, b_j]]
-    is computed once per index pair and every left-nested evaluation once
+    is computed once per index pair, every anchor vector (-1)^b_i~
+    {theta, b_i} once per basis index, and every left-nested evaluation once
     per prefix of section labels (a basis index, or an index pair standing
     for its derived bracket).
     """
@@ -138,6 +140,7 @@ def classical_naive_differential(theta, psi, basis, dual):
     _check_dual(basis, dual)
     ck = identification_constant(k)
     brackets = {}
+    anchors = [anchor_vector(theta, b) for b in basis]
     evaluations = {(): psi}
 
     def section(label):
@@ -164,8 +167,8 @@ def classical_naive_differential(theta, psi, basis, dual):
         for i in range(k + 1):
             rest = tuple(combo[m] for m in range(k + 1) if m != i)
             sign = -1 if i % 2 else 1
-            value = value + anchor_apply(theta, basis[combo[i]],
-                                         form_value(rest)) * sign
+            value = value + apply_anchor_vector(anchors[combo[i]],
+                                               form_value(rest)) * sign
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
                 rest = ((combo[i], combo[j]),) + tuple(

@@ -5,7 +5,8 @@ induces a bracket, an anchor and a pairing on the weight-1 functions
 ("sections").  Everything here is a thin layer of Poisson brackets:
 
     pre_bracket(T, s, p)  = (-1)^s~ {{T, s}, p}
-    anchor_apply(T, s, f) = (-1)^s~ {{T, s}, f}
+    anchor_vector(T, s)   = (-1)^s~ {T, s}
+    anchor_apply(T, s, f) = {anchor_vector(T, s), f}
     pairing(s, p)         = {s, p}
     d_operator(T, f)      = {T, f}
 
@@ -78,12 +79,22 @@ def pre_bracket(theta, sigma, psi):
     return bracket(bracket(theta, sigma), psi) * sign
 
 
-def anchor_apply(theta, sigma, f):
-    """Action of the section sigma on the weight-0 function f."""
+def anchor_vector(theta, sigma):
+    """(-1)^sigma~ {theta, sigma}, by which sigma acts on functions."""
+    sign = -1 if _parity(sigma, "section") else 1
+    return bracket(theta, sigma) * sign
+
+
+def apply_anchor_vector(rho, f):
+    """{rho, f} for an anchor vector rho and a weight-0 function f."""
     if not f.is_zero and f.chart.element_symplectic_weight(f) != 0:
         raise PotentialError("anchor argument must have symplectic weight 0: %s" % to_text(f))
-    sign = -1 if _parity(sigma, "section") else 1
-    return bracket(bracket(theta, sigma), f) * sign
+    return bracket(rho, f)
+
+
+def anchor_apply(theta, sigma, f):
+    """Action of the section sigma on the weight-0 function f."""
+    return apply_anchor_vector(anchor_vector(theta, sigma), f)
 
 
 def pairing(sigma, psi):

@@ -1,8 +1,9 @@
 """Small exact linear algebra over the rationals.
 
-Everything here works on lists of lists of Fraction and is sized for
-chart-scale matrices (tens of rows), where exact Gaussian elimination is
-instant and keeps the whole artifact float-free.
+Everything here takes lists of lists of exact rationals (int, or Fraction
+when not integral, as SuperPoly stores its coefficients), computes in
+Fraction, and is sized for chart-scale matrices (tens of rows), where exact
+Gaussian elimination is instant and keeps the whole artifact float-free.
 """
 
 from fractions import Fraction

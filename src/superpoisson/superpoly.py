@@ -7,8 +7,9 @@ zero, so every monomial has a canonical form and equality is literal
 dictionary equality.  Monomials may also carry formal scalar symbols
 f, g, ... standing for unspecified smooth functions of the weight-zero
 even generators; their derivatives are tracked as jets D[f; x, y] that
-never simplify.  All coefficients are fractions.Fraction, so "equals
-zero" is a decidable, exact statement.
+never simplify.  Every coefficient is exact: an int, or a
+fractions.Fraction when it is not integral, so "equals zero" is a
+decidable, exact statement.
 """
 
 from fractions import Fraction
@@ -44,7 +45,20 @@ class Generator:
 #         generator indices the symbol has been differentiated by (a multiset);
 #   even: tuple of (generator_index, exponent) with indices ascending;
 #   odd:  strictly ascending tuple of generator indices.
-# The coefficient of a key is a nonzero Fraction.
+# The coefficient of a key is nonzero: an int, or a Fraction when it is not
+# integral (see _norm).
+
+
+def _norm(c):
+    """An integral Fraction as its int numerator; any other c unchanged.
+
+    Almost every coefficient the bracket produces is an integer, and int
+    arithmetic is several times cheaper than Fraction arithmetic, so every
+    place a coefficient is born stores it through here.
+    """
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _merge_odd(a, b):
@@ -106,7 +120,7 @@ def mul_terms_into(acc, left, right, scale=None):
     """
     for (s1, e1, o1), c1 in left.items():
         if scale is not None:
-            c1 = c1 * scale
+            c1 = _norm(c1 * scale)
         for (s2, e2, o2), c2 in right.items():
             merged = _merge_odd(o1, o2)
             if merged is None:
@@ -114,11 +128,15 @@ def mul_terms_into(acc, left, right, scale=None):
             odd, sign = merged
             key = (_merge_scal(s1, s2), _merge_even(e1, e2), odd)
             c = c1 * c2 if sign > 0 else -(c1 * c2)
+            if type(c) is Fraction:
+                c = _norm(c)
             old = acc.get(key)
             if old is None:
                 acc[key] = c
             else:
                 c = old + c
+                if type(c) is Fraction:
+                    c = _norm(c)
                 if c:
                     acc[key] = c
                 else:
@@ -135,8 +153,8 @@ class SuperPoly:
         clean = {}
         if terms:
             for key, c in terms.items():
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
+                if type(c) is not int:
+                    c = _norm(Fraction(c))
                 if c:
                     clean[key] = c
         self.terms = clean
@@ -145,8 +163,8 @@ class SuperPoly:
 
     @staticmethod
     def from_clean_terms(chart, terms):
-        """Wrap a term dict whose coefficients are already nonzero
-        Fractions, without copying or re-checking it."""
+        """Wrap a term dict whose coefficients are already nonzero ints, or
+        Fractions when not integral, without copying or re-checking it."""
         P = SuperPoly.__new__(SuperPoly)
         P.chart = chart
         P.terms = terms
@@ -154,7 +172,7 @@ class SuperPoly:
 
     @staticmethod
     def constant(chart, value):
-        value = Fraction(value)
+        value = _norm(Fraction(value))
         if not value:
             return SuperPoly(chart, {})
         return SuperPoly(chart, {((), (), ()): value})
@@ -165,12 +183,12 @@ class SuperPoly:
             key = ((), (), (gen.index,))
         else:
             key = ((), ((gen.index, 1),), ())
-        return SuperPoly(chart, {key: Fraction(1)})
+        return SuperPoly(chart, {key: 1})
 
     @staticmethod
     def symbol(chart, name, jets=()):
         key = (((name, tuple(sorted(jets))),), (), ())
-        return SuperPoly(chart, {key: Fraction(1)})
+        return SuperPoly(chart, {key: 1})
 
     # -- basic structure ------------------------------------------------
 
@@ -183,7 +201,7 @@ class SuperPoly:
         return [(k, self.terms[k]) for k in sorted(self.terms)]
 
     def coefficient(self, key):
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -220,17 +238,18 @@ class SuperPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
+            s = _norm(out.get(key, 0) + c)
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return SuperPoly(self.chart, out)
+        return SuperPoly.from_clean_terms(self.chart, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPoly(self.chart, {k: -c for k, c in self.terms.items()})
+        return SuperPoly.from_clean_terms(
+            self.chart, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -246,11 +265,11 @@ class SuperPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _norm(Fraction(other))
             if not c:
                 return SuperPoly(self.chart, {})
-            return SuperPoly(self.chart,
-                             {k: v * c for k, v in self.terms.items()})
+            return SuperPoly.from_clean_terms(
+                self.chart, {k: _norm(v * c) for k, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -386,15 +405,11 @@ def left_partial(P, g):
     out = {}
 
     def put(key, c):
-        old = out.get(key)
-        if old is None:
+        c = _norm(out.get(key, 0) + c)
+        if c:
             out[key] = c
         else:
-            c = old + c
-            if c:
-                out[key] = c
-            else:
-                del out[key]
+            del out[key]
 
     if g.parity == ODD:
         for (scal, even, odd), c in P.terms.items():
@@ -484,7 +499,7 @@ def substitute(P, genmap, target=None):
             new_scal = tuple(sorted(
                 (name, tuple(sorted(jet_target(j) for j in jets)))
                 for name, jets in scal))
-            part = part * SuperPoly(target, {(new_scal, (), ()): Fraction(1)})
+            part = part * SuperPoly(target, {(new_scal, (), ()): 1})
         for idx, e in even:
             img = gen_image(idx)
             for _ in range(e):

@@ -60,6 +60,10 @@ def test_conjugates():
     idx, coeff = pairs[0]
     assert ch.generators[idx].name == "pi1"
     assert coeff == 1
+    # the bracket's rows store int, but 1 / coeff must stay exact
+    assert type(coeff) is Fraction
+    assert ch.pairing_rows[xi1] == ((idx, 1),)
+    assert type(ch.pairing_rows[xi1][0][1]) is int
 
 
 def test_metrics():

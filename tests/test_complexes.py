@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import identities
-from superpoisson import complexes, gallery, sampling
+from superpoisson import complexes, courant, gallery, sampling
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.courant import PotentialError
 from superpoisson.poisson import bracket
@@ -151,3 +151,37 @@ def test_classical_differential_brackets_each_basis_pair_once(monkeypatch):
     assert got == complexes.q_theta(T, el)
     assert len(basis) == 14
     assert len(calls) == len(set(calls)) == 91
+
+
+def test_classical_differential_brackets_theta_with_each_section_once(
+        monkeypatch):
+    # Outside the 91 derived brackets (pinned above), the anchor terms need
+    # {theta, b_i} once per section, not once per basis tuple.
+    inst = gallery.build("cross7")
+    T = inst.default_potential
+    basis, dual = identities.weight_one_frame(inst.chart)
+    sections = {to_text(b) for b in basis}
+    calls = []
+    in_pre_bracket = []
+    original_bracket = courant.bracket
+    original_pre_bracket = complexes.pre_bracket
+
+    def counting_bracket(X, Y):
+        if not in_pre_bracket and X == T and to_text(Y) in sections:
+            calls.append(to_text(Y))
+        return original_bracket(X, Y)
+
+    def flagged_pre_bracket(theta, s, p):
+        in_pre_bracket.append(True)
+        try:
+            return original_pre_bracket(theta, s, p)
+        finally:
+            in_pre_bracket.pop()
+
+    monkeypatch.setattr(courant, "bracket", counting_bracket)
+    monkeypatch.setattr(complexes, "pre_bracket", flagged_pre_bracket)
+    el = inst.l_elements[1]
+    got = complexes.classical_naive_differential(T, el, basis, dual)
+    assert got == complexes.q_theta(T, el)
+    assert len(basis) == 14
+    assert 0 < len(calls) <= 14

@@ -174,6 +174,23 @@ def test_weight_table_on_lifted_cross_product():
     assert report["checks"] == 288
 
 
+def test_weight_table_reports_a_potential_of_the_wrong_lift_weight(
+        monkeypatch):
+    # validate_potential already refuses these potentials; with it bypassed,
+    # the table itself must catch the wrong lift weight.
+    inst = gallery.build("cross3")
+    lifted = lifts.tangent_lift_chart(lifts.flatten_chart(inst.chart), 3)
+    monkeypatch.setattr(lifts, "validate_potential", lambda theta: None)
+    low = lifts.weight_table_check(parse_expr(lifted, "xi1_0*xi2_0*xi3_1"))
+    assert low["checks"] == 648
+    assert len(low["problems"]) == 6
+    assert low["problems"][0].startswith(
+        "bracket of pi3_1 and pi1_2 misses lift weight 1")
+    high = lifts.weight_table_check(parse_expr(lifted, "xi1_0*xi2_1*xi3_2"))
+    assert any(p.endswith("should vanish below weight zero")
+               for p in high["problems"])
+
+
 def test_weight_table_needs_lifted_chart():
     inst = gallery.build("cross3")
     with pytest.raises(LiftError, match="lift degree"):

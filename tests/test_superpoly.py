@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from superpoisson import complexes, courant, gallery, lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
-from superpoisson.superpoly import (ParseError, SuperPoly, parse_expr,
-                                    substitute, to_text)
+from superpoisson.poisson import bracket
+from superpoisson.superpoly import (ParseError, SuperPoly, left_partial,
+                                    parse_expr, substitute, to_text)
 
 
 def chart():
@@ -144,3 +146,66 @@ def test_substitute_identity_and_scaling():
     assert same == P
     doubled = substitute(P, {"xi1": ch.gen("xi1") * Fraction(2)})
     assert doubled == parse_expr(ch, "2*x1*xi1*p1 + 2*xi1*xi2")
+
+
+def _is_int_first(c):
+    """An int, or a Fraction that is not integral; never a float or bool."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_catalogue_results_store_coefficients_int_first():
+    seen = set()
+    lifted = 0
+    for name in gallery.names():
+        inst = gallery.build(name)
+        T = inst.default_potential
+        polys = [courant.classify(T).sigma]
+        polys += [complexes.q_theta(T, el) for el in inst.l_elements]
+        try:
+            flat = lifts.flatten_chart(inst.chart)
+        except lifts.LiftError:
+            pass  # a chart with a non-symplectic axis does not flatten
+        else:
+            polys.append(lifts.complete_lift(lifts.flatten_poly(T, flat), 3))
+            lifted += 1
+        for P in polys:
+            for c in P.terms.values():
+                assert _is_int_first(c), (name, repr(c))
+                seen.add(type(c))
+        # the chart's own data stays Fraction, so 1 / c is exact
+        ch = inst.chart
+        given = list(ch.pairing.values())
+        given += [c for i in range(len(ch.generators))
+                  for _, c in ch.conjugates(i)]
+        if ch.metric is not None:
+            given += [x for row in ch.metric[1] for x in row]
+        assert all(type(c) is Fraction for c in given), name
+    assert lifted == 13
+    assert seen == {int, Fraction}
+
+
+def test_integral_coefficients_are_stored_as_int():
+    ch = chart()
+    half = parse_expr(ch, "1/2*x1")
+    assert list(half.terms.values()) == [Fraction(1, 2)]
+    (c,) = (half * 2).terms.values()
+    assert type(c) is int and c == 1
+    (c,) = (half + half).terms.values()
+    assert type(c) is int and c == 1
+    # products, sums of products, derivatives and brackets of halves
+    x1_plus_x2 = parse_expr(ch, "x1 + x2")
+    for P in (half * parse_expr(ch, "2*x2"),
+              parse_expr(ch, "1/2*x1 + 1/2*x2") * x1_plus_x2,
+              left_partial(parse_expr(ch, "1/2*x1^2"), "x1"),
+              bracket(parse_expr(ch, "1/2*p1^2"), ch.gen("x1"))):
+        assert all(map(_is_int_first, P.terms.values())), to_text(P)
+        assert int in set(map(type, P.terms.values())), to_text(P)
+    P = parse_expr(ch, "-3/2*x1*xi1 + 5/2*D[f; x1]*p2 + 2*xi2")
+    again = parse_expr(ch, to_text(P))
+    assert again == P
+    assert sorted(map(repr, again.terms.values())) \
+        == ["2", "Fraction(-3, 2)", "Fraction(5, 2)"]
+    with pytest.raises(TypeError):
+        P * 0.5
+    with pytest.raises(TypeError):
+        0.5 * P
