@@ -17,7 +17,7 @@ from fractions import Fraction
 from .superpoly import homogeneity, to_text
 from .poisson import bracket
 from .courant import (PotentialError, anchor_apply, anchor_vector,
-                      apply_anchor_vector, jacobiator, pairing, pre_bracket,
+                      apply_anchor_vector, pairing, pre_bracket,
                       validate_potential)
 from . import linalg
 
@@ -68,12 +68,17 @@ def naive_commutator_defect(theta, f, alpha):
     Identically zero for every potential; on a potential whose self-bracket
     kills weight-0 functions the last term dies, so the small complex is
     closed under the differential.
+
+    Within one call {theta, f} is computed once and serves both
+    contractions and the last term; in the second term the sign of the
+    contraction cancels the (-1)^f~ in front of it.
     """
     pf = f.parity()
     sign = -1 if pf else 1
-    out = iota(theta, f, q_theta(theta, alpha))
-    out = out + q_theta(theta, iota(theta, f, alpha)) * sign
-    out = out - bracket(bracket(theta, bracket(theta, f)), alpha)
+    theta_f = bracket(theta, f)
+    out = bracket(theta_f, q_theta(theta, alpha)) * sign
+    out = out + q_theta(theta, bracket(theta_f, alpha))
+    out = out - bracket(bracket(theta, theta_f), alpha)
     return out
 
 
@@ -308,14 +313,38 @@ def naive_cohomology_condition(theta):
     against all ordered pairs of weight-1 coordinate sections.  When this
     holds the small complex is a genuine cochain complex (the squared
     differential vanishes on it), which the tests verify separately.
+
+    The Jacobiator is the direct one of courant.jacobiator,
+
+        J(k,u,v) = [[k,[[u,v]]]] - [[[[k,u]],v]]
+                   - (-1)^((k~+1)(u~+1)) [[u,[[k,v]]]],
+
+    with every derived bracket written as [[a, b]] = {anchor_vector(theta,
+    a), b}.  The triples overlap heavily, so within one call every anchor
+    vector is computed once per left argument (each kappa, each coordinate
+    section u and each [[kappa, u]]), every [[u, v]] once per ordered pair
+    and every [[kappa, u]] once per pair; a triple then costs its three
+    outer brackets.
     """
     chart = theta.chart
     kappas = constant_l1_basis(theta)
     ones = [chart.gen(g.name) for g in chart.generators
             if chart.gen_symplectic_weight(g.index) == 1]
+    anchors = [anchor_vector(theta, u) for u in ones]
+    products = {}
     for kappa in kappas:
-        for u in ones:
-            for v in ones:
-                if not jacobiator(theta, kappa, u, v).is_zero:
+        rho_kappa = anchor_vector(theta, kappa)
+        with_kappa = [bracket(rho_kappa, u) for u in ones]
+        pk = kappa.parity()
+        for i, u in enumerate(ones):
+            sign = -1 if ((pk ^ 1) & (u.parity() ^ 1)) else 1
+            rho_with_u = anchor_vector(theta, with_kappa[i])
+            for j, v in enumerate(ones):
+                if (i, j) not in products:
+                    products[i, j] = bracket(anchors[i], v)
+                value = bracket(rho_kappa, products[i, j])
+                value = value - bracket(rho_with_u, v)
+                value = value - bracket(anchors[i], with_kappa[j]) * sign
+                if not value.is_zero:
                     return False
     return True

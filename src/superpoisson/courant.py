@@ -116,13 +116,19 @@ def jacobiator(theta, sigma, psi, lam):
     """Defect of the Jacobi identity for the derived bracket.
 
     J(s,p,l) = [[s,[[p,l]]]] - [[[[s,p]],l]] - (-1)^((s~+1)(p~+1)) [[p,[[s,l]]]].
+
+    Every derived bracket [[a, b]] is {anchor_vector(theta, a), b}, so
+    within one call the anchor vectors of s and p are computed once each
+    and shared by the brackets that take them as left argument.
     """
     ps = _parity(sigma, "section")
     pp = _parity(psi, "section")
     sign = -1 if ((ps ^ 1) & (pp ^ 1)) else 1
-    out = pre_bracket(theta, sigma, pre_bracket(theta, psi, lam))
-    out = out - pre_bracket(theta, pre_bracket(theta, sigma, psi), lam)
-    out = out - pre_bracket(theta, psi, pre_bracket(theta, sigma, lam)) * sign
+    rho_s = anchor_vector(theta, sigma)
+    rho_p = anchor_vector(theta, psi)
+    out = bracket(rho_s, bracket(rho_p, lam))
+    out = out - bracket(anchor_vector(theta, bracket(rho_s, psi)), lam)
+    out = out - bracket(rho_p, bracket(rho_s, lam)) * sign
     return out
 
 
@@ -159,14 +165,22 @@ def anchor_defect(theta, sigma, psi, f):
     The commutator of anchor actions differs from the anchor of the bracket
     by (1/2)(-1)^(f~(s~+p~)+p~) {{{{theta,theta},f},s},p}; this function
     computes both sides independently and returns their difference.
+
+    Within one call the anchor vectors of s and p are computed once each
+    and serve both anchor actions of each section and the derived bracket
+    [[s, p]] = {anchor_vector(theta, s), p}.
     """
     ps = _parity(sigma, "section")
     pp = _parity(psi, "section")
     pf = _parity(f, "function")
     swap_sign = -1 if ((ps ^ 1) & (pp ^ 1)) else 1
-    lhs = anchor_apply(theta, sigma, anchor_apply(theta, psi, f))
-    lhs = lhs - anchor_apply(theta, psi, anchor_apply(theta, sigma, f)) * swap_sign
-    lhs = lhs - anchor_apply(theta, pre_bracket(theta, sigma, psi), f)
+    rho_s = anchor_vector(theta, sigma)
+    rho_p = anchor_vector(theta, psi)
+    lhs = apply_anchor_vector(rho_s, apply_anchor_vector(rho_p, f))
+    lhs = lhs - apply_anchor_vector(
+        rho_p, apply_anchor_vector(rho_s, f)) * swap_sign
+    lhs = lhs - apply_anchor_vector(
+        anchor_vector(theta, bracket(rho_s, psi)), f)
     rhs_sign = -1 if ((pf & (ps ^ pp)) ^ pp) else 1
     rhs = bracket(bracket(bracket(bracket(theta, theta), f), sigma), psi)
     rhs = rhs * Fraction(rhs_sign, 2)

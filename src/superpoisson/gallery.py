@@ -146,6 +146,9 @@ def check_instance(inst):
                             % (label, got.verdict, want))
         return got
 
+    # Each distinct potential is classified once: the class carries {P, P}
+    # as its sigma, and the default potential is the pencil at lambda = 1.
+    sc = None
     if inst.twist is not None:
         verdicts = expected.get("verdicts", {})
         for lam in inst.lambdas:
@@ -154,10 +157,12 @@ def check_instance(inst):
                 failures.append("no expected verdict for lambda %s" % lam)
                 continue
             P = inst.potential_at(lam)
-            check_verdict(P, want, "lambda %s" % lam)
+            got = check_verdict(P, want, "lambda %s" % lam)
+            if lam == 1:
+                sc = got
             factor = expected.get("twist_sigma_factor")
             if factor is not None:
-                lhs = bracket(P, P)
+                lhs = got.sigma if got is not None else bracket(P, P)
                 rhs = bracket(inst.theta, inst.twist) * (Fraction(factor)
                                                          * lam)
                 if lhs != rhs:
@@ -167,9 +172,11 @@ def check_instance(inst):
     elif "verdict" not in expected:
         failures.append("no expected verdict for the potential")
     else:
-        check_verdict(inst.theta, expected["verdict"], "potential")
+        sc = check_verdict(inst.theta, expected["verdict"], "potential")
 
-    sc = courant.classify(inst.default_potential)
+    if sc is None:
+        sc = courant.classify(inst.default_potential)
+
     if expected.get("pre_courant") is not None:
         if sc.is_pre_courant != expected["pre_courant"]:
             failures.append("pre-Courant property is %s, expected %s"

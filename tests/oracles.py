@@ -8,6 +8,7 @@ arithmetic, lifts from a formal curve substitution, and the obstruction
 polynomial of the quasi-Poisson instance is assembled index by index.
 """
 
+import itertools
 from fractions import Fraction
 
 from superpoisson.charts import Chart, EVEN
@@ -87,6 +88,12 @@ def darboux_literal_bracket(X, Y):
 CROSS7_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7),
                   (3, 6, 5))
 
+# The catalogue's cross-product instances: (rank, ordered triples i, j, k
+# with [e_i, e_j] = e_k).
+CROSS_INSTANCES = {"cross3": (3, ((1, 2, 3),)),
+                   "cross7": (7, CROSS7_TRIPLES),
+                   "cross7_full": (7, CROSS7_TRIPLES + ((3, 4, 7),))}
+
 
 def epsilon_table(triples):
     eps = {}
@@ -121,14 +128,29 @@ def algebra_jacobiator(eps, rank, i, j, k):
     return {l: c for l, c in out.items() if c}
 
 
-def cross_theta(chart, triples):
-    """(1/2) eps_ijk xi^i xi^j pi_k, assembled from the antisymmetrized
-    table rather than the ordered-triple shortcut."""
+def structure_theta(chart, c):
+    """(1/2) c_ijk xi^i xi^j pi_k for structure constants c_ijk = -c_jik,
+    given as a dict from (i, j, k) to the coefficient of e_k in [e_i, e_j]
+    (1-based; absent entries are zero)."""
     T = chart.zero()
-    for (i, j, k), s in sorted(epsilon_table(triples).items()):
+    for (i, j, k), s in sorted(c.items()):
         T = T + (chart.gen("xi%d" % i) * chart.gen("xi%d" % j)
                  * chart.gen("pi%d" % k) * Fraction(s, 2))
     return T
+
+
+def jacobi_holds(c, rank):
+    """True when the cyclic Jacobiator of the structure constants c (keyed
+    as in structure_theta) vanishes on every triple of basis vectors."""
+    return all(not algebra_jacobiator(c, rank, i, j, k)
+               for i, j, k in itertools.product(range(1, rank + 1),
+                                                repeat=3))
+
+
+def cross_theta(chart, triples):
+    """(1/2) eps_ijk xi^i xi^j pi_k, assembled from the antisymmetrized
+    table rather than the ordered-triple shortcut."""
+    return structure_theta(chart, epsilon_table(triples))
 
 
 # -- quasi-Poisson obstruction, rebuilt ------------------------------------

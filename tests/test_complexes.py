@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import identities
+import oracles
 from superpoisson import complexes, courant, gallery, sampling
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.courant import PotentialError
@@ -185,3 +186,57 @@ def test_classical_differential_brackets_theta_with_each_section_once(
     assert got == complexes.q_theta(T, el)
     assert len(basis) == 14
     assert 0 < len(calls) <= 14
+
+
+def skew(entries):
+    """Structure constants c_ijk = -c_jik from the entries with i < j."""
+    c = {}
+    for (i, j, k), v in entries.items():
+        c[i, j, k] = v
+        c[j, i, k] = -v
+    return c
+
+
+# Over a point every constant section is a kappa, so the naive condition on
+# the potential of structure constants c is the Jacobi identity of c.
+POINT_ALGEBRAS = {
+    "so3": (3, skew({(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}), True),
+    "heisenberg": (3, skew({(1, 2, 3): 1}), True),
+    "abelian": (4, {}, True),
+    "solvable": (3, skew({(1, 2, 1): 1, (1, 3, 2): 1, (2, 3, 3): 1}), True),
+    "not_lie": (3, skew({(1, 2, 2): 1, (2, 3, 1): 1}), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_ALGEBRAS))
+def test_naive_condition_is_jacobi_over_a_point(name):
+    rank, c, lie = POINT_ALGEBRAS[name]
+    assert oracles.jacobi_holds(c, rank) is lie
+    theta = oracles.structure_theta(make_cotangent_antivb_chart(0, rank), c)
+    assert complexes.naive_cohomology_condition(theta) is lie
+
+
+@pytest.mark.parametrize("name", sorted(oracles.CROSS_INSTANCES))
+def test_naive_condition_of_cross_instances_against_oracle(name):
+    rank, triples = oracles.CROSS_INSTANCES[name]
+    inst = gallery.build(name)
+    want = oracles.jacobi_holds(oracles.epsilon_table(triples), rank)
+    assert complexes.naive_cohomology_condition(inst.default_potential) \
+        is want
+    assert inst.expected["naive_condition"] is want
+
+
+def test_naive_condition_computes_each_bracket_once(bracket_calls):
+    # 216 triples at 12 brackets each made 2,604 calls; with the inner
+    # brackets and anchor vectors tabled per call a triple costs three.
+    T = gallery.build("cross3").default_potential
+    assert complexes.naive_cohomology_condition(T) is True
+    assert len(bracket_calls) <= 800
+
+
+def test_commutator_defect_brackets_theta_with_f_once(bracket_calls):
+    ch, T = bialgebroid()
+    value = complexes.naive_commutator_defect(T, ch.gen("x1"),
+                                              parse_expr(ch, "x1*xi1"))
+    assert value.is_zero
+    assert len(bracket_calls) <= 7

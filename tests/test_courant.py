@@ -168,3 +168,19 @@ def test_structure_residual_equivalence_samples():
             courant.structure_equations_residual(T))
         assert vanish == (sc.verdict != "Nearly")
         assert (sc.verdict == "Courant") == bracket(T, T).is_zero
+
+
+def test_jacobiator_shares_anchor_vectors(bracket_calls):
+    ch, T = cross7()
+    value = courant.jacobiator(T, ch.gen("pi1"), ch.gen("pi2"), ch.gen("pi4"))
+    assert to_text(value) == "-2*pi7"
+    assert len(bracket_calls) <= 9
+
+
+def test_anchor_defect_shares_anchor_vectors(bracket_calls):
+    ch = make_darboux_chart(1, 3)
+    T = parse_expr(ch, "x1*xi1*p1 + xi1*xi2*xi3")
+    value = courant.anchor_defect(T, parse_expr(ch, "x1*xi1"),
+                                  ch.gen("xi2"), parse_expr(ch, "x1^2"))
+    assert value.is_zero
+    assert len(bracket_calls) <= 13

@@ -49,10 +49,7 @@ def test_data_files_are_regenerated_bytes():
 
 
 def test_data_file_potentials_match_oracles():
-    cross = {"cross3": ((1, 2, 3),),
-             "cross7": oracles.CROSS7_TRIPLES,
-             "cross7_full": oracles.CROSS7_TRIPLES + ((3, 4, 7),)}
-    for name, triples in cross.items():
+    for name, (_rank, triples) in oracles.CROSS_INSTANCES.items():
         inst = gallery.build(name)
         assert inst.theta == oracles.cross_theta(inst.chart, triples), name
 
@@ -186,3 +183,20 @@ def test_demo_runs(path, capsys):
     spec.loader.exec_module(module)
     module.main()
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("name,most", [("cross7", 2), ("twisted_pencil", 4)])
+def test_check_instance_classifies_each_potential_once(monkeypatch, name,
+                                                       most):
+    # cross7: its potential and its lift; twisted_pencil: three lambdas,
+    # one of them the default potential, and the lift.
+    calls = []
+    original = courant.classify
+
+    def counting(theta):
+        calls.append(theta)
+        return original(theta)
+
+    monkeypatch.setattr(courant, "classify", counting)
+    assert gallery.check_instance(gallery.build(name)) == []
+    assert len(calls) <= most

@@ -1,0 +1,103 @@
+"""Mutated catalogue files keep the exit-code contract.
+
+Whatever an instance file says, `superpoisson check` answers 0 (all checks
+hold), 1 (a check ran and failed) or 2 (the request is malformed); no
+exception escapes.  The files here are catalogue files with one seeded
+mutation each, of the kinds a hand-edited file tends to carry.
+"""
+
+import json
+import random
+import re
+
+from superpoisson import cli, gallery
+
+SEED = 20261018
+ROUNDS = 3
+
+# the instances whose check is cheap enough to run many times
+INSTANCES = ("cross3", "twisted_pencil", "bialgebroid", "action_algebra",
+             "skew_cotangent", "euclidean_cubic", "hyperbolic_cubic",
+             "nearly_witness")
+
+
+def _names(d):
+    return [g["name"] for g in d["chart"]["generators"]]
+
+
+def swap_names_in_potential(d, rng):
+    a, b = rng.sample(_names(d), 2)
+    d["potential"] = re.sub(
+        r"\b(%s|%s)\b" % (a, b), lambda m: b if m.group(0) == a else a,
+        d["potential"])
+
+
+def append_cubic_term(d, rng):
+    factors = "*".join(rng.choice(_names(d)) for _ in range(3))
+    d["potential"] += " %s %d*%s" % (rng.choice("+-"), rng.choice((1, 2, 3)),
+                                     factors)
+
+
+def wrong_parity(d, rng):
+    gen = rng.choice(d["chart"]["generators"])
+    gen["parity"] = "even" if gen["parity"] == "odd" else "odd"
+
+
+def wrong_weight(d, rng):
+    gen = rng.choice(d["chart"]["generators"])
+    axis = rng.randrange(len(gen["weight"]))
+    gen["weight"][axis] += rng.choice((-1, 1))
+
+
+def degenerate_pairing(d, rng):
+    entry = rng.choice(d["chart"]["pairing"])
+    entry[2] = rng.choice(("0", "1/2"))
+
+
+def broken_l_element(d, rng):
+    bad = rng.choice(("xi1*", "zz9", "(", "p1^-1", ""))
+    elements = d.setdefault("l_elements", [])
+    if elements:
+        elements[rng.randrange(len(elements))] = bad
+    else:
+        elements.append(bad)
+
+
+def broken_spot(d, rng):
+    spots = d["expected"].get("spots")
+    bad = rng.choice(("zz9", "xi1*", "x1^x1"))
+    if spots:
+        spot = rng.choice(spots)
+        spot["args"][rng.randrange(len(spot["args"]))] = bad
+    else:
+        d["expected"]["spots"] = [{"op": "pairing", "args": [bad, bad],
+                                   "value": "0"}]
+
+
+def lift_degree(d, rng):
+    d["lift"] = {"k": rng.choice((2, 3, 6))}
+    d["expected"].setdefault("lift_verdict", "Courant")
+
+
+MUTATIONS = (swap_names_in_potential, append_cubic_term, wrong_parity,
+             wrong_weight, degenerate_pairing, broken_l_element, broken_spot,
+             lift_degree)
+
+
+def test_mutated_instance_files_exit_0_1_or_2(tmp_path, capsys):
+    rng = random.Random(SEED)
+    codes = set()
+    for n in range(ROUNDS):
+        for name in INSTANCES:
+            for mutate in MUTATIONS:
+                d = json.loads(gallery.canonical_json(
+                    gallery.instance_to_json(gallery.build(name))))
+                mutate(d, rng)
+                path = tmp_path / ("%s_%s_%d.json" % (name, mutate.__name__,
+                                                      n))
+                path.write_text(json.dumps(d))
+                code = cli.main(["check", str(path), "--samples", "1"])
+                capsys.readouterr()
+                assert code in (0, 1, 2), (name, mutate.__name__, d)
+                codes.add(code)
+    assert codes == {0, 1, 2}
