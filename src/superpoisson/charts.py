@@ -6,6 +6,8 @@ charts, the odd metric block).  The pairing is stored completed to graded
 antisymmetry P^gh = -(-1)^(g~ h~) P^hg, and every structural invariant the
 bracket engine relies on (weight compatibility, parity compatibility,
 nondegeneracy over the rationals) is checked here, not in the engine.
+Nondegeneracy is checked by an exact determinant per connected block of
+the pairing (a conjugate pair, a metric block), not of the whole matrix.
 """
 
 from fractions import Fraction
@@ -222,6 +224,29 @@ class Chart:
         return "Chart(%r, %d generators)" % (self.name, len(self.generators))
 
 
+def _pairing_blocks(chart):
+    """The generator indices split into the connected blocks of the
+    pairing, each ascending; an unpaired generator is a block of its own.
+
+    The pairing matrix is block diagonal up to this permutation, so it is
+    nondegenerate exactly when every block's determinant is nonzero.
+    """
+    root = list(range(len(chart.generators)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for gi, hj in chart.pairing:
+        root[find(gi)] = find(hj)
+    blocks = {}
+    for i in range(len(root)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
 def _structural_problems(chart):
     problems = []
     if chart.axes < 1:
@@ -270,12 +295,11 @@ def _structural_problems(chart):
             "conjugate weights sum to %r; the symplectic form must have "
             "symplectic weight 2" % (pair_weight,))
 
-    n = len(chart.generators)
-    if n and pair_weight is not None:
-        matrix = [[chart.pairing.get((i, j), Fraction(0)) for j in range(n)]
-                  for i in range(n)]
-        if linalg.det(matrix) == 0:
-            problems.append("pairing matrix is degenerate over the rationals")
+    if pair_weight is not None and any(
+            linalg.det([[chart.pairing.get((i, j), 0) for j in block]
+                        for i in block]) == 0
+            for block in _pairing_blocks(chart)):
+        problems.append("pairing matrix is degenerate over the rationals")
 
     if chart.n_manifold:
         for g in chart.generators:

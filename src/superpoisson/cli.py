@@ -222,8 +222,11 @@ def cmd_lift(args):
     out_path = args.out or (out_name + ".json")
     doc = gallery.instance_to_json(gallery.Instance(
         out_name, lifted.chart, lifted, {"verdict": verdict.verdict}))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(gallery.canonical_json(doc))
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(gallery.canonical_json(doc))
+    except OSError as e:
+        raise UsageError("cannot write %s: %s" % (out_path, e.strerror))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "lift",

@@ -7,8 +7,9 @@ k - 1, which makes the lifted bracket carry bi-weight (1-k, -2).  The
 complete lift of a polynomial substitutes z by the sum of its copies,
 Taylor-expands every scalar symbol around the weight-zero copy of its
 arguments, and keeps the part of lift weight k - 1.  No copy has negative
-lift weight, so every product is cut back to lift weight at most k - 1 as
-soon as it is formed: the terms it drops could only feed higher weights.
+lift weight, so a term above lift weight k - 1 could only feed higher
+weights; every product therefore groups both factors by lift weight and
+never multiplies a group pair whose weights add up to more than k - 1.
 No factorial normalization is applied to the extracted component; the
 convention is pinned by the bracket identity {P^c, Q^c} = ({P, Q})^c which
 the test suite checks on random inputs and which ``lift_identity_check``
@@ -22,7 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .superpoly import SuperPoly, homogeneity, to_text
+from .superpoly import SuperPoly, homogeneity, mul_terms_into, to_text
 from .poisson import bracket
 from .charts import Chart
 from .courant import anchor_apply, pairing, pre_bracket, validate_potential
@@ -111,11 +112,27 @@ def lift_component(P, eps):
     return SuperPoly(P.chart, picked)
 
 
-def _below(P, top):
-    """The part of P of lift weight at most top."""
-    return SuperPoly.from_clean_terms(
-        P.chart, {key: c for key, c in P.terms.items()
-                  if P.term_weight(key)[0] <= top})
+def _by_lift_weight(P):
+    """P's terms grouped by lift weight, as {weight: term dict}."""
+    groups = {}
+    for key, c in P.terms.items():
+        groups.setdefault(P.term_weight(key)[0], {})[key] = c
+    return groups
+
+
+def _product_below(P, Q, top):
+    """The part of P * Q of lift weight at most top.
+
+    Lift weights add under multiplication, so only the group pairs of P and
+    Q whose lift weights add up to at most top are multiplied.
+    """
+    out = {}
+    right = _by_lift_weight(Q)
+    for p, left in _by_lift_weight(P).items():
+        for q, terms in right.items():
+            if p + q <= top:
+                mul_terms_into(out, left, terms)
+    return SuperPoly.from_clean_terms(P.chart, out)
 
 
 def _copies(lifted, name, start, k):
@@ -147,7 +164,7 @@ def _symbol_image(chart, lifted, k, scal_key):
                 for j in tuple(jets) + extra)
             piece = SuperPoly.symbol(lifted, name, lifted_jets)
             for b in extra:
-                piece = _below(piece * shifts[b], k - 1)
+                piece = _product_below(piece, shifts[b], k - 1)
             out = out + piece * coeff
     return out
 
@@ -157,9 +174,9 @@ def complete_lift(P, k, target=None):
     generator by the sum of its copies, expand symbols, keep lift weight
     k - 1.
 
-    No factor has negative lift weight, so every product drops its terms
-    above lift weight k - 1 as soon as it is formed; a dropped term could
-    only feed higher weights.
+    No factor has negative lift weight, so a term above lift weight k - 1
+    could only feed higher weights: the group pairs of the factors whose
+    lift weights add up to more than k - 1 are never multiplied.
     """
     chart = P.chart
     if target is None:
@@ -179,12 +196,12 @@ def complete_lift(P, k, target=None):
         for scal_key in scal:
             if scal_key not in sym_cache:
                 sym_cache[scal_key] = _symbol_image(chart, target, k, scal_key)
-            piece = _below(piece * sym_cache[scal_key], k - 1)
+            piece = _product_below(piece, sym_cache[scal_key], k - 1)
         for idx in [i for i, e in even for _ in range(e)] + list(odd):
             if idx not in gen_cache:
                 gen_cache[idx] = _copies(target, chart.generators[idx].name,
                                          0, k)
-            piece = _below(piece * gen_cache[idx], k - 1)
+            piece = _product_below(piece, gen_cache[idx], k - 1)
         total = total + piece
     return lift_component(total, k - 1)
 

@@ -4,8 +4,9 @@ Everything here recomputes expected values through a second route that
 shares as little code as possible with the implementation under test:
 derivatives are taken by direct term-key manipulation, bracket values come
 from the literal Darboux formula, Jacobiators from structure-constant
-arithmetic, lifts from a formal curve substitution, and the obstruction
-polynomial of the quasi-Poisson instance is assembled index by index.
+arithmetic, pairing nondegeneracy from one dense determinant, lifts from a
+formal curve substitution, and the obstruction polynomial of the
+quasi-Poisson instance is assembled index by index.
 """
 
 import itertools
@@ -181,6 +182,31 @@ def quasi_obstruction(chart, dim=3):
                     out = out + (coeff * chart.gen("xs%d" % d)
                                  * chart.gen("xs%d" % b) * fa)
     return out * Fraction(1, 2)
+
+
+# -- dense pairing determinant ---------------------------------------------
+
+def dense_pairing_det(chart):
+    """Determinant of the chart's whole n x n pairing matrix {g_i, g_j}, by
+    Gaussian elimination over Fraction on the dense matrix; the chart
+    itself checks nondegeneracy one connected block at a time."""
+    n = len(chart.generators)
+    m = [[Fraction(chart.pairing.get((i, j), 0)) for j in range(n)]
+         for i in range(n)]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
 
 
 # -- curve-substitution lift oracle ----------------------------------------

@@ -96,6 +96,24 @@ def test_lift_usage_errors(capsys):
     assert "non-symplectic" in err2
 
 
+def test_lift_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, out, err = run(capsys, ["lift", "cross3", "-k", "3",
+                                  "--out", str(missing)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %s: " % missing)
+    assert "Traceback" not in err
+    assert not missing.parent.exists()
+
+    code2, out2, err2 = run(capsys, ["lift", "cross3", "-k", "3",
+                                     "--out", str(tmp_path)])
+    assert code2 == 2
+    assert out2 == ""
+    assert err2.startswith("error: cannot write %s: " % tmp_path)
+    assert "Traceback" not in err2
+
+
 def test_unknown_instance_lists_names(capsys):
     code, _out, err = run(capsys, ["check", "nope"])
     assert code == 2

@@ -7,7 +7,8 @@ from superpoisson import courant, gallery, lifts, sampling
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.lifts import LiftError
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import homogeneity, parse_expr, to_text
+from superpoisson.superpoly import (SuperPoly, homogeneity, parse_expr,
+                                    to_text)
 
 
 def flat_antivb(dim, rank):
@@ -237,3 +238,25 @@ def test_degree_four_lift_of_symbol_potentials(name):
     lifted = lifts.complete_lift(low, 4, target)
     assert courant.classify(lifted).verdict \
         == courant.classify(inst.default_potential).verdict
+
+
+def test_complete_lift_multiplies_only_the_weight_groups_that_fit(
+        monkeypatch):
+    # Multiplying every pair of terms and filtering the product by lift
+    # weight afterwards makes 17,298 term_weight calls here.
+    inst = gallery.build("quasi_poisson")
+    flat = lifts.flatten_chart(inst.chart)
+    low = lifts.flatten_poly(inst.default_potential, flat)
+    target = lifts.tangent_lift_chart(flat, 4)
+    calls = []
+    original = SuperPoly.term_weight
+
+    def counting(self, key):
+        calls.append(None)
+        return original(self, key)
+
+    monkeypatch.setattr(SuperPoly, "term_weight", counting)
+    lifted = lifts.complete_lift(low, 4, target)
+    assert len(calls) <= 11000
+    assert not lifted.is_zero
+
