@@ -12,8 +12,7 @@ the pairing (a conjugate pair, a metric block), not of the whole matrix.
 
 from fractions import Fraction
 
-from .superpoly import (EVEN, ODD, Generator, SuperPoly, _norm, parse_expr,
-                        to_text)
+from .superpoly import EVEN, ODD, Generator, SuperPoly, _norm, parse_expr
 from . import linalg
 
 ROLES = ("base", "fibre", "momentum", "cofibre")
@@ -187,21 +186,10 @@ class Chart:
         return tuple(g.index for g in self.generators
                      if self.roles.get(g.name) == role)
 
-    @property
-    def pair_weight(self):
-        for (gi, hj) in sorted(self.pairing):
-            g = self.generators[gi]
-            h = self.generators[hj]
-            return tuple(a + b for a, b in zip(g.weight, h.weight))
-        return None
-
     # -- element factories ----------------------------------------------
 
     def zero(self):
         return SuperPoly(self, {})
-
-    def const(self, value):
-        return SuperPoly.constant(self, value)
 
     def one(self):
         return SuperPoly.constant(self, 1)
@@ -216,9 +204,6 @@ class Chart:
 
     def parse(self, text):
         return parse_expr(self, text)
-
-    def text(self, P):
-        return to_text(P)
 
     def __repr__(self):
         return "Chart(%r, %d generators)" % (self.name, len(self.generators))
@@ -362,12 +347,12 @@ def _structural_problems(chart):
 
 
 def validate_chart(chart):
-    """Re-run every structural check; returns a ValidationReport."""
-    problems = list(chart._problems)
-    for p in _structural_problems(chart):
-        if p not in problems:
-            problems.append(p)
-    return ValidationReport(problems)
+    """Every structural problem of the chart, as a ValidationReport.
+
+    A chart is never changed after construction, so the problems its
+    constructor found are the whole answer; nothing is checked again.
+    """
+    return ValidationReport(chart._problems)
 
 
 # -- constructors -------------------------------------------------------

@@ -82,16 +82,8 @@ def naive_commutator_defect(theta, f, alpha):
     return out
 
 
-def eval_on_sections(alpha, sections):
-    """Left-nested evaluation {...{{alpha, s_1}, s_2}..., s_k}."""
-    out = alpha
-    for s in sections:
-        out = bracket(out, s)
-    return out
-
-
 def identification_constant(k):
-    """eval_on_sections(d_1 ... d_k; b_1, ..., b_k) for dual pairs <b,d> = 1.
+    """{...{{d_1 ... d_k, b_1}, b_2}..., b_k} for dual pairs <b,d> = 1.
 
     The constants are (-1)^(k(k-1)/2): +1, -1, -1, +1, ... They translate
     between multilinear-form values and coefficient polynomials.

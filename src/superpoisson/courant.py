@@ -8,7 +8,8 @@ induces a bracket, an anchor and a pairing on the weight-1 functions
     anchor_vector(T, s)   = (-1)^s~ {T, s}
     anchor_apply(T, s, f) = {anchor_vector(T, s), f}
     pairing(s, p)         = {s, p}
-    d_operator(T, f)      = {T, f}
+
+The differential {T, f} of a function is ``complexes.q_theta``.
 
 The self-bracket {T, T} measures how far this structure is from a Courant
 algebroid; classify() sorts potentials into three classes by inspecting it.
@@ -16,7 +17,7 @@ algebroid; classify() sorts potentials into three classes by inspecting it.
 
 from fractions import Fraction
 
-from .superpoly import ODD, left_partial, to_text
+from .superpoly import ODD, to_text
 from .poisson import bracket
 from . import linalg
 
@@ -100,16 +101,6 @@ def anchor_apply(theta, sigma, f):
 def pairing(sigma, psi):
     """Symmetric pairing of sections: the plain Poisson bracket {sigma, psi}."""
     return bracket(sigma, psi)
-
-
-def d_operator(theta, f):
-    """Differential of a weight-0 function: {theta, f} (a section).
-
-    With the left-derivative conventions used throughout, the compatibility
-    sign is <d_operator(theta, f), s> = -anchor_apply(theta, s, f) for even
-    f; this is pinned by a test rather than assumed.
-    """
-    return bracket(theta, f)
 
 
 def jacobiator(theta, sigma, psi, lam):
@@ -208,10 +199,6 @@ class StructureClass:
         self.witness_value = witness_value
 
     @property
-    def is_courant(self):
-        return self.verdict == COURANT
-
-    @property
     def is_pre_courant(self):
         """True when {{T,T}, f} = 0 for all weight-0 f (Courant included)."""
         return self.verdict != NEARLY
@@ -270,111 +257,3 @@ def metric_frame(chart):
             e = e + chart.gen(names[j]) * ginv[j][i]
         frame.append(e)
     return frame
-
-
-def _darboux_sectors(chart):
-    if chart.metric is None or chart.axes != 1:
-        raise PotentialError("structure functions need a plain metric chart")
-    base = [chart.generators[i].name for i in chart.base_indices]
-    momentum = []
-    for idx in chart.base_indices:
-        partners = chart.conjugates(idx)
-        if len(partners) != 1:
-            raise PotentialError(
-                "base generator %s has %d conjugates, expected exactly one"
-                % (chart.generators[idx].name, len(partners)))
-        momentum.append(chart.generators[partners[0][0]].name)
-    return base, momentum
-
-
-def extract_structure_functions(theta):
-    """Read the anchor and cubic coefficient tables of a potential.
-
-    Returns (anchor, cubic) where anchor[i][a] = rho(e_i) x^a and
-    cubic[i][j][k] = <[[e_i, e_j]], e_k>, both over the metric frame e_i.
-    reassemble_structure_functions() inverts this exactly.
-    """
-    validate_potential(theta)
-    chart = theta.chart
-    base, _ = _darboux_sectors(chart)
-    frame = metric_frame(chart)
-    anchor = [[anchor_apply(theta, e, chart.gen(name)) for name in base]
-              for e in frame]
-    cubic = [[[pairing(pre_bracket(theta, ei, ej), ek) for ek in frame]
-              for ej in frame]
-             for ei in frame]
-    return anchor, cubic
-
-
-def reassemble_structure_functions(chart, anchor, cubic):
-    """Rebuild the potential -xi^i Q_i^a p_a - (1/3!) xi^i xi^j xi^k Q_kji.
-
-    anchor and cubic are tables as produced by extract_structure_functions;
-    the round trip reassemble(extract(T)) == T holds for every potential on
-    a plain metric chart.
-    """
-    base, momentum = _darboux_sectors(chart)
-    odd_names = chart.metric[0]
-    rank = len(odd_names)
-    out = chart.zero()
-    for i in range(rank):
-        for a, bname in enumerate(base):
-            out = out - chart.gen(odd_names[i]) * anchor[i][a] * chart.gen(momentum[a])
-    sixth = Fraction(1, 6)
-    for i in range(rank):
-        for j in range(rank):
-            for k in range(rank):
-                coeff = cubic[k][j][i]
-                if coeff.is_zero:
-                    continue
-                out = out - (chart.gen(odd_names[i]) * chart.gen(odd_names[j])
-                             * chart.gen(odd_names[k]) * coeff * sixth)
-    return out
-
-
-def structure_equations_residual(theta):
-    """Residuals of the two closure equations for the structure functions.
-
-    With Q_i^a and Q_ijk the extracted tables and g the metric pairing
-    block, the first family is
-
-        Q_i^b d_b Q_j^a - Q_j^b d_b Q_i^a - g^lm Q_mij Q_l^a
-
-    over all (i, j, a), and the second is g^ij Q_j^a Q_i^b over all (a, b).
-    Both families vanish identically exactly when classify(theta) is not
-    Nearly; that equivalence is a checked property, not an assumption here.
-    """
-    chart = theta.chart
-    base, _ = _darboux_sectors(chart)
-    anchor, cubic = extract_structure_functions(theta)
-    names, rows = chart.metric
-    rank = len(names)
-    gpair = [list(row) for row in rows]
-    first = []
-    for i in range(rank):
-        for j in range(rank):
-            for a, aname in enumerate(base):
-                res = chart.zero()
-                for b, bname in enumerate(base):
-                    res = res + anchor[i][b] * left_partial(anchor[j][a], chart.generator(bname))
-                    res = res - anchor[j][b] * left_partial(anchor[i][a], chart.generator(bname))
-                for l in range(rank):
-                    for m in range(rank):
-                        if gpair[l][m]:
-                            res = res - gpair[l][m] * cubic[m][i][j] * anchor[l][a]
-                first.append(res)
-    second = []
-    for a in range(len(base)):
-        for b in range(len(base)):
-            res = chart.zero()
-            for i in range(rank):
-                for j in range(rank):
-                    if gpair[i][j]:
-                        res = res + gpair[i][j] * anchor[j][a] * anchor[i][b]
-            second.append(res)
-    return first, second
-
-
-def residuals_vanish(residual_pair):
-    first, second = residual_pair
-    return all(p.is_zero for p in first) and all(p.is_zero for p in second)

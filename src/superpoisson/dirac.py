@@ -1,4 +1,4 @@
-"""Isotropic coordinate subbundles, Lagrangian graphs and induced brackets.
+"""Isotropic coordinate subbundles, Lagrangian graphs and tangency residuals.
 
 A chart whose generators carry roles splits into a position sector (roles
 "base" and "fibre") and a momentum sector (roles "momentum" and "cofibre").
@@ -18,24 +18,12 @@ of the coordinates through the surviving ones:
 ``pullback`` applies the substitution to any polynomial and
 ``tangency_residual`` applies it to a potential; the residual is zero
 precisely when the Hamiltonian vector field of the potential is tangent to
-the subbundle, which makes it a sub-Dirac structure.  Two closed-form
-routes are exposed for cross-checking the substitution route:
-
-* for a two-form graph the residual equals
-  {theta, form} + (position part of theta), and
-* for a bivector graph the pullback of theta equals
-  (1/2){L, {L, theta_m}} + (1/3!){L, {L, {L, theta_p}}}
-  where theta = theta_m + theta_p is the momentum split and L the field.
-
-Both equalities were measured on random projectable potentials before
-being frozen here and are enforced by the test suite.
+the subbundle, which makes it a sub-Dirac structure.
 """
 
-from fractions import Fraction
-
-from .superpoly import SuperPoly, homogeneity, left_partial, substitute, to_text
+from .superpoly import homogeneity, left_partial, substitute, to_text
 from .poisson import bracket
-from .courant import anchor_apply, pre_bracket, symmetry_defect, validate_potential
+from .courant import validate_potential
 
 POSITION_ROLES = ("base", "fibre")
 MOMENTUM_ROLES = ("momentum", "cofibre")
@@ -67,25 +55,6 @@ def momentum_indices(chart):
         if chart.roles.get(g.name) in MOMENTUM_ROLES:
             out.append(idx)
     return out
-
-
-def momentum_split(P):
-    """Split P into (momentum part, position part) term by term.
-
-    The momentum part collects every term containing at least one momentum
-    or cofibre coordinate; the position part is the rest.  For a projectable
-    potential on a cotangent chart this is exactly the split into the
-    anchor-plus-fibre-bracket part and the pure cubic part.
-    """
-    chart = P.chart
-    mom = set(momentum_indices(chart))
-    hi = {}
-    lo = {}
-    for key, c in P.items():
-        scal, even, odd = key
-        touched = any(i in mom for i, _e in even) or any(i in mom for i in odd)
-        (hi if touched else lo)[key] = c
-    return SuperPoly(chart, hi), SuperPoly(chart, lo)
 
 
 def _check_sector_function(chart, value, odd_role, what):
@@ -222,29 +191,6 @@ def tangency_residual(theta, graph):
     return pullback(graph, theta)
 
 
-def bivector_closed_formula(theta, graph):
-    """Route the bivector pullback of theta through nested brackets:
-    (1/2){L,{L,theta_m}} + (1/3!){L,{L,{L,theta_p}}} with theta split into
-    momentum and position parts.  Must agree with pullback(graph, theta)."""
-    if graph.kind != "bivector":
-        raise GraphError("closed formula applies to bivector graphs")
-    lam = graph.field
-    hi, lo = momentum_split(theta)
-    quad = bracket(lam, bracket(lam, hi)) * Fraction(1, 2)
-    cub = bracket(lam, bracket(lam, bracket(lam, lo))) * Fraction(1, 6)
-    return quad + cub
-
-
-def twoform_residual_route(theta, graph):
-    """Route the two-form tangency residual through the differential:
-    {theta, form} + (position part of theta).  Must agree with
-    tangency_residual(theta, graph)."""
-    if graph.kind != "twoform":
-        raise GraphError("differential route applies to two-form graphs")
-    _hi, lo = momentum_split(theta)
-    return bracket(theta, graph.form) + lo
-
-
 def is_isotropic(graph):
     """Whether all pairings among surviving weight-1 coordinates vanish.
 
@@ -260,100 +206,6 @@ def is_isotropic(graph):
             if chart.pairing.get((i, j), 0) != 0:
                 return False
     return True
-
-
-class InducedAlmostLie:
-    """Bracket and anchor tables induced on the sections along a graph,
-    together with the residuals that certify the almost Lie axioms."""
-
-    def __init__(self, sections, base_names, bracket_table, anchor_table,
-                 symmetry_residuals, leibniz_residuals, d_squared_residuals):
-        self.sections = sections
-        self.base_names = base_names
-        self.bracket_table = bracket_table
-        self.anchor_table = anchor_table
-        self.symmetry_residuals = symmetry_residuals
-        self.leibniz_residuals = leibniz_residuals
-        self.d_squared_residuals = d_squared_residuals
-
-    @property
-    def ok(self):
-        for _key, value in (self.symmetry_residuals + self.leibniz_residuals
-                            + self.d_squared_residuals):
-            if not value.is_zero:
-                return False
-        return True
-
-    def problems(self):
-        out = []
-        for label, value in (self.symmetry_residuals + self.leibniz_residuals
-                             + self.d_squared_residuals):
-            if not value.is_zero:
-                out.append("%s: %s" % (label, to_text(value)))
-        return out
-
-
-def induced_almost_lie(theta, graph):
-    """Restrict the derived bracket and anchor to the sections along the
-    graph.  Requires a vanishing tangency residual and, for coordinate
-    subbundles, an isotropic surviving sector."""
-    chart = theta.chart
-    res = tangency_residual(theta, graph)
-    if not res.is_zero:
-        raise GraphError("tangency residual is nonzero: %s" % to_text(res))
-    if not is_isotropic(graph):
-        raise GraphError("surviving sector is not isotropic")
-    sub = graph.substitution()
-
-    def pb(P):
-        return substitute(P, sub)
-
-    alive = graph.survivor_indices()
-    sections = [chart.generators[i].name for i in alive
-                if chart.gen_symplectic_weight(i) == 1]
-    base_names = [chart.generators[i].name for i in alive
-                  if chart.gen_symplectic_weight(i) == 0
-                  and chart.generators[i].parity == 0]
-
-    bracket_table = {}
-    symmetry_residuals = []
-    for sname in sections:
-        for tname in sections:
-            s = chart.gen(sname)
-            t = chart.gen(tname)
-            bracket_table[(sname, tname)] = pb(pre_bracket(theta, s, t))
-            symmetry_residuals.append(
-                (("symmetry", sname, tname), pb(symmetry_defect(theta, s, t))))
-
-    anchor_table = {}
-    for sname in sections:
-        for fname in base_names:
-            anchor_table[(sname, fname)] = pb(
-                anchor_apply(theta, chart.gen(sname), chart.gen(fname)))
-
-    leibniz_residuals = []
-    if base_names:
-        for i, sname in enumerate(sections):
-            tname = sections[(i + 1) % len(sections)]
-            for fname in base_names:
-                s = chart.gen(sname)
-                t = chart.gen(tname)
-                f = chart.gen(fname)
-                res = pre_bracket(theta, s, f * t) \
-                    - anchor_apply(theta, s, f) * t \
-                    - f * pre_bracket(theta, s, t)
-                leibniz_residuals.append(
-                    (("leibniz", sname, fname, tname), pb(res)))
-
-    d_squared_residuals = []
-    for fname in base_names:
-        one = pb(bracket(theta, chart.gen(fname)))
-        two = pb(bracket(theta, one))
-        d_squared_residuals.append((("d_squared", fname), two))
-
-    return InducedAlmostLie(sections, base_names, bracket_table, anchor_table,
-                            symmetry_residuals, leibniz_residuals,
-                            d_squared_residuals)
 
 
 def graph_from_json(chart, data):

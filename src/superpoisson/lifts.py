@@ -319,19 +319,6 @@ def weighted_cohomology_module_check(theta):
     return {"h0": {0: 1}, "h1": h1, "problems": []}
 
 
-def lift_graph(graph, lifted, k):
-    """Lift a coordinate subbundle along the chart lift: every vanished
-    coordinate vanishes in all copies."""
-    from .dirac import CoordinateSubbundle
-    if graph.kind != "coords":
-        raise LiftError("only coordinate subbundles lift mechanically here")
-    names = []
-    for nm in graph.vanish:
-        for eps in range(k):
-            names.append(lifted_name(nm, eps))
-    return CoordinateSubbundle(lifted, names)
-
-
 def weighted_dirac_check(theta, graph):
     """Tangency residual of a graph on a weighted chart, after checking
     the substitution respects the bi-weight (each image is zero or

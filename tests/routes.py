@@ -1,0 +1,255 @@
+"""Second routes to values the library computes, for cross-checks.
+
+Each function here reaches a quantity the engine also computes, by another
+formula: the structure functions of a potential over the metric frame and
+their closure equations, closed formulas for graph pullbacks, the almost
+Lie structure induced along a Dirac graph, the lift of a coordinate
+subbundle, and left-nested evaluation of a form on sections.  Tests compare
+them with the library; the library does not use them.
+"""
+
+import types
+from fractions import Fraction
+
+import identities
+from superpoisson.courant import (PotentialError, anchor_apply, metric_frame,
+                                  pairing, pre_bracket, symmetry_defect,
+                                  validate_potential)
+from superpoisson.dirac import (CoordinateSubbundle, GraphError, is_isotropic,
+                                momentum_indices, tangency_residual)
+from superpoisson.lifts import LiftError, lifted_name
+from superpoisson.poisson import bracket
+from superpoisson.superpoly import SuperPoly, left_partial, substitute, to_text
+
+
+def _darboux_sectors(chart):
+    if chart.metric is None or chart.axes != 1:
+        raise PotentialError("structure functions need a plain metric chart")
+    base = [chart.generators[i].name for i in chart.base_indices]
+    momentum = []
+    for idx in chart.base_indices:
+        partners = chart.conjugates(idx)
+        if len(partners) != 1:
+            raise PotentialError(
+                "base generator %s has %d conjugates, expected exactly one"
+                % (chart.generators[idx].name, len(partners)))
+        momentum.append(chart.generators[partners[0][0]].name)
+    return base, momentum
+
+
+def extract_structure_functions(theta):
+    """Read the anchor and cubic coefficient tables of a potential.
+
+    Returns (anchor, cubic) where anchor[i][a] = rho(e_i) x^a and
+    cubic[i][j][k] = <[[e_i, e_j]], e_k>, both over the metric frame e_i.
+    reassemble_structure_functions() inverts this exactly.
+    """
+    validate_potential(theta)
+    chart = theta.chart
+    base, _ = _darboux_sectors(chart)
+    frame = metric_frame(chart)
+    anchor = [[anchor_apply(theta, e, chart.gen(name)) for name in base]
+              for e in frame]
+    cubic = [[[pairing(pre_bracket(theta, ei, ej), ek) for ek in frame]
+              for ej in frame]
+             for ei in frame]
+    return anchor, cubic
+
+
+def reassemble_structure_functions(chart, anchor, cubic):
+    """Rebuild the potential -xi^i Q_i^a p_a - (1/3!) xi^i xi^j xi^k Q_kji.
+
+    anchor and cubic are tables as produced by extract_structure_functions;
+    the round trip reassemble(extract(T)) == T holds for every potential on
+    a plain metric chart.
+    """
+    base, momentum = _darboux_sectors(chart)
+    odd_names = chart.metric[0]
+    rank = len(odd_names)
+    out = chart.zero()
+    for i in range(rank):
+        for a in range(len(base)):
+            out = out - chart.gen(odd_names[i]) * anchor[i][a] * chart.gen(momentum[a])
+    sixth = Fraction(1, 6)
+    for i in range(rank):
+        for j in range(rank):
+            for k in range(rank):
+                coeff = cubic[k][j][i]
+                if coeff.is_zero:
+                    continue
+                out = out - (chart.gen(odd_names[i]) * chart.gen(odd_names[j])
+                             * chart.gen(odd_names[k]) * coeff * sixth)
+    return out
+
+
+def structure_residuals_vanish(theta):
+    """Whether both closure equations for the structure functions hold.
+
+    With Q_i^a and Q_ijk the extracted tables and g the metric pairing
+    block, the first family is
+
+        Q_i^b d_b Q_j^a - Q_j^b d_b Q_i^a - g^lm Q_mij Q_l^a
+
+    over all (i, j, a), and the second is g^ij Q_j^a Q_i^b over all (a, b).
+    Both families vanish identically exactly when classify(theta) is not
+    Nearly; the tests check that equivalence.
+    """
+    chart = theta.chart
+    base, _ = _darboux_sectors(chart)
+    anchor, cubic = extract_structure_functions(theta)
+    rank = len(chart.metric[0])
+    gpair = chart.metric[1]
+    residuals = []
+    for i in range(rank):
+        for j in range(rank):
+            for a in range(len(base)):
+                res = chart.zero()
+                for b, bname in enumerate(base):
+                    res = res + anchor[i][b] * left_partial(anchor[j][a], chart.generator(bname))
+                    res = res - anchor[j][b] * left_partial(anchor[i][a], chart.generator(bname))
+                for l in range(rank):
+                    for m in range(rank):
+                        if gpair[l][m]:
+                            res = res - gpair[l][m] * cubic[m][i][j] * anchor[l][a]
+                residuals.append(res)
+    for a in range(len(base)):
+        for b in range(len(base)):
+            res = chart.zero()
+            for i in range(rank):
+                for j in range(rank):
+                    if gpair[i][j]:
+                        res = res + gpair[i][j] * anchor[j][a] * anchor[i][b]
+            residuals.append(res)
+    return all(p.is_zero for p in residuals)
+
+
+def momentum_split(P):
+    """Split P into (momentum part, position part) term by term.
+
+    The momentum part collects every term containing at least one momentum
+    or cofibre coordinate; the position part is the rest.  For a projectable
+    potential on a cotangent chart this is exactly the split into the
+    anchor-plus-fibre-bracket part and the pure cubic part.
+    """
+    chart = P.chart
+    mom = set(momentum_indices(chart))
+    hi = {}
+    lo = {}
+    for key, c in P.items():
+        scal, even, odd = key
+        touched = any(i in mom for i, _e in even) or any(i in mom for i in odd)
+        (hi if touched else lo)[key] = c
+    return SuperPoly(chart, hi), SuperPoly(chart, lo)
+
+
+def bivector_closed_formula(theta, graph):
+    """The pullback of theta along a bivector graph through nested
+    brackets: (1/2){L,{L,theta_m}} + (1/3!){L,{L,{L,theta_p}}} with theta
+    split into momentum and position parts and L the field.  Exact for
+    projectable potentials."""
+    lam = graph.field
+    hi, lo = momentum_split(theta)
+    quad = bracket(lam, bracket(lam, hi)) * Fraction(1, 2)
+    cub = bracket(lam, bracket(lam, bracket(lam, lo))) * Fraction(1, 6)
+    return quad + cub
+
+
+def twoform_residual_route(theta, graph):
+    """The tangency residual of a two-form graph through the differential:
+    {theta, form} + (position part of theta).  Exact for projectable
+    potentials."""
+    return bracket(theta, graph.form) + momentum_split(theta)[1]
+
+
+class InducedAlmostLie(types.SimpleNamespace):
+    """Bracket and anchor tables induced on the sections along a graph,
+    together with the residuals that certify the almost Lie axioms."""
+
+    def problems(self):
+        return ["%s: %s" % (label, to_text(value))
+                for label, value in (self.symmetry_residuals
+                                     + self.leibniz_residuals
+                                     + self.d_squared_residuals)
+                if not value.is_zero]
+
+    @property
+    def ok(self):
+        return not self.problems()
+
+
+def induced_almost_lie(theta, graph):
+    """Restrict the derived bracket and anchor to the sections along the
+    graph.  Requires a vanishing tangency residual and, for coordinate
+    subbundles, an isotropic surviving sector."""
+    chart = theta.chart
+    res = tangency_residual(theta, graph)
+    if not res.is_zero:
+        raise GraphError("tangency residual is nonzero: %s" % to_text(res))
+    if not is_isotropic(graph):
+        raise GraphError("surviving sector is not isotropic")
+    sub = graph.substitution()
+
+    def pb(P):
+        return substitute(P, sub)
+
+    alive = graph.survivor_indices()
+    sections = [chart.generators[i].name for i in alive
+                if chart.gen_symplectic_weight(i) == 1]
+    base_names = [chart.generators[i].name for i in alive
+                  if chart.gen_symplectic_weight(i) == 0
+                  and chart.generators[i].parity == 0]
+
+    bracket_table = {}
+    symmetry_residuals = []
+    for sname in sections:
+        for tname in sections:
+            s = chart.gen(sname)
+            t = chart.gen(tname)
+            bracket_table[(sname, tname)] = pb(pre_bracket(theta, s, t))
+            symmetry_residuals.append(
+                (("symmetry", sname, tname), pb(symmetry_defect(theta, s, t))))
+
+    anchor_table = {}
+    for sname in sections:
+        for fname in base_names:
+            anchor_table[(sname, fname)] = pb(
+                anchor_apply(theta, chart.gen(sname), chart.gen(fname)))
+
+    leibniz_residuals = []
+    for i, sname in enumerate(sections):
+        tname = sections[(i + 1) % len(sections)]
+        for fname in base_names:
+            res = identities.leibniz_over_functions_defect(
+                theta, chart.gen(sname), chart.gen(fname), chart.gen(tname))
+            leibniz_residuals.append(
+                (("leibniz", sname, fname, tname), pb(res)))
+
+    d_squared_residuals = []
+    for fname in base_names:
+        one = pb(bracket(theta, chart.gen(fname)))
+        two = pb(bracket(theta, one))
+        d_squared_residuals.append((("d_squared", fname), two))
+
+    return InducedAlmostLie(
+        sections=sections, base_names=base_names, bracket_table=bracket_table,
+        anchor_table=anchor_table, symmetry_residuals=symmetry_residuals,
+        leibniz_residuals=leibniz_residuals,
+        d_squared_residuals=d_squared_residuals)
+
+
+def lift_graph(graph, lifted, k):
+    """Lift a coordinate subbundle along the chart lift: every vanished
+    coordinate vanishes in all copies."""
+    if graph.kind != "coords":
+        raise LiftError("only coordinate subbundles lift mechanically here")
+    return CoordinateSubbundle(lifted, [lifted_name(nm, eps)
+                                        for nm in graph.vanish
+                                        for eps in range(k)])
+
+
+def eval_on_sections(alpha, sections):
+    """Left-nested evaluation {...{{alpha, s_1}, s_2}..., s_k}."""
+    out = alpha
+    for s in sections:
+        out = bracket(out, s)
+    return out

@@ -11,15 +11,17 @@ from fractions import Fraction
 
 import pytest
 
+import draws
 import identities
 import oracles
+import routes
 from superpoisson import cli, complexes, courant, dirac, gallery, lifts, \
     sampling
 from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.dirac import BivectorGraph, TwoFormGraph
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import homogeneity, parse_expr, to_text
+from superpoisson.superpoly import homogeneity, to_text
 
 
 REPORT = gallery.run_all()
@@ -52,9 +54,9 @@ def test_criterion_1_poisson_axioms_200_triples(family):
     drop = chart_drop(ch)
     rng = random.Random(1000 + family)
     for r in range(200):
-        X = sampling.random_homogeneous(ch, rng, max_terms=2, max_factors=2)
-        Y = sampling.random_homogeneous(ch, rng, max_terms=2, max_factors=2)
-        Z = sampling.random_homogeneous(ch, rng, max_terms=2, max_factors=2)
+        X = draws.random_homogeneous(ch, rng, max_factors=2)
+        Y = draws.random_homogeneous(ch, rng, max_factors=2)
+        Z = draws.random_homogeneous(ch, rng, max_factors=2)
         px, py = X.parity(), Y.parity()
         skew = bracket(X, Y) + bracket(Y, X) * sign(px, py)
         assert skew.is_zero, (family, r)
@@ -76,7 +78,7 @@ def test_criterion_1_poisson_axioms_200_triples(family):
 def monomial_sum(ch, rng):
     out = ch.zero()
     for _ in range(1 + rng.randrange(2)):
-        m = sampling.random_monomial(ch, rng)
+        m = draws.random_monomial(ch, rng)
         if m is not None:
             out = out + m
     return out
@@ -94,42 +96,28 @@ def test_criterion_1_literal_darboux_formula_200_pairs():
                 (ch.name, r)
 
 
-def derived_setups(seed, rounds):
-    rng = random.Random(seed)
-    charts = [make_darboux_chart(1, 3), make_cotangent_antivb_chart(1, 2),
-              make_darboux_chart(2, 2, metric=hyperbolic_metric(1))]
-    for r in range(rounds):
-        ch = charts[r % len(charts)]
-        T = sampling.random_potential(ch, rng)
-        s = sampling.random_section(ch, rng)
-        p = sampling.random_section(ch, rng)
-        l = sampling.random_section(ch, rng)
-        f = sampling.random_base_function(ch, rng)
-        yield r, ch, T, s, p, l, f
-
-
 def test_criterion_2_symmetry_defect_100():
-    for r, ch, T, s, p, _l, _f in derived_setups(2001, 100):
+    for r, (T, s, p, _l, _f) in enumerate(draws.derived_setups(2001, 100)):
         assert courant.symmetry_defect(T, s, p).is_zero, r
 
 
 def test_criterion_2_anchor_defect_100():
-    for r, ch, T, s, p, _l, f in derived_setups(2002, 100):
+    for r, (T, s, p, _l, f) in enumerate(draws.derived_setups(2002, 100)):
         assert courant.anchor_defect(T, s, p, f).is_zero, r
 
 
 def test_criterion_2_jacobiator_master_100():
-    for r, ch, T, s, p, l, _f in derived_setups(2003, 100):
+    for r, (T, s, p, l, _f) in enumerate(draws.derived_setups(2003, 100)):
         assert identities.jacobiator_master_defect(T, s, p, l).is_zero, r
 
 
 def test_criterion_2_leibniz_over_functions_100():
-    for r, ch, T, s, p, _l, f in derived_setups(2004, 100):
+    for r, (T, s, p, _l, f) in enumerate(draws.derived_setups(2004, 100)):
         assert identities.leibniz_over_functions_defect(T, s, f, p).is_zero, r
 
 
 def test_criterion_2_pairing_invariance_100():
-    for r, ch, T, s, p, l, _f in derived_setups(2005, 100):
+    for r, (T, s, p, l, _f) in enumerate(draws.derived_setups(2005, 100)):
         assert identities.pairing_invariance_defect(T, s, p, l).is_zero, r
 
 
@@ -138,7 +126,7 @@ def test_criterion_3_classification_equivalence_50():
     charts = [make_darboux_chart(1, 3),
               make_darboux_chart(2, 2, metric=hyperbolic_metric(1)),
               make_darboux_chart(1, 4, metric=hyperbolic_metric(2))]
-    potentials = [sampling.random_potential(charts[r % 3], rng)
+    potentials = [draws.random_potential(charts[r % 3], rng)
                   for r in range(50)]
     for name in ("euclidean_cubic", "hyperbolic_cubic", "nearly_witness"):
         potentials.append(gallery.build(name).default_potential)
@@ -146,8 +134,8 @@ def test_criterion_3_classification_equivalence_50():
     for i, T in enumerate(potentials):
         sc = courant.classify(T)
         verdicts.add(sc.verdict)
-        pair = courant.structure_equations_residual(T)
-        assert courant.residuals_vanish(pair) == (sc.verdict != "Nearly"), i
+        assert routes.structure_residuals_vanish(T) \
+            == (sc.verdict != "Nearly"), i
         assert (sc.verdict == "Courant") == bracket(T, T).is_zero, i
     assert verdicts == {"Nearly", "PreCourant", "Courant"}
 
@@ -190,9 +178,9 @@ def test_criterion_5_commutator_defect_100():
               make_cotangent_antivb_chart(2, 2)]
     for r in range(100):
         ch = charts[r % len(charts)]
-        T = sampling.random_potential(ch, rng)
+        T = draws.random_potential(ch, rng)
         f = sampling.random_base_function(ch, rng)
-        a = sampling.random_homogeneous(ch, rng, max_terms=2, max_factors=3)
+        a = draws.random_homogeneous(ch, rng)
         assert identities.commutator_defect(T, f, a).is_zero, r
 
 
@@ -240,61 +228,27 @@ def test_criterion_5_point_cohomology_of_3d_instance():
 def test_criterion_6_bivector_closed_formula_25():
     rng = random.Random(6001)
     ch = make_cotangent_antivb_chart(2, 3)
-    pairs = [(1, 2), (1, 3), (2, 3)]
     for r in range(25):
-        field = ch.zero()
-        for (i, j) in pairs:
-            c = sampling.random_base_function(ch, rng)
-            field = field + c * ch.gen("pi%d" % i) * ch.gen("pi%d" % j)
-        if field.is_zero:
-            field = ch.gen("pi1") * ch.gen("pi2")
-        graph = BivectorGraph(ch, field)
-        T = random_projectable(ch, rng, 3, 2)
-        assert dirac.bivector_closed_formula(T, graph) \
+        graph = BivectorGraph(ch, draws.random_graph_field(ch, rng, "pi"))
+        T = draws.random_projectable_potential(ch, rng, 3, 2)
+        assert routes.bivector_closed_formula(T, graph) \
             == dirac.pullback(graph, T), r
-
-
-def random_projectable(ch, rng, rank, dim):
-    T = ch.gen("xi1") * ch.gen("p1")
-    for _ in range(rng.randrange(4)):
-        i = rng.randrange(1, rank + 1)
-        a = rng.randrange(1, dim + 1)
-        T = T + sampling.random_base_function(ch, rng) \
-            * ch.gen("xi%d" % i) * ch.gen("p%d" % a)
-    for _ in range(rng.randrange(3)):
-        i = rng.randrange(1, rank)
-        j = rng.randrange(i + 1, rank + 1)
-        k = rng.randrange(1, rank + 1)
-        T = T + sampling.random_base_function(ch, rng) \
-            * ch.gen("xi%d" % i) * ch.gen("xi%d" % j) * ch.gen("pi%d" % k)
-    if rank >= 3:
-        for _ in range(rng.randrange(3)):
-            T = T + sampling.random_base_function(ch, rng) \
-                * ch.gen("xi1") * ch.gen("xi2") * ch.gen("xi3")
-    return T
 
 
 def test_criterion_6_twoform_residual_route_25():
     rng = random.Random(6002)
     ch = make_cotangent_antivb_chart(1, 3)
     for r in range(25):
-        form = ch.zero()
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            c = sampling.random_base_function(ch, rng)
-            form = form + c * ch.gen("xi%d" % i) * ch.gen("xi%d" % j)
-        if form.is_zero:
-            form = ch.gen("xi1") * ch.gen("xi2")
-        graph = TwoFormGraph(ch, form)
-        T = random_projectable(ch, rng, 3, 1)
-        route = bracket(T, graph.form) + dirac.momentum_split(T)[1]
+        graph = TwoFormGraph(ch, draws.random_graph_field(ch, rng, "xi"))
+        T = draws.random_projectable_potential(ch, rng, 3, 1)
+        route = routes.twoform_residual_route(T, graph)
         assert route == dirac.tangency_residual(T, graph), r
-        assert route == dirac.twoform_residual_route(T, graph), r
 
 
 def test_criterion_6_induced_structures():
     for name in ("cross7", "skew_cotangent", "vb_plain"):
         inst = gallery.build(name)
-        ind = dirac.induced_almost_lie(inst.default_potential, inst.graph)
+        ind = routes.induced_almost_lie(inst.default_potential, inst.graph)
         for label, poly in ind.d_squared_residuals:
             assert poly.is_zero, (name, label)
         for label, poly in ind.leibniz_residuals:
@@ -310,10 +264,8 @@ def test_criterion_7_lift_identity_50_pairs():
         for r in range(25):
             ch = charts[r % len(charts)]
             target = lifts.tangent_lift_chart(ch, k)
-            P = sampling.random_homogeneous(ch, rng, max_terms=2,
-                                            max_factors=3)
-            Q = sampling.random_homogeneous(ch, rng, max_terms=2,
-                                            max_factors=3)
+            P = draws.random_homogeneous(ch, rng)
+            Q = draws.random_homogeneous(ch, rng)
             assert lifts.lift_identity_check(P, Q, k, target).is_zero, (k, r)
 
 

@@ -288,3 +288,26 @@ def test_check_without_weight_one_sector_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "chart plain has no weight-1 sector" in err
+
+
+def test_each_loaded_chart_is_validated_once(tmp_path, capsys, monkeypatch):
+    """The constructor's structural checks are the chart's validation;
+    loading and validating an instance does not run them again."""
+    from superpoisson import charts
+    original = charts._structural_problems
+    seen = []
+
+    def counting(chart):
+        seen.append(chart)
+        return original(chart)
+
+    monkeypatch.setattr(charts, "_structural_problems", counting)
+    for argv in (["check", "cross7"],
+                 ["bracket", "cross7", "--pre", "pi1", "pi2"],
+                 ["lift", "cross3", "-k", "3", "--out",
+                  str(tmp_path / "c3.json")]):
+        seen.clear()
+        assert run(capsys, argv)[0] == 0, argv
+        assert seen, argv
+        assert [sum(c is chart for c in seen) for chart in seen] \
+            == [1] * len(seen), argv

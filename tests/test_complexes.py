@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import draws
 import identities
 import oracles
+import routes
 from superpoisson import complexes, courant, gallery, sampling
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.courant import PotentialError
@@ -46,9 +48,9 @@ def test_commutator_defect_vanishes_on_random_inputs():
               make_cotangent_antivb_chart(2, 2)]
     for r in range(30):
         ch = charts[r % len(charts)]
-        T = sampling.random_potential(ch, rng)
+        T = draws.random_potential(ch, rng)
         f = sampling.random_base_function(ch, rng)
-        a = sampling.random_homogeneous(ch, rng, max_terms=2, max_factors=3)
+        a = draws.random_homogeneous(ch, rng)
         defect = identities.commutator_defect(T, f, a)
         assert defect.is_zero, (r, to_text(defect))
 
@@ -80,7 +82,7 @@ def test_identification_constants_match_evaluation():
         for i in range(1, k + 1):
             psi = psi * ch.gen("xi%d" % i)
         secs = [ch.gen("pi%d" % i) for i in range(1, k + 1)]
-        val = complexes.eval_on_sections(psi, secs)
+        val = routes.eval_on_sections(psi, secs)
         assert val == ch.one() * complexes.identification_constant(k), k
 
 
@@ -114,7 +116,7 @@ def test_squared_differential_equals_half_self_bracket():
               make_darboux_chart(2, 2)]
     for r in range(24):
         ch = charts[r % len(charts)]
-        T = sampling.random_potential(ch, rng)
+        T = draws.random_potential(ch, rng)
         f = sampling.random_base_function(ch, rng)
         lhs = complexes.q_theta(T, complexes.q_theta(T, f))
         rhs = bracket(bracket(T, T) * Fraction(1, 2), f)

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import draws
 import identities
 import oracles
-from superpoisson import courant, sampling
+import routes
+from superpoisson import complexes, courant
 from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.courant import PotentialError
@@ -54,49 +56,34 @@ def test_pairing_and_anchor_on_point_chart():
     assert courant.pairing(ch.gen("xi1"), ch.gen("xi2")).is_zero
 
 
-def sample_setups(rounds, seed):
-    rng = random.Random(seed)
-    charts = [make_darboux_chart(1, 3),
-              make_cotangent_antivb_chart(1, 2),
-              make_darboux_chart(2, 2, metric=hyperbolic_metric(1))]
-    for n in range(rounds):
-        ch = charts[n % len(charts)]
-        T = sampling.random_potential(ch, rng)
-        s = sampling.random_section(ch, rng)
-        p = sampling.random_section(ch, rng)
-        l = sampling.random_section(ch, rng)
-        f = sampling.random_base_function(ch, rng)
-        yield T, s, p, l, f
-
-
 def test_symmetry_defect_vanishes():
-    for T, s, p, l, f in sample_setups(40, 31):
+    for T, s, p, l, f in draws.derived_setups(31, 40):
         assert courant.symmetry_defect(T, s, p).is_zero
 
 
 def test_anchor_defect_vanishes():
-    for T, s, p, l, f in sample_setups(40, 32):
+    for T, s, p, l, f in draws.derived_setups(32, 40):
         assert courant.anchor_defect(T, s, p, f).is_zero
 
 
 def test_jacobiator_equals_master_route():
-    for T, s, p, l, f in sample_setups(40, 33):
+    for T, s, p, l, f in draws.derived_setups(33, 40):
         assert identities.jacobiator_master_defect(T, s, p, l).is_zero
 
 
 def test_leibniz_over_functions():
-    for T, s, p, l, f in sample_setups(40, 34):
+    for T, s, p, l, f in draws.derived_setups(34, 40):
         assert identities.leibniz_over_functions_defect(T, s, f, p).is_zero
 
 
 def test_pairing_invariance():
-    for T, s, p, l, f in sample_setups(40, 35):
+    for T, s, p, l, f in draws.derived_setups(35, 40):
         assert identities.pairing_invariance_defect(T, s, p, l).is_zero
 
 
 def test_d_operator_against_anchor():
-    for T, s, p, l, f in sample_setups(20, 36):
-        lhs = courant.pairing(courant.d_operator(T, f), s)
+    for T, s, p, l, f in draws.derived_setups(36, 20):
+        lhs = courant.pairing(complexes.q_theta(T, f), s)
         rhs = courant.anchor_apply(T, s, f)
         assert (lhs - rhs).is_zero or (lhs + rhs).is_zero
 
@@ -150,9 +137,9 @@ def test_extract_reassemble_round_trip():
     for rank, dim in ((2, 1), (3, 2)):
         ch = make_darboux_chart(dim, rank)
         for _ in range(8):
-            T = sampling.random_potential(ch, rng)
-            anchor, cubic = courant.extract_structure_functions(T)
-            back = courant.reassemble_structure_functions(ch, anchor, cubic)
+            T = draws.random_potential(ch, rng)
+            anchor, cubic = routes.extract_structure_functions(T)
+            back = routes.reassemble_structure_functions(ch, anchor, cubic)
             assert back == T
 
 
@@ -161,11 +148,10 @@ def test_structure_residual_equivalence_samples():
     ch = make_darboux_chart(1, 3)
     seen = set()
     for _ in range(20):
-        T = sampling.random_potential(ch, rng)
+        T = draws.random_potential(ch, rng)
         sc = courant.classify(T)
         seen.add(sc.verdict)
-        vanish = courant.residuals_vanish(
-            courant.structure_equations_residual(T))
+        vanish = routes.structure_residuals_vanish(T)
         assert vanish == (sc.verdict != "Nearly")
         assert (sc.verdict == "Courant") == bracket(T, T).is_zero
 

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from superpoisson import dirac, gallery, lifts, sampling
-from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
+import draws
+import routes
+from superpoisson import dirac, gallery, lifts
+from superpoisson.charts import make_cotangent_antivb_chart
 from superpoisson.dirac import (BivectorGraph, CoordinateSubbundle, GraphError,
                                 TwoFormGraph)
 from superpoisson.lifts import LiftError
-from superpoisson.poisson import bracket
 from superpoisson.superpoly import parse_expr, substitute, to_text
 
 
@@ -26,7 +27,7 @@ def test_metric_chart_survivors_fail_isotropy():
     assert dirac.tangency_residual(inst.theta, graph).is_zero
     assert not dirac.is_isotropic(graph)
     with pytest.raises(GraphError, match="isotropic"):
-        dirac.induced_almost_lie(inst.theta, graph)
+        routes.induced_almost_lie(inst.theta, graph)
 
 
 def test_non_tangent_graph_is_rejected():
@@ -35,7 +36,7 @@ def test_non_tangent_graph_is_rejected():
     res = dirac.tangency_residual(inst.theta, graph)
     assert to_text(res) == "xi1*xi4*xi5"
     with pytest.raises(GraphError, match="residual"):
-        dirac.induced_almost_lie(inst.theta, graph)
+        routes.induced_almost_lie(inst.theta, graph)
 
 
 def test_vanishing_base_coordinates_rejected():
@@ -46,47 +47,13 @@ def test_vanishing_base_coordinates_rejected():
         CoordinateSubbundle(ch, ["nope"])
 
 
-def random_bivector(ch, rng, pairs):
-    field = ch.zero()
-    for (i, j) in pairs:
-        c = sampling.random_base_function(ch, rng)
-        field = field + c * ch.gen("pi%d" % i) * ch.gen("pi%d" % j)
-    if field.is_zero:
-        field = ch.gen("pi%d" % pairs[0][0]) * ch.gen("pi%d" % pairs[0][1])
-    return field
-
-
-def random_projectable_potential(ch, rng, rank, dim):
-    """Random odd weight-3 potential with an anchor part, a fibre-bracket
-    part, and a cubic part, and nothing from the cofibre-heavy sectors.
-    The closed graph formulas are exact for this shape only."""
-    T = ch.gen("xi1") * ch.gen("p1")
-    for _ in range(rng.randrange(4)):
-        i = rng.randrange(1, rank + 1)
-        a = rng.randrange(1, dim + 1)
-        T = T + sampling.random_base_function(ch, rng) \
-            * ch.gen("xi%d" % i) * ch.gen("p%d" % a)
-    for _ in range(rng.randrange(3)):
-        i = rng.randrange(1, rank)
-        j = rng.randrange(i + 1, rank + 1)
-        k = rng.randrange(1, rank + 1)
-        T = T + sampling.random_base_function(ch, rng) \
-            * ch.gen("xi%d" % i) * ch.gen("xi%d" % j) * ch.gen("pi%d" % k)
-    if rank >= 3:
-        for _ in range(rng.randrange(3)):
-            T = T + sampling.random_base_function(ch, rng) \
-                * ch.gen("xi1") * ch.gen("xi2") * ch.gen("xi3")
-    return T
-
-
 def test_bivector_closed_formula_matches_pullback():
     rng = random.Random(61)
     ch = make_cotangent_antivb_chart(2, 3)
-    pairs = [(1, 2), (1, 3), (2, 3)]
     for r in range(12):
-        graph = BivectorGraph(ch, random_bivector(ch, rng, pairs))
-        T = random_projectable_potential(ch, rng, 3, 2)
-        got = dirac.bivector_closed_formula(T, graph)
+        graph = BivectorGraph(ch, draws.random_graph_field(ch, rng, "pi"))
+        T = draws.random_projectable_potential(ch, rng, 3, 2)
+        got = routes.bivector_closed_formula(T, graph)
         want = dirac.pullback(graph, T)
         assert got == want, r
         assert dirac.is_isotropic(graph)
@@ -96,15 +63,9 @@ def test_twoform_residual_route_matches_pullback():
     rng = random.Random(62)
     ch = make_cotangent_antivb_chart(1, 3)
     for r in range(12):
-        form = ch.zero()
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            c = sampling.random_base_function(ch, rng)
-            form = form + c * ch.gen("xi%d" % i) * ch.gen("xi%d" % j)
-        if form.is_zero:
-            form = ch.gen("xi1") * ch.gen("xi2")
-        graph = TwoFormGraph(ch, form)
-        T = random_projectable_potential(ch, rng, 3, 1)
-        got = dirac.twoform_residual_route(T, graph)
+        graph = TwoFormGraph(ch, draws.random_graph_field(ch, rng, "xi"))
+        T = draws.random_projectable_potential(ch, rng, 3, 1)
+        got = routes.twoform_residual_route(T, graph)
         want = dirac.tangency_residual(T, graph)
         assert got == want, r
 
@@ -115,8 +76,8 @@ def test_momentum_split_recomposes():
     kill = {ch.generators[i].name: ch.zero()
             for i in dirac.momentum_indices(ch)}
     for r in range(10):
-        P = sampling.random_potential(ch, rng)
-        hi, lo = dirac.momentum_split(P)
+        P = draws.random_potential(ch, rng)
+        hi, lo = routes.momentum_split(P)
         assert hi + lo == P
         assert substitute(hi, kill).is_zero
         assert substitute(lo, kill) == lo
@@ -137,7 +98,7 @@ def test_sector_validation_rejects_bad_fields():
 
 def test_induced_structure_on_skew_cotangent_graph():
     inst = gallery.build("skew_cotangent")
-    ind = dirac.induced_almost_lie(inst.default_potential, inst.graph)
+    ind = routes.induced_almost_lie(inst.default_potential, inst.graph)
     assert ind.sections == ["pi1", "pi2", "pi3", "pi4"]
     assert ind.base_names == ["x1"]
     assert to_text(ind.bracket_table[("pi1", "pi2")]) == "pi3"
@@ -157,7 +118,7 @@ def test_vb_graph_checks():
     res = lifts.weighted_dirac_check(twist.default_potential, twist.graph)
     assert to_text(res) \
         == "x1*dx2*dx3*dq1 + x2*q1*dx1*dx2*dx3 - x3*dx1*dx2*dq1"
-    route = dirac.twoform_residual_route(twist.default_potential, twist.graph)
+    route = routes.twoform_residual_route(twist.default_potential, twist.graph)
     assert route == dirac.tangency_residual(twist.default_potential,
                                             twist.graph)
     fixed = gallery.build("vb_dirac")
@@ -177,17 +138,6 @@ def test_graph_json_round_trips():
         assert dirac.graph_to_json(back) == data
     with pytest.raises(GraphError, match="kind"):
         dirac.graph_from_json(ch, {"kind": "mystery"})
-
-
-def test_route_kind_gates():
-    ch = make_cotangent_antivb_chart(1, 2)
-    biv = BivectorGraph(ch, parse_expr(ch, "pi1*pi2"))
-    form = TwoFormGraph(ch, parse_expr(ch, "xi1*xi2"))
-    T = parse_expr(ch, "xi1*p1")
-    with pytest.raises(GraphError):
-        dirac.bivector_closed_formula(T, form)
-    with pytest.raises(GraphError):
-        dirac.twoform_residual_route(T, biv)
 
 
 def lifted_pair(rank, k):
@@ -214,10 +164,10 @@ def test_lifted_coordinate_graph_stays_tangent():
     lifted = lifts.tangent_lift_chart(flat, 2)
     T = lifts.complete_lift(lifts.flatten_poly(inst.theta, flat), 2, lifted)
     graph = CoordinateSubbundle(flat, ["pi1", "pi2", "pi3"])
-    up = lifts.lift_graph(graph, lifted, 2)
+    up = routes.lift_graph(graph, lifted, 2)
     assert set(up.vanish) == {"pi%d_%d" % (i, e)
                               for i in (1, 2, 3) for e in (0, 1)}
     assert lifts.weighted_dirac_check(T, up).is_zero
     biv = BivectorGraph(lifted, parse_expr(lifted, "pi1_0*pi2_1 + pi1_1*pi2_0"))
     with pytest.raises(LiftError, match="coordinate"):
-        lifts.lift_graph(biv, lifted, 2)
+        routes.lift_graph(biv, lifted, 2)

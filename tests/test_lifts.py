@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+import draws
 import oracles
-from superpoisson import courant, gallery, lifts, sampling
+from superpoisson import courant, gallery, lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.lifts import LiftError
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import (SuperPoly, homogeneity, parse_expr,
-                                    to_text)
+from superpoisson.superpoly import SuperPoly, parse_expr, to_text
 
 
 def flat_antivb(dim, rank):
@@ -45,8 +45,8 @@ def test_flatten_poly_commutes_with_bracket():
     flat = lifts.flatten_chart(ch)
     rng = random.Random(51)
     for r in range(12):
-        P = sampling.random_homogeneous(ch, rng, max_terms=2, max_factors=3)
-        Q = sampling.random_homogeneous(ch, rng, max_terms=2, max_factors=3)
+        P = draws.random_homogeneous(ch, rng)
+        Q = draws.random_homogeneous(ch, rng)
         lhs = bracket(lifts.flatten_poly(P, flat), lifts.flatten_poly(Q, flat))
         rhs = lifts.flatten_poly(bracket(P, Q), flat)
         assert lhs == rhs, r
@@ -137,10 +137,8 @@ def test_lift_identity_on_random_pairs():
         for r in range(10):
             ch = charts[r % len(charts)]
             target = lifts.tangent_lift_chart(ch, k)
-            P = sampling.random_homogeneous(ch, rng, max_terms=2,
-                                            max_factors=3)
-            Q = sampling.random_homogeneous(ch, rng, max_terms=2,
-                                            max_factors=3)
+            P = draws.random_homogeneous(ch, rng)
+            Q = draws.random_homogeneous(ch, rng)
             defect = lifts.lift_identity_check(P, Q, k, target)
             assert defect.is_zero, (k, r, to_text(defect))
 
@@ -152,9 +150,7 @@ def test_complete_lift_matches_curve_oracle():
         for r in range(10):
             ch = charts[r % len(charts)]
             target = lifts.tangent_lift_chart(ch, k)
-            P = sampling.random_homogeneous(ch, rng, max_terms=2,
-                                            max_factors=3,
-                                            allow_symbols=False)
+            P = draws.random_homogeneous(ch, rng, allow_symbols=False)
             got = lifts.complete_lift(P, k, target)
             want = oracles.curve_lift_value(P, k, target)
             assert got == want, (k, r)

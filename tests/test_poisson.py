@@ -1,7 +1,8 @@
 import random
 
+import draws
 import oracles
-from superpoisson import gallery, lifts, poisson, sampling
+from superpoisson import gallery, lifts, poisson
 from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.poisson import bracket
@@ -32,9 +33,9 @@ def sign(a, b):
 def run_axioms(chart, rng, rounds):
     drop = pairing_drop(chart)
     for _ in range(rounds):
-        X = sampling.random_homogeneous(chart, rng, max_factors=2)
-        Y = sampling.random_homogeneous(chart, rng, max_factors=2)
-        Z = sampling.random_homogeneous(chart, rng, max_factors=2)
+        X = draws.random_homogeneous(chart, rng, max_factors=2)
+        Y = draws.random_homogeneous(chart, rng, max_factors=2)
+        Z = draws.random_homogeneous(chart, rng, max_factors=2)
         px, py = X.parity(), Y.parity()
         skew = bracket(X, Y) + bracket(Y, X) * sign(px, py)
         assert skew.is_zero
@@ -69,8 +70,8 @@ def test_literal_darboux_formula_identity_metric():
     ch = make_darboux_chart(2, 3)
     rng = random.Random(21)
     for _ in range(50):
-        X = sampling.random_homogeneous(ch, rng)
-        Y = sampling.random_homogeneous(ch, rng)
+        X = draws.random_homogeneous(ch, rng)
+        Y = draws.random_homogeneous(ch, rng)
         assert oracles.darboux_literal_bracket(X, Y) == bracket(X, Y)
 
 
@@ -78,8 +79,8 @@ def test_literal_darboux_formula_hyperbolic_metric():
     ch = make_darboux_chart(1, 4, metric=hyperbolic_metric(2))
     rng = random.Random(22)
     for _ in range(50):
-        X = sampling.random_homogeneous(ch, rng)
-        Y = sampling.random_homogeneous(ch, rng)
+        X = draws.random_homogeneous(ch, rng)
+        Y = draws.random_homogeneous(ch, rng)
         assert oracles.darboux_literal_bracket(X, Y) == bracket(X, Y)
 
 

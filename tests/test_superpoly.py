@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import draws
 import oracles
 from superpoisson import complexes, courant, gallery, lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
@@ -53,11 +54,10 @@ def test_power():
 def test_random_ring_axioms():
     ch = chart()
     rng = random.Random(11)
-    from superpoisson import sampling
     for _ in range(40):
-        a = sampling.random_homogeneous(ch, rng)
-        b = sampling.random_homogeneous(ch, rng)
-        c = sampling.random_homogeneous(ch, rng)
+        a = draws.random_homogeneous(ch, rng)
+        b = draws.random_homogeneous(ch, rng)
+        c = draws.random_homogeneous(ch, rng)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
@@ -75,10 +75,9 @@ def test_parity_and_weight_accessors():
 def test_parse_round_trip_random():
     ch = chart()
     rng = random.Random(5)
-    from superpoisson import sampling
     for _ in range(30):
-        P = sampling.random_homogeneous(ch, rng)
-        Q = sampling.random_homogeneous(ch, rng)
+        P = draws.random_homogeneous(ch, rng)
+        Q = draws.random_homogeneous(ch, rng)
         total = P + Q
         again = parse_expr(ch, to_text(total))
         assert again == total
