@@ -4,7 +4,9 @@ Builds the catalogue instance, prints the multiplication table of the
 derived bracket on the section frame, then shows why the structure is
 pre-Courant but not Courant: the self-bracket of the potential is
 nonzero while every anchor-style obstruction vanishes, and the
-Jacobiator picks up a nonzero value on well-chosen triples.
+Jacobiator picks up a nonzero value on well-chosen triples.  The point
+cohomology is (1, 0): H1 is the kernel of {T, .} on the weight-1
+generators, and no nonzero combination of them is closed.
 """
 
 from superpoisson import complexes, courant, gallery
@@ -49,8 +51,8 @@ def main():
     print("  J(pi1, pi2, pi3) =", to_text(J0))
     print()
 
-    h0, h1 = complexes.cohomology_point(T)
-    print("point cohomology of the small complex: (%d, %d)" % (h0, h1))
+    h0, h1 = complexes.point_cohomology(T)
+    print("point cohomology of the small complex: (%d, %d)" % (h0[0], h1[0]))
     print("degree-1 closure condition:",
           complexes.naive_cohomology_condition(T))
     print()

@@ -3,11 +3,12 @@
 Shows the complete lift on small examples first: coordinates go to their
 top-weight copies, scalar symbols Taylor-expand around the weight-zero
 copies.  Then lifts the three-dimensional cross-product structure, checks
-that the bracket identity and the verdict survive, and prints the sizes
-of the weight table and the weighted cohomology.
+that the bracket identity and the verdict survive, and prints the size
+of the weight table and the point cohomology split by lift weight: H1 is
+the kernel of {theta, .} on the weight-1 generators of each lift weight.
 """
 
-from superpoisson import courant, gallery, lifts
+from superpoisson import complexes, courant, gallery, lifts
 from superpoisson.charts import make_darboux_chart
 from superpoisson.superpoly import parse_expr, to_text
 
@@ -49,16 +50,15 @@ def main():
             table = lifts.weight_table_check(TL)
             print("  weight table: %d checks, %d problems"
                   % (table["checks"], len(table["problems"])))
-            coh = lifts.weighted_cohomology_module_check(TL)
-            print("  weighted cohomology: h0 =", coh["h0"],
-                  " h1 =", coh["h1"])
+            h0, h1 = complexes.point_cohomology(TL)
+            print("  weighted cohomology: h0 =", h0, " h1 =", h1)
         print()
 
     print("against the zero potential the same chart has plenty of "
           "degree-1 cohomology:")
     target = lifts.tangent_lift_chart(flat, 2)
-    coh0 = lifts.weighted_cohomology_module_check(target.zero())
-    print("  h1 =", coh0["h1"])
+    _h0, h1 = complexes.point_cohomology(target.zero())
+    print("  h1 =", h1)
 
 
 if __name__ == "__main__":

@@ -281,6 +281,15 @@ def cmd_gallery(args):
     return EXIT_OK if report["ok"] else EXIT_FAILED
 
 
+def positive_int(text):
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="superpoisson",
@@ -297,7 +306,7 @@ def build_parser():
     common(p)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized sweeps")
-    p.add_argument("--samples", type=int, default=4,
+    p.add_argument("--samples", type=positive_int, default=4,
                    help="samples per randomized identity")
     p.set_defaults(func=cmd_check)
 

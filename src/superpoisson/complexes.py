@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .superpoly import homogeneity, to_text
 from .poisson import bracket
-from .courant import (PotentialError, anchor_apply, anchor_vector,
-                      apply_anchor_vector, pairing, pre_bracket,
-                      validate_potential)
+from .courant import (PotentialError, anchor_vector, apply_anchor_vector,
+                      pairing, pre_bracket)
 from . import linalg
 
 
@@ -196,62 +195,38 @@ def _ascending_tuples(n, k):
     yield from rec(0, [])
 
 
-def cohomology_point(theta):
-    """(dim H0, dim H1) of the small complex over a point base.
+def point_cohomology(theta):
+    """(H0, H1) of the small complex over a point, as dicts {lift weight:
+    dimension}.
 
-    H0 is the constants (the differential of a constant is computed and
-    must vanish); H1 is the kernel of the anchor on the weight-1 fibre
-    sector modulo differentials of weight-0 functions, both sides obtained
-    by exact linear algebra.  Over a point the anchor matrix has no rows
-    and the image is generated by {theta, 1}, so the computation is honest
-    but small.
+    Over a point the contraction conditions are empty, so the degree-1
+    cochains are spanned by the weight-1 generators, H0 is the constants
+    (lift weight 0) and d0 = {theta, const} = 0, so H1 is the kernel of
+    {theta, .} on those generators.  They are grouped by lift weight on a
+    lifted chart and form one group of lift weight 0 otherwise; dim H1 of
+    a group is its size minus the rank of the images {theta, g}, by exact
+    linear algebra.
+
+    Nothing is refused when {theta, theta} != 0: H0 and H1 depend only on
+    d0 and d1, and d0 vanishes for every theta over a point, so a d^2 check
+    on these degrees could never fail.
     """
     chart = theta.chart
     if chart.base_indices:
-        raise PotentialError("cohomology_point needs a chart over a point "
+        raise PotentialError("point cohomology needs a chart over a point "
                              "(no symplectic-weight-0 generators)")
-    validate_potential(theta)
-    d_const = q_theta(theta, chart.one())
-    if not d_const.is_zero:
-        raise PotentialError("differential of a constant is nonzero; the "
-                             "bracket engine is broken")
-    fibre = chart.role_indices("fibre")
-    if not fibre:
-        fibre = tuple(g.index for g in chart.generators
-                      if chart.gen_symplectic_weight(g.index) == 1)
-    n = len(fibre)
-    anchor_rows = []
-    for idx in chart.base_indices:
-        f = chart.gen(chart.generators[idx].name)
-        row = []
-        for m in fibre:
-            sec = chart.gen(chart.generators[m].name)
-            row.append(anchor_apply(theta, sec, f))
-        anchor_rows.append(row)
-    # over a point anchor_rows is empty; keep the honest call anyway
-    kernel = linalg.nullspace([[_constant_of(p) for p in row]
-                               for row in anchor_rows], ncols=n)
-    image_rows = [[_coefficient_on(d_const, chart, m) for m in fibre]]
-    image_rank = linalg.rank(image_rows)
-    return (1, len(kernel) - image_rank)
-
-
-def _constant_of(poly):
-    if poly.is_zero:
-        return Fraction(0)
-    items = poly.items()
-    if len(items) != 1 or items[0][0] != ((), (), ()):
-        raise PotentialError("expected a constant, got %s" % to_text(poly))
-    return items[0][1]
-
-
-def _coefficient_on(poly, chart, idx):
-    gen = chart.generators[idx]
-    if gen.parity:
-        key = ((), (), (idx,))
-    else:
-        key = ((), ((idx, 1),), ())
-    return poly.coefficient(key)
+    groups = {}
+    for g in chart.generators:
+        if chart.gen_symplectic_weight(g.index) == 1:
+            weight = g.weight[0] if chart.lift_degree is not None else 0
+            groups.setdefault(weight, []).append(
+                bracket(theta, chart.gen(g.name)))
+    h1 = {}
+    for weight, images in sorted(groups.items()):
+        keys = sorted({key for v in images for key in v.terms})
+        h1[weight] = len(images) - linalg.rank(
+            [[v.coefficient(key) for key in keys] for v in images])
+    return {0: 1}, h1
 
 
 def constant_l1_basis(theta):

@@ -41,20 +41,14 @@ def _require_roles(chart):
 
 def position_indices(chart):
     _require_roles(chart)
-    out = []
-    for idx, g in enumerate(chart.generators):
-        if chart.roles.get(g.name) in POSITION_ROLES:
-            out.append(idx)
-    return out
+    return sorted(i for role in POSITION_ROLES
+                  for i in chart.role_indices(role))
 
 
 def momentum_indices(chart):
     _require_roles(chart)
-    out = []
-    for idx, g in enumerate(chart.generators):
-        if chart.roles.get(g.name) in MOMENTUM_ROLES:
-            out.append(idx)
-    return out
+    return sorted(i for role in MOMENTUM_ROLES
+                  for i in chart.role_indices(role))
 
 
 def _check_sector_function(chart, value, odd_role, what):

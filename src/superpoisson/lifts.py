@@ -27,7 +27,6 @@ from .superpoly import SuperPoly, homogeneity, mul_terms_into, to_text
 from .poisson import bracket
 from .charts import Chart
 from .courant import anchor_apply, pairing, pre_bracket, validate_potential
-from . import linalg
 
 
 class LiftError(ValueError):
@@ -282,41 +281,6 @@ def weight_table_check(theta):
         expect("anchor of %s on %s" % (names[si], names[fa]), got,
                p + 1 - k + r)
     return {"checks": checks, "problems": problems}
-
-
-def weighted_cohomology_module_check(theta):
-    """Graded pieces of the point cohomology of a weighted potential.
-
-    Over a point the degree-zero cochains are the constants, so H^0 is
-    one-dimensional and the degree-one coboundaries vanish; the check
-    computes dim H^{1,r} = dim ker {theta, .} on the weight-1 sections of
-    each lift weight r by exact linear algebra.  Every generator has
-    symplectic weight at least 1, so those sections are spanned by the
-    generators of bi-weight (r, 1).  Returns
-    {"h0": ..., "h1": {r: dim}, "problems": []}; "problems" stays empty,
-    because {theta, 1} = 0 holds for every potential and so is not checked.
-    """
-    chart = theta.chart
-    if chart.lift_degree is None:
-        raise LiftError("weighted cohomology needs a chart with a lift degree")
-    if any(chart.gen_symplectic_weight(i) == 0
-           for i in range(len(chart.generators))):
-        raise LiftError("point cohomology needs a chart over a point")
-    validate_potential(theta)
-    k = chart.lift_degree
-    h1 = {}
-    for r in range(k):
-        basis = [chart.gen(g.name) for g in chart.generators
-                 if g.weight[0] == r
-                 and chart.gen_symplectic_weight(g.index) == 1]
-        if not basis:
-            h1[r] = 0
-            continue
-        images = [bracket(theta, b) for b in basis]
-        keys = sorted({key for v in images for key in v.terms})
-        rows = [[v.coefficient(key) for v in images] for key in keys]
-        h1[r] = len(linalg.nullspace(rows, ncols=len(basis)))
-    return {"h0": {0: 1}, "h1": h1, "problems": []}
 
 
 def weighted_dirac_check(theta, graph):

@@ -4,9 +4,10 @@ Everything here recomputes expected values through a second route that
 shares as little code as possible with the implementation under test:
 derivatives are taken by direct term-key manipulation, bracket values come
 from the literal Darboux formula, Jacobiators from structure-constant
-arithmetic, pairing nondegeneracy from one dense determinant, lifts from a
-formal curve substitution, and the obstruction polynomial of the
-quasi-Poisson instance is assembled index by index.
+arithmetic, point cohomology from structure-constant ranks, pairing
+nondegeneracy from one dense determinant, lifts from a formal curve
+substitution, and the obstruction polynomial of the quasi-Poisson
+instance is assembled index by index.
 """
 
 import itertools
@@ -146,6 +147,37 @@ def jacobi_holds(c, rank):
     return all(not algebra_jacobiator(c, rank, i, j, k)
                for i, j, k in itertools.product(range(1, rank + 1),
                                                 repeat=3))
+
+
+def _rank(rows):
+    """Rank of a matrix by forward elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            if m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def point_h1(c, rank):
+    """dim H1 over a point of the potential of structure constants c (keyed
+    as in structure_theta).  {theta, .} maps the xi^k into xi xi and the
+    pi_l into xi pi, so the kernel splits: on the xi^k it is the dual of
+    g / [g, g], n minus the rank of c_ijk over pairs i < j with one row per
+    k; on the pi_l it is the centre, n minus the rank of v -> sum_k v_k
+    c_kjl."""
+    idx = range(1, rank + 1)
+    pairs = [(i, j) for i in idx for j in idx if i < j]
+    derived = [[c.get((i, j, k), 0) for i, j in pairs] for k in idx]
+    centre = [[c.get((k, j, l), 0) for k in idx] for j in idx for l in idx]
+    return (rank - _rank(derived)) + (rank - _rank(centre))
 
 
 def cross_theta(chart, triples):

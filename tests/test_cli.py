@@ -273,6 +273,17 @@ def test_sampling_flags_belong_to_check_only(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_check_samples_must_be_positive(capsys):
+    # A sweep of no samples checks nothing and must not report ok.
+    for value in ("-3", "0", "two"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "cross3", "--samples", value, "--json"])
+        assert exc.value.code == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --samples" in captured.err
+
+
 def test_check_without_weight_one_sector_is_a_usage_error(tmp_path, capsys):
     doc = {"schema_version": 1, "name": "no_sections", "potential": "0",
            "chart": {"name": "plain", "axes": 1, "n_manifold": True,

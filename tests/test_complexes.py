@@ -87,14 +87,18 @@ def test_identification_constants_match_evaluation():
 
 
 def test_cohomology_point_values():
-    assert complexes.cohomology_point(gallery.build("cross3").theta) == (1, 3)
-    assert complexes.cohomology_point(gallery.build("cross7").theta) == (1, 7)
+    # so(3) has H1 = 0 by Whitehead; the seven-dimensional cross product
+    # has no closed weight-1 section either.
+    for name, h1 in (("cross3", 0), ("cross7", 0), ("euclidean_cubic", 0),
+                     ("hyperbolic_cubic", 1)):
+        got = complexes.point_cohomology(gallery.build(name).theta)
+        assert got == ({0: 1}, {0: h1}), name
 
 
 def test_cohomology_point_rejects_base_charts():
     inst = gallery.build("nearly_witness")
     with pytest.raises(PotentialError):
-        complexes.cohomology_point(inst.default_potential)
+        complexes.point_cohomology(inst.default_potential)
 
 
 def test_naive_cohomology_condition():
@@ -226,6 +230,17 @@ def test_naive_condition_of_cross_instances_against_oracle(name):
     assert complexes.naive_cohomology_condition(inst.default_potential) \
         is want
     assert inst.expected["naive_condition"] is want
+
+
+@pytest.mark.parametrize("name", sorted(oracles.CROSS_INSTANCES))
+def test_point_cohomology_of_cross_instances_against_oracle(name):
+    rank, triples = oracles.CROSS_INSTANCES[name]
+    inst = gallery.build(name)
+    h1 = oracles.point_h1(oracles.epsilon_table(triples), rank)
+    assert h1 == 0
+    assert complexes.point_cohomology(inst.default_potential) \
+        == ({0: 1}, {0: h1})
+    assert inst.expected["cohomology_point"] == [1, h1]
 
 
 def test_naive_condition_computes_each_bracket_once(bracket_calls):

@@ -4,8 +4,9 @@ import pytest
 
 import draws
 import oracles
-from superpoisson import courant, gallery, lifts
+from superpoisson import complexes, courant, gallery, lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
+from superpoisson.courant import PotentialError
 from superpoisson.lifts import LiftError
 from superpoisson.poisson import bracket
 from superpoisson.superpoly import SuperPoly, parse_expr, to_text
@@ -196,24 +197,21 @@ def test_weight_table_needs_lifted_chart():
 
 def test_weighted_cohomology_of_lifted_cross_product():
     lifted, TL = lifted_cross3(2)
-    report = lifts.weighted_cohomology_module_check(TL)
-    assert report["h0"] == {0: 1}
-    assert report["h1"] == {0: 0, 1: 0}
-    assert report["problems"] == []
+    assert complexes.point_cohomology(TL) == ({0: 1}, {0: 0, 1: 0})
 
 
 def test_weighted_cohomology_of_zero_potential():
     lifted, _TL = lifted_cross3(2)
-    report = lifts.weighted_cohomology_module_check(lifted.zero())
-    assert report["h1"] == {0: 6, 1: 6}
+    assert complexes.point_cohomology(lifted.zero()) \
+        == ({0: 1}, {0: 6, 1: 6})
 
 
 def test_weighted_cohomology_needs_point_chart():
     flat = flat_antivb(1, 1)
     lifted = lifts.tangent_lift_chart(flat, 2)
     theta = lifts.complete_lift(parse_expr(flat, "xi1*p1"), 2, lifted)
-    with pytest.raises(LiftError, match="point"):
-        lifts.weighted_cohomology_module_check(theta)
+    with pytest.raises(PotentialError, match="point"):
+        complexes.point_cohomology(theta)
 
 
 def test_lifted_verdicts():

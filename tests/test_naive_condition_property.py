@@ -2,7 +2,9 @@
 
 Every constant section over a point is a degree-1 element of the small
 complex, so naive_cohomology_condition on the potential of structure
-constants c must agree with the structure-constant oracle.
+constants c must agree with the structure-constant oracle.  So must the
+verdict (Courant exactly when Jacobi holds; over a point the anchor
+vanishes, so never Nearly) and the point cohomology.
 """
 
 import pytest
@@ -11,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from superpoisson import complexes  # noqa: E402
+from superpoisson import complexes, courant  # noqa: E402
 from superpoisson.charts import make_cotangent_antivb_chart  # noqa: E402
 
 
@@ -51,6 +53,10 @@ def test_naive_condition_agrees_with_jacobi_oracle():
                                         c)
         want = oracles.jacobi_holds(c, rank)
         assert complexes.naive_cohomology_condition(theta) is want
+        assert courant.classify(theta).verdict \
+            == ("Courant" if want else "PreCourant")
+        assert complexes.point_cohomology(theta) \
+            == ({0: 1}, {0: oracles.point_h1(c, rank)})
         outcomes.add(want)
 
     agrees()

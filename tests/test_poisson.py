@@ -2,68 +2,23 @@ import random
 
 import draws
 import oracles
-from superpoisson import gallery, lifts, poisson
-from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
-                                 make_darboux_chart)
+from axioms import check_poisson_axioms, poisson_families
+from superpoisson import gallery, poisson
+from superpoisson.charts import hyperbolic_metric, make_darboux_chart
 from superpoisson.poisson import bracket
 from superpoisson.superpoly import parse_expr, to_text
 
 
-def family_charts():
-    lifted = lifts.tangent_lift_chart(
-        lifts.flatten_chart(make_cotangent_antivb_chart(1, 2)), 3)
-    return [make_darboux_chart(2, 4), make_cotangent_antivb_chart(2, 3),
-            lifted]
-
-
-def pairing_drop(chart):
-    drops = set()
-    for (g, h), _c in chart.pairing.items():
-        wg = chart.generators[g].weight
-        wh = chart.generators[h].weight
-        drops.add(tuple(a + b for a, b in zip(wg, wh)))
-    assert len(drops) == 1
-    return drops.pop()
-
-
-def sign(a, b):
-    return -1 if (a & b) else 1
-
-
-def run_axioms(chart, rng, rounds):
-    drop = pairing_drop(chart)
-    for _ in range(rounds):
-        X = draws.random_homogeneous(chart, rng, max_factors=2)
-        Y = draws.random_homogeneous(chart, rng, max_factors=2)
-        Z = draws.random_homogeneous(chart, rng, max_factors=2)
-        px, py = X.parity(), Y.parity()
-        skew = bracket(X, Y) + bracket(Y, X) * sign(px, py)
-        assert skew.is_zero
-        jac = (bracket(X, bracket(Y, Z)) - bracket(bracket(X, Y), Z)
-               - bracket(Y, bracket(X, Z)) * sign(px, py))
-        assert jac.is_zero
-        leib = (bracket(X, Y * Z) - bracket(X, Y) * Z
-                - Y * bracket(X, Z) * sign(px, py))
-        assert leib.is_zero
-        kx = next(iter(X.terms))
-        ky = next(iter(Y.terms))
-        want = tuple(a + b - d for a, b, d in
-                     zip(X.term_weight(kx), Y.term_weight(ky), drop))
-        out = bracket(X, Y)
-        for key in out.terms:
-            assert out.term_weight(key) == want
-
-
 def test_axioms_darboux():
-    run_axioms(family_charts()[0], random.Random(101), 60)
+    check_poisson_axioms(poisson_families()[0], random.Random(101), 60)
 
 
 def test_axioms_antivb():
-    run_axioms(family_charts()[1], random.Random(102), 60)
+    check_poisson_axioms(poisson_families()[1], random.Random(102), 60)
 
 
 def test_axioms_lifted():
-    run_axioms(family_charts()[2], random.Random(103), 60)
+    check_poisson_axioms(poisson_families()[2], random.Random(103), 60)
 
 
 def test_literal_darboux_formula_identity_metric():
