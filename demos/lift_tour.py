@@ -3,9 +3,9 @@
 Shows the complete lift on small examples first: coordinates go to their
 top-weight copies, scalar symbols Taylor-expand around the weight-zero
 copies.  Then lifts the three-dimensional cross-product structure, checks
-that the bracket identity and the verdict survive, and prints the size
-of the weight table and the point cohomology split by lift weight: H1 is
-the kernel of {theta, .} on the weight-1 generators of each lift weight.
+that the bracket identity and the verdict survive, and prints the point
+cohomology split by lift weight: H1 is the kernel of {theta, .} on the
+weight-1 generators of each lift weight.
 """
 
 from superpoisson import complexes, courant, gallery, lifts
@@ -47,9 +47,6 @@ def main():
         print("  bracket compatibility on a spot pair:",
               "holds" if defect.is_zero else to_text(defect))
         if k == 2:
-            table = lifts.weight_table_check(TL)
-            print("  weight table: %d checks, %d problems"
-                  % (table["checks"], len(table["problems"])))
             h0, h1 = complexes.point_cohomology(TL)
             print("  weighted cohomology: h0 =", h0, " h1 =", h1)
         print()

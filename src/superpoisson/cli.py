@@ -121,12 +121,16 @@ def identity_sweep(inst, rng, samples):
 def cmd_check(args):
     inst = _load_instance(args.instance)
     failures = gallery.check_instance(inst)
-    rng = random.Random(args.seed)
-    try:
-        identities = identity_sweep(inst, rng, args.samples)
-    except sampling.SamplingError as e:
-        raise UsageError("cannot run the identity sweeps on %s: %s"
-                         % (inst.name, e))
+    # The sweeps need a valid chart; on an invalid one the chart problems
+    # that check_instance reported are the answer.
+    identities = []
+    if not validate_chart(inst.chart).problems:
+        try:
+            identities = identity_sweep(inst, random.Random(args.seed),
+                                        args.samples)
+        except sampling.SamplingError as e:
+            raise UsageError("cannot run the identity sweeps on %s: %s"
+                             % (inst.name, e))
     ok = not failures and all(row["ok"] for row in identities)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -19,6 +19,10 @@ of the coordinates through the surviving ones:
 ``tangency_residual`` applies it to a potential; the residual is zero
 precisely when the Hamiltonian vector field of the potential is tangent to
 the subbundle, which makes it a sub-Dirac structure.
+
+On a chart with a lift degree k the bivector field or two-form must have
+lift weight k - 1, so that the substitution keeps every coordinate's
+bi-weight; a graph that breaks this is refused when it is built.
 """
 
 from .superpoly import homogeneity, left_partial, substitute, to_text
@@ -53,7 +57,13 @@ def momentum_indices(chart):
 
 def _check_sector_function(chart, value, odd_role, what):
     """value must be even, of symplectic weight 2, and use only odd
-    generators of the given role plus even base-sector generators."""
+    generators of the given role plus even base-sector generators.
+
+    On a chart with a lift degree k, value must also have lift weight
+    k - 1.  That is the whole weight rule for the graph: the pairing joins
+    lift weights adding up to k - 1, so every image of the substitution has
+    the bi-weight of the coordinate it replaces exactly when value has
+    lift weight k - 1."""
     if value.is_zero:
         return
     hom = homogeneity(value)
@@ -65,6 +75,11 @@ def _check_sector_function(chart, value, odd_role, what):
         raise GraphError(
             "%s must have symplectic weight 2, got %d"
             % (what, chart.symplectic_weight(hom.weight)))
+    lift = sum(hom.weight) - chart.symplectic_weight(hom.weight)
+    if chart.lift_degree is not None and lift != chart.lift_degree - 1:
+        raise GraphError(
+            "%s on a degree-%d lifted chart must have lift weight %d, got %d"
+            % (what, chart.lift_degree, chart.lift_degree - 1, lift))
     for key, _c in value.items():
         _scal, even, odd = key
         for idx, _e in even:

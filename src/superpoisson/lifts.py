@@ -1,4 +1,4 @@
-"""Higher tangent lifts: lifted charts, complete lifts and weighted checks.
+"""Higher tangent lifts: lifted charts and complete lifts.
 
 A single-axis chart lifts to a two-axis chart whose generators are the
 copies z_eps for 0 <= eps < k, of bi-weight (eps, w(z)).  The pairing of
@@ -17,6 +17,11 @@ exposes.
 
 Charts with two axes must be flattened to total weight before lifting;
 ``flatten_chart`` and ``flatten_poly`` do this by preserving names.
+
+Weights on a lifted chart are checked once, where an object is made:
+``courant.validate_potential`` wants a potential of lift weight k - 1, and
+the graph constructors of ``dirac`` want a bivector field or two-form of
+lift weight k - 1.  Nothing here checks them again.
 """
 
 import itertools
@@ -26,7 +31,6 @@ from fractions import Fraction
 from .superpoly import SuperPoly, homogeneity, mul_terms_into, to_text
 from .poisson import bracket
 from .charts import Chart
-from .courant import anchor_apply, pairing, pre_bracket, validate_potential
 
 
 class LiftError(ValueError):
@@ -215,89 +219,3 @@ def lift_identity_check(P, Q, k, target=None):
     lhs = bracket(complete_lift(P, k, target), complete_lift(Q, k, target))
     rhs = complete_lift(bracket(P, Q), k, target)
     return lhs - rhs
-
-
-def _is_lift_homogeneous(P, expect):
-    if P.is_zero:
-        return True
-    weights = {P.term_weight(key)[0] for key in P.terms}
-    return weights == {expect}
-
-
-def weight_table_check(theta):
-    """Spanning-set closure of the weighted operations.
-
-    For coordinate sections s, t of bi-weights (p,1), (q,1) and base
-    coordinates f of bi-weight (r,0): the pre-bracket of s and t must be
-    zero or of lift weight p+q-k+1, and exactly zero when that target is
-    negative; the pairing likewise with symplectic weight 0; the anchor of
-    s applied to f must be zero or of lift weight p+1-k+r.  For k = 2 the
-    core sector (lift weight 0) must have vanishing core-core bracket and
-    pairing.  Returns {"checks": n, "problems": [...]}.
-    """
-    chart = theta.chart
-    if chart.lift_degree is None:
-        raise LiftError("weight table needs a chart with a lift degree")
-    k = chart.lift_degree
-    validate_potential(theta)
-    sections = [(i, chart.generators[i].weight[0])
-                for i in range(len(chart.generators))
-                if chart.gen_symplectic_weight(i) == 1]
-    base = [(i, chart.generators[i].weight[0])
-            for i in range(len(chart.generators))
-            if chart.gen_symplectic_weight(i) == 0
-            and chart.generators[i].parity == 0]
-    problems = []
-    checks = 0
-
-    def expect(what, got, target):
-        """got must vanish below weight zero and otherwise be zero or of
-        lift weight target."""
-        nonlocal checks
-        checks += 1
-        if target < 0:
-            if not got.is_zero:
-                problems.append("%s should vanish below weight zero" % what)
-        elif not _is_lift_homogeneous(got, target):
-            problems.append("%s misses lift weight %d: %s"
-                            % (what, target, to_text(got)))
-
-    names = [g.name for g in chart.generators]
-    for (si, p), (tj, q) in itertools.product(sections, sections):
-        s = chart.gen(names[si])
-        t = chart.gen(names[tj])
-        pair = "%s and %s" % (names[si], names[tj])
-        got = pre_bracket(theta, s, t)
-        pg = pairing(s, t)
-        expect("bracket of " + pair, got, p + q - k + 1)
-        expect("pairing of " + pair, pg, p + q - k + 1)
-        if k == 2 and p == 0 and q == 0:
-            if not got.is_zero:
-                problems.append("core-core bracket of %s is nonzero" % pair)
-            if not pg.is_zero:
-                problems.append("core-core pairing of %s is nonzero" % pair)
-    for (si, p), (fa, r) in itertools.product(sections, base):
-        got = anchor_apply(theta, chart.gen(names[si]), chart.gen(names[fa]))
-        expect("anchor of %s on %s" % (names[si], names[fa]), got,
-               p + 1 - k + r)
-    return {"checks": checks, "problems": problems}
-
-
-def weighted_dirac_check(theta, graph):
-    """Tangency residual of a graph on a weighted chart, after checking
-    the substitution respects the bi-weight (each image is zero or
-    homogeneous of the replaced coordinate's bi-weight)."""
-    from .dirac import tangency_residual
-    chart = theta.chart
-    if chart.lift_degree is None:
-        raise LiftError("weighted check needs a chart with a lift degree")
-    for name, image in sorted(graph.substitution().items()):
-        if image.is_zero:
-            continue
-        hom = homogeneity(image)
-        want = chart.generators[chart.name_to_index[name]].weight
-        if not hom.homogeneous or hom.weight != want:
-            raise LiftError(
-                "graph image of %s has weight %r, the coordinate has %r"
-                % (name, hom.weight, want))
-    return tangency_residual(theta, graph)

@@ -4,14 +4,19 @@ Each function here reaches a quantity the engine also computes, by another
 formula: the structure functions of a potential over the metric frame and
 their closure equations, closed formulas for graph pullbacks, the almost
 Lie structure induced along a Dirac graph, the lift of a coordinate
-subbundle, and left-nested evaluation of a form on sections.  Tests compare
-them with the library; the library does not use them.
+subbundle, left-nested evaluation of a form on sections, the contraction by
+a formal function symbol, and the weight table of a lifted potential (the
+lift weights of its brackets, pairings and anchors, which
+validate_potential already forces).  Tests compare them with the library;
+the library does not use them.
 """
 
+import itertools
 import types
 from fractions import Fraction
 
 import identities
+from superpoisson.complexes import iota
 from superpoisson.courant import (PotentialError, anchor_apply, metric_frame,
                                   pairing, pre_bracket, symmetry_defect,
                                   validate_potential)
@@ -253,3 +258,81 @@ def eval_on_sections(alpha, sections):
     for s in sections:
         out = bracket(out, s)
     return out
+
+
+def formal_contraction(theta, alpha):
+    """Contraction of alpha by a formal function symbol that neither theta
+    nor alpha uses (F, then Fq, ...).  For a momentum-free alpha it is a
+    combination of the base-coordinate contractions, so it vanishes on every
+    element that naive_membership accepts."""
+    used = theta.symbol_names() | alpha.symbol_names()
+    probe = "F"
+    while probe in used:
+        probe += "q"
+    return iota(theta, alpha.chart.symbol(probe), alpha)
+
+
+def _is_lift_homogeneous(P, expect):
+    if P.is_zero:
+        return True
+    weights = {P.term_weight(key)[0] for key in P.terms}
+    return weights == {expect}
+
+
+def weight_table_check(theta):
+    """Spanning-set closure of the weighted operations.
+
+    For coordinate sections s, t of bi-weights (p,1), (q,1) and base
+    coordinates f of bi-weight (r,0): the pre-bracket of s and t must be
+    zero or of lift weight p+q-k+1, and exactly zero when that target is
+    negative; the pairing likewise with symplectic weight 0; the anchor of
+    s applied to f must be zero or of lift weight p+1-k+r.  For k = 2 the
+    core sector (lift weight 0) must have vanishing core-core bracket and
+    pairing.  Returns {"checks": n, "problems": [...]}.
+    """
+    chart = theta.chart
+    if chart.lift_degree is None:
+        raise LiftError("weight table needs a chart with a lift degree")
+    k = chart.lift_degree
+    validate_potential(theta)
+    sections = [(i, chart.generators[i].weight[0])
+                for i in range(len(chart.generators))
+                if chart.gen_symplectic_weight(i) == 1]
+    base = [(i, chart.generators[i].weight[0])
+            for i in range(len(chart.generators))
+            if chart.gen_symplectic_weight(i) == 0
+            and chart.generators[i].parity == 0]
+    problems = []
+    checks = 0
+
+    def expect(what, got, target):
+        """got must vanish below weight zero and otherwise be zero or of
+        lift weight target."""
+        nonlocal checks
+        checks += 1
+        if target < 0:
+            if not got.is_zero:
+                problems.append("%s should vanish below weight zero" % what)
+        elif not _is_lift_homogeneous(got, target):
+            problems.append("%s misses lift weight %d: %s"
+                            % (what, target, to_text(got)))
+
+    names = [g.name for g in chart.generators]
+    for (si, p), (tj, q) in itertools.product(sections, sections):
+        s = chart.gen(names[si])
+        t = chart.gen(names[tj])
+        pair = "%s and %s" % (names[si], names[tj])
+        got = pre_bracket(theta, s, t)
+        pg = pairing(s, t)
+        expect("bracket of " + pair, got, p + q - k + 1)
+        expect("pairing of " + pair, pg, p + q - k + 1)
+        if k == 2 and p == 0 and q == 0:
+            if not got.is_zero:
+                problems.append("core-core bracket of %s is nonzero" % pair)
+            if not pg.is_zero:
+                problems.append("core-core pairing of %s is nonzero" % pair)
+    for (si, p), (fa, r) in itertools.product(sections, base):
+        got = anchor_apply(theta, chart.gen(names[si]), chart.gen(names[fa]))
+        expect("anchor of %s on %s" % (names[si], names[fa]), got,
+               p + 1 - k + r)
+    return {"checks": checks, "problems": problems}

@@ -160,6 +160,9 @@ def test_criterion_5_pre_courant_instances_have_closed_small_complex():
             assert complexes.naive_membership(T, el), (name, to_text(el))
             image = complexes.q_theta(T, el)
             assert complexes.naive_membership(T, image), (name, to_text(el))
+            for member in (el, image):
+                assert routes.formal_contraction(T, member).is_zero, \
+                    (name, to_text(member))
     assert seen >= 8
 
 
@@ -254,7 +257,7 @@ def test_criterion_7_weight_table_on_the_vb_lift():
     flat = lifts.flatten_chart(inst.chart)
     lifted = lifts.tangent_lift_chart(flat, 2)
     TL = lifts.complete_lift(lifts.flatten_poly(inst.theta, flat), 2, lifted)
-    report = lifts.weight_table_check(TL)
+    report = routes.weight_table_check(TL)
     assert report["problems"] == []
     assert report["checks"] == 1568
 

@@ -254,6 +254,29 @@ def test_deeply_nested_expression_is_a_parse_error(capsys):
     assert out == "1\n"
 
 
+def test_check_on_an_invalid_chart_reports_the_chart(tmp_path, capsys):
+    # The identity sweeps need a valid chart: on this one they would stop
+    # at the first section of mixed parity and hide the chart problems.
+    def edit(d):
+        for g in d["chart"]["generators"]:
+            if g["name"] == "xi1":
+                g["parity"] = "even"
+
+    path = write_instance(tmp_path, "cross3", edit)
+    code, out, _err = run(capsys, ["check", path, "--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["identities"] == []
+    assert payload["failures"] == [
+        "chart: pairing {xi1,pi1} joins different parities (a nonzero "
+        "constant bracket is even)",
+        "chart: pairing {pi1,xi1} joins different parities (a nonzero "
+        "constant bracket is even)",
+        "chart: N-manifold rule broken: xi1 has parity 0 but symplectic "
+        "weight 1"]
+
+
 def test_instance_file_without_expected_block_fails_check(tmp_path, capsys):
     path = write_instance(tmp_path, "cross3", lambda d: d.pop("expected"))
     code, out, _err = run(capsys, ["check", path])

@@ -114,6 +114,29 @@ def test_constant_l1_basis_sizes():
     assert len(complexes.constant_l1_basis(gallery.build("cross7").theta)) == 14
 
 
+def test_members_have_a_zero_formal_contraction():
+    # naive_membership decides on the base coordinates alone; a formal
+    # function symbol must then contract to zero as well.
+    for name in gallery.names():
+        T = gallery.build(name).default_potential
+        for el in complexes.constant_l1_basis(T):
+            assert complexes.naive_membership(T, el), (name, to_text(el))
+            assert routes.formal_contraction(T, el).is_zero, \
+                (name, to_text(el))
+    for name in ("bialgebroid", "twisted_pencil"):
+        inst = gallery.build(name)
+        T = inst.default_potential
+        rng = random.Random(1101)
+        members = 0
+        for _ in range(200):
+            el = draws.random_homogeneous(inst.chart, rng)
+            if complexes.naive_membership(T, el):
+                members += 1
+                assert routes.formal_contraction(T, el).is_zero, \
+                    (name, to_text(el))
+        assert members >= 50, name
+
+
 def test_squared_differential_equals_half_self_bracket():
     rng = random.Random(77)
     charts = [make_darboux_chart(1, 3), make_cotangent_antivb_chart(1, 2),

@@ -8,7 +8,7 @@ import pytest
 
 import identities
 import oracles
-from superpoisson import courant, gallery, lifts
+from superpoisson import courant, dirac, gallery, lifts
 from superpoisson.charts import chart_to_json
 from superpoisson.gallery import GalleryError
 from superpoisson.poisson import bracket
@@ -119,7 +119,7 @@ def test_vb_twist_residual_recomputed_from_parts():
     inst = gallery.build("vb_twist")
     alpha = inst.graph.form
     beta = inst.twist
-    res = lifts.weighted_dirac_check(inst.default_potential, inst.graph)
+    res = dirac.tangency_residual(inst.default_potential, inst.graph)
     assert res == bracket(inst.theta, alpha) + beta
     assert to_text(res) \
         == "x1*dx2*dx3*dq1 + x2*q1*dx1*dx2*dx3 - x3*dx1*dx2*dq1"
@@ -200,3 +200,12 @@ def test_check_instance_classifies_each_potential_once(monkeypatch, name,
     monkeypatch.setattr(courant, "classify", counting)
     assert gallery.check_instance(gallery.build(name)) == []
     assert len(calls) <= most
+
+
+def test_cross7_check_makes_567_brackets(bracket_calls):
+    # naive_membership contracts by the base coordinates only, and
+    # constant_l1_basis does not test its own nullspace again.
+    inst = gallery.build("cross7")
+    del bracket_calls[:]
+    assert gallery.check_instance(inst) == []
+    assert len(bracket_calls) == 567

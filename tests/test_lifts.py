@@ -4,6 +4,7 @@ import pytest
 
 import draws
 import oracles
+import routes
 from superpoisson import complexes, courant, gallery, lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.courant import PotentialError
@@ -167,7 +168,7 @@ def lifted_cross3(k):
 
 def test_weight_table_on_lifted_cross_product():
     lifted, TL = lifted_cross3(2)
-    report = lifts.weight_table_check(TL)
+    report = routes.weight_table_check(TL)
     assert report["problems"] == []
     assert report["checks"] == 288
 
@@ -178,13 +179,13 @@ def test_weight_table_reports_a_potential_of_the_wrong_lift_weight(
     # the table itself must catch the wrong lift weight.
     inst = gallery.build("cross3")
     lifted = lifts.tangent_lift_chart(lifts.flatten_chart(inst.chart), 3)
-    monkeypatch.setattr(lifts, "validate_potential", lambda theta: None)
-    low = lifts.weight_table_check(parse_expr(lifted, "xi1_0*xi2_0*xi3_1"))
+    monkeypatch.setattr(routes, "validate_potential", lambda theta: None)
+    low = routes.weight_table_check(parse_expr(lifted, "xi1_0*xi2_0*xi3_1"))
     assert low["checks"] == 648
     assert len(low["problems"]) == 6
     assert low["problems"][0].startswith(
         "bracket of pi3_1 and pi1_2 misses lift weight 1")
-    high = lifts.weight_table_check(parse_expr(lifted, "xi1_0*xi2_1*xi3_2"))
+    high = routes.weight_table_check(parse_expr(lifted, "xi1_0*xi2_1*xi3_2"))
     assert any(p.endswith("should vanish below weight zero")
                for p in high["problems"])
 
@@ -192,7 +193,7 @@ def test_weight_table_reports_a_potential_of_the_wrong_lift_weight(
 def test_weight_table_needs_lifted_chart():
     inst = gallery.build("cross3")
     with pytest.raises(LiftError, match="lift degree"):
-        lifts.weight_table_check(inst.theta)
+        routes.weight_table_check(inst.theta)
 
 
 def test_weighted_cohomology_of_lifted_cross_product():

@@ -20,6 +20,9 @@ INSTANCES = ("cross3", "twisted_pencil", "bialgebroid", "action_algebra",
              "skew_cotangent", "euclidean_cubic", "hyperbolic_cubic",
              "nearly_witness")
 
+VB_SEED = 20261019
+VB_INSTANCES = ("vb_plain", "vb_twist", "vb_dirac")
+
 
 def _names(d):
     return [g["name"] for g in d["chart"]["generators"]]
@@ -79,9 +82,37 @@ def lift_degree(d, rng):
     d["expected"].setdefault("lift_verdict", "Courant")
 
 
+def graph_weight(d, rng):
+    """Replace the graph's function by a product of sector generators whose
+    lift weight is not the chart's lift degree minus one."""
+    chart = d["chart"]
+    role = "cofibre" if d["dirac"]["kind"] == "bivector" else "fibre"
+    gens = chart["generators"]
+    odd = [g for g in gens if chart["roles"].get(g["name"]) == role]
+    base = [g for g in gens if chart["roles"].get(g["name"]) == "base"]
+    while True:
+        factors = rng.sample(odd, 2) + rng.sample(base, rng.randrange(2))
+        if sum(g["weight"][0] for g in factors) != chart["lift_degree"] - 1:
+            break
+    d["dirac"]["expr"] = "*".join(g["name"] for g in factors)
+
+
 MUTATIONS = (swap_names_in_potential, append_cubic_term, wrong_parity,
              wrong_weight, degenerate_pairing, broken_l_element, broken_spot,
              lift_degree)
+
+
+def check_mutated(tmp_path, capsys, name, mutate, rng, n):
+    """Exit code of `check` on the catalogue file of name after one
+    mutation, with the mutated document."""
+    d = json.loads(gallery.canonical_json(
+        gallery.instance_to_json(gallery.build(name))))
+    mutate(d, rng)
+    path = tmp_path / ("%s_%s_%d.json" % (name, mutate.__name__, n))
+    path.write_text(json.dumps(d))
+    code = cli.main(["check", str(path), "--samples", "1"])
+    capsys.readouterr()
+    return code, d
 
 
 def test_mutated_instance_files_exit_0_1_or_2(tmp_path, capsys):
@@ -90,14 +121,24 @@ def test_mutated_instance_files_exit_0_1_or_2(tmp_path, capsys):
     for n in range(ROUNDS):
         for name in INSTANCES:
             for mutate in MUTATIONS:
-                d = json.loads(gallery.canonical_json(
-                    gallery.instance_to_json(gallery.build(name))))
-                mutate(d, rng)
-                path = tmp_path / ("%s_%s_%d.json" % (name, mutate.__name__,
-                                                      n))
-                path.write_text(json.dumps(d))
-                code = cli.main(["check", str(path), "--samples", "1"])
-                capsys.readouterr()
+                code, d = check_mutated(tmp_path, capsys, name, mutate, rng, n)
+                assert code in (0, 1, 2), (name, mutate.__name__, d)
+                codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def test_mutated_lifted_instance_files_exit_0_1_or_2(tmp_path, capsys):
+    # The vb instances carry a lift degree and a graph; a graph function
+    # of the wrong lift weight is a malformed file.
+    rng = random.Random(VB_SEED)
+    codes = set()
+    for n in range(ROUNDS):
+        for name in VB_INSTANCES:
+            for mutate in MUTATIONS + (graph_weight,):
+                code, d = check_mutated(tmp_path, capsys, name, mutate, rng,
+                                        n)
+                if mutate is graph_weight:
+                    assert code == 2, (name, d["dirac"])
                 assert code in (0, 1, 2), (name, mutate.__name__, d)
                 codes.add(code)
     assert codes == {0, 1, 2}
