@@ -41,8 +41,8 @@ def main():
     print("a Jacobiator that refuses to vanish:")
     J = courant.jacobiator(T, ch.gen("pi1"), ch.gen("pi2"), ch.gen("pi4"))
     print("  J(pi1, pi2, pi4) =", to_text(J))
-    M = courant.jacobiator_via_master(T, ch.gen("pi1"), ch.gen("pi2"),
-                                      ch.gen("pi4"))
+    M = courant.jacobiator_via_master(sc.sigma, ch.gen("pi1"),
+                                      ch.gen("pi2"), ch.gen("pi4"))
     print("  master route     =", to_text(M))
     print()
 

@@ -279,6 +279,12 @@ def _structural_problems(chart):
         problems.append(
             "conjugate weights sum to %r; the symplectic form must have "
             "symplectic weight 2" % (pair_weight,))
+    elif (chart.lift_degree is not None
+          and sum(pair_weight) - 2 != chart.lift_degree - 1):
+        problems.append(
+            "conjugate weights sum to %r; on a degree-%d lifted chart the "
+            "symplectic form must have lift weight %d"
+            % (pair_weight, chart.lift_degree, chart.lift_degree - 1))
 
     if pair_weight is not None and any(
             linalg.det([[chart.pairing.get((i, j), 0) for j in block]

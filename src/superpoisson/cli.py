@@ -89,6 +89,7 @@ def identity_sweep(inst, rng, samples):
     """Seeded random sweep of the four engine identities on one chart;
     every defect is identically zero, so a nonzero value names a bug."""
     T = inst.default_potential
+    TT = bracket(T, T)
     chart = inst.chart
     state = {name: {"name": name, "formula": formula, "samples": samples,
                     "ok": True}
@@ -107,10 +108,10 @@ def identity_sweep(inst, rng, samples):
         l = sampling.random_section(chart, rng)
         f = sampling.random_base_function(chart, rng)
         record("bracket_symmetry", courant.symmetry_defect(T, s, p), (s, p))
-        record("anchor_morphism", courant.anchor_defect(T, s, p, f),
+        record("anchor_morphism", courant.anchor_defect(T, TT, s, p, f),
                (s, p, f))
         direct = courant.jacobiator(T, s, p, l)
-        master = courant.jacobiator_via_master(T, s, p, l)
+        master = courant.jacobiator_via_master(TT, s, p, l)
         record("jacobiator_master", direct - master, (s, p, l))
         alpha = s if i % 2 else s * l
         record("contraction_commutator",
@@ -121,16 +122,21 @@ def identity_sweep(inst, rng, samples):
 def cmd_check(args):
     inst = _load_instance(args.instance)
     failures = gallery.check_instance(inst)
-    # The sweeps need a valid chart; on an invalid one the chart problems
-    # that check_instance reported are the answer.
+    # The sweeps need a valid chart and potential; on an invalid one the
+    # problems that check_instance reported are the answer.
     identities = []
     if not validate_chart(inst.chart).problems:
         try:
-            identities = identity_sweep(inst, random.Random(args.seed),
-                                        args.samples)
-        except sampling.SamplingError as e:
-            raise UsageError("cannot run the identity sweeps on %s: %s"
-                             % (inst.name, e))
+            courant.validate_potential(inst.default_potential)
+        except PotentialError:
+            pass
+        else:
+            try:
+                identities = identity_sweep(inst, random.Random(args.seed),
+                                            args.samples)
+            except sampling.SamplingError as e:
+                raise UsageError("cannot run the identity sweeps on %s: %s"
+                                 % (inst.name, e))
     ok = not failures and all(row["ok"] for row in identities)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -193,7 +199,7 @@ def cmd_jacobiator(args):
     T = inst.default_potential
     secs = [parse_expr(chart, a) for a in args.sections]
     direct = courant.jacobiator(T, *secs)
-    master = courant.jacobiator_via_master(T, *secs)
+    master = courant.jacobiator_via_master(bracket(T, T), *secs)
     agrees = direct == master
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -115,7 +115,9 @@ def classical_naive_differential(theta, psi, basis, dual):
     is computed once per index pair, every anchor vector (-1)^b_i~
     {theta, b_i} once per basis index, and every left-nested evaluation once
     per prefix of section labels (a basis index, or an index pair standing
-    for its derived bracket).
+    for its derived bracket).  Over a point (no generator of symplectic
+    weight 0) the anchor terms are skipped: every form value there is a
+    constant, which every anchor vector kills.
     """
     if not naive_membership(theta, psi):
         raise PotentialError("element is not in the small complex: %s"
@@ -152,7 +154,7 @@ def classical_naive_differential(theta, psi, basis, dual):
     n = len(basis)
     for combo in _ascending_tuples(n, k + 1):
         value = chart.zero()
-        for i in range(k + 1):
+        for i in range(k + 1 if chart.base_indices else 0):
             rest = tuple(combo[m] for m in range(k + 1) if m != i)
             sign = -1 if i % 2 else 1
             value = value + apply_anchor_vector(anchors[combo[i]],

@@ -13,6 +13,9 @@ The differential {T, f} of a function is ``complexes.q_theta``.
 
 The self-bracket {T, T} measures how far this structure is from a Courant
 algebroid; classify() sorts potentials into three classes by inspecting it.
+The two closed forms built on it, jacobiator_via_master and the right-hand
+side of anchor_defect, take {T, T} as an argument, so a caller that checks
+many samples computes it once.
 """
 
 from fractions import Fraction
@@ -123,14 +126,14 @@ def jacobiator(theta, sigma, psi, lam):
     return out
 
 
-def jacobiator_via_master(theta, sigma, psi, lam):
-    """The same Jacobiator from the self-bracket of the potential.
+def jacobiator_via_master(tt, sigma, psi, lam):
+    """The same Jacobiator from the self-bracket tt = {theta, theta}.
 
-    J(s,p,l) = (-1)^p~ (1/2) {{{{theta,theta}, s}, p}, l}; the agreement with
+    J(s,p,l) = (-1)^p~ (1/2) {{{tt, s}, p}, l}; the agreement with
     jacobiator() on all inputs is one of the checked identities.
     """
     sign = -1 if _parity(psi, "section") else 1
-    out = bracket(bracket(bracket(bracket(theta, theta), sigma), psi), lam)
+    out = bracket(bracket(bracket(tt, sigma), psi), lam)
     return out * Fraction(sign, 2)
 
 
@@ -150,12 +153,13 @@ def symmetry_defect(theta, sigma, psi):
     return out
 
 
-def anchor_defect(theta, sigma, psi, f):
+def anchor_defect(theta, tt, sigma, psi, f):
     """Anchor-morphism defect minus its closed form; identically zero.
 
     The commutator of anchor actions differs from the anchor of the bracket
-    by (1/2)(-1)^(f~(s~+p~)+p~) {{{{theta,theta},f},s},p}; this function
-    computes both sides independently and returns their difference.
+    by (1/2)(-1)^(f~(s~+p~)+p~) {{{tt,f},s},p} with tt = {theta, theta};
+    this function computes both sides and returns their difference.  The
+    direct side uses theta only, the closed form tt only.
 
     Within one call the anchor vectors of s and p are computed once each
     and serve both anchor actions of each section and the derived bracket
@@ -173,7 +177,7 @@ def anchor_defect(theta, sigma, psi, f):
     lhs = lhs - apply_anchor_vector(
         anchor_vector(theta, bracket(rho_s, psi)), f)
     rhs_sign = -1 if ((pf & (ps ^ pp)) ^ pp) else 1
-    rhs = bracket(bracket(bracket(bracket(theta, theta), f), sigma), psi)
+    rhs = bracket(bracket(bracket(tt, f), sigma), psi)
     rhs = rhs * Fraction(rhs_sign, 2)
     return lhs - rhs
 

@@ -125,8 +125,10 @@ def _spot_text(spot):
 
 def check_instance(inst):
     """Run every expected-value assertion of one instance; returns a list
-    of failure descriptions, empty when all hold.  A lift request that the
-    chart cannot take is a malformed instance (GalleryError)."""
+    of failure descriptions, empty when all hold.  A default potential
+    that fails validation is one failure, and the checks that read it are
+    skipped.  A lift request that the chart cannot take is a malformed
+    instance (GalleryError)."""
     failures = []
     chart = inst.chart
     expected = inst.expected
@@ -176,7 +178,14 @@ def check_instance(inst):
         sc = check_verdict(inst.theta, expected["verdict"], "potential")
 
     if sc is None:
-        sc = courant.classify(inst.default_potential)
+        try:
+            sc = courant.classify(inst.default_potential)
+        except courant.PotentialError as e:
+            # Every check below reads the default potential.
+            failure = "potential: %s" % e
+            if failure not in failures:
+                failures.append(failure)
+            return failures
 
     if expected.get("pre_courant") is not None:
         if sc.is_pre_courant != expected["pre_courant"]:
@@ -486,7 +495,9 @@ def instance_from_json(d, *, strict=True):
         twist = parse_expr(chart, d["twist"]["expr"])
         lambdas = tuple(Fraction(l) for l in d["twist"]["lambdas"])
     graph = None
-    if "dirac" in d:
+    # A graph's weight rules assume a valid chart; on an invalid one the
+    # chart's problems are the answer, so the graph is not built.
+    if "dirac" in d and not validate_chart(chart).problems:
         try:
             graph = dirac.graph_from_json(chart, d["dirac"])
         except dirac.GraphError as e:

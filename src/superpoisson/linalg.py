@@ -2,20 +2,17 @@
 
 Everything here takes lists of lists of exact rationals (int, or Fraction
 when not integral, as SuperPoly stores its coefficients), computes in
-Fraction, and is sized for chart-scale matrices (tens of rows), where exact
-Gaussian elimination is instant and keeps the whole artifact float-free.
+Fraction (det in int), and is sized for chart-scale matrices (tens of
+rows), where exact elimination is instant and keeps the artifact float-free.
 """
 
+import math
 from fractions import Fraction
-
-
-def _clone(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def rref(rows):
     """Reduced row echelon form; returns (matrix, pivot_columns)."""
-    m = _clone(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -74,29 +71,33 @@ def nullspace(rows, ncols=None):
 
 
 def det(rows):
-    m = _clone(rows)
-    n = len(m)
-    assert all(len(row) == n for row in m), "determinant needs a square matrix"
-    sign = Fraction(1)
-    d = Fraction(1)
+    """Determinant by fraction-free (Bareiss) elimination in int, on rows
+    scaled by the lcm of their denominators; divided by those scales."""
+    n = len(rows)
+    assert all(len(row) == n for row in rows), "determinant needs a square matrix"
+    m = []
+    scale = 1
+    for row in rows:
+        s = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    sign = 1
+    prev = 1
     for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot = i
+        for pivot in range(c, n):
+            if m[pivot][c]:
                 break
-        if pivot is None:
+        else:
             return Fraction(0)
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
             sign = -sign
-        d *= m[c][c]
-        inv = Fraction(1) / m[c][c]
+        p = m[c][c]
         for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * d
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[c])]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def invert(rows):

@@ -13,6 +13,12 @@ of X.  On an affine Darboux chart this is the familiar
 
 which the test suite checks term by term against an independent
 transcription of that display.
+
+For odd X the entries (g, h) and (h, g) add the same term to {X, X}, so
+{X, X} = sum over g < h of 2 (d_g X) P^gh (d_h X) plus the diagonal once.
+The pairing joins only generators of equal parity: for even g and h, P is
+skew and d_g X, d_h X are odd, so the two sign flips cancel; for odd g and
+h, the metric is symmetric and the derivatives are even.
 """
 
 from fractions import Fraction
@@ -42,6 +48,11 @@ def bracket(X, Y):
 
     Only the pairing entries (g, h) with g in the support of X and h in
     the support of Y can contribute, so only those are walked.
+
+    When Y is X and X is odd, each entry (g, h) with g < h is folded onto
+    (h, g) with coefficient 2 P^gh and each d_g X is taken once, by the
+    sign argument of the module docstring.  A pair of mixed parity (only on
+    a chart that validate_chart refuses) keeps the ordered walk.
     """
     chart = X.chart
     if isinstance(Y, (int, Fraction)):
@@ -53,6 +64,7 @@ def bracket(X, Y):
     gens = chart.generators
     rows = chart.pairing_rows
     y_support = _support(Y)
+    fold = X is Y and X.parity() == ODD
     dY_cache = {}
     acc = {}
     for flag in (EVEN, ODD):
@@ -66,8 +78,13 @@ def bracket(X, Y):
                     continue
                 if dX is None:
                     dX = left_partial(Xp, gens[gi])
+                    if fold:
+                        dY_cache[gi] = dX
                     if dX.is_zero:
                         break
+                twin = fold and gens[gi].parity == gens[hj].parity
+                if twin and hj > gi:
+                    continue
                 if hj not in dY_cache:
                     dY_cache[hj] = left_partial(Y, gens[hj])
                 dY = dY_cache[hj]
@@ -75,5 +92,7 @@ def bracket(X, Y):
                     continue
                 if gens[gi].parity == ODD and flag == EVEN:
                     coeff = -coeff
+                if twin and hj < gi:
+                    coeff = 2 * coeff
                 mul_terms_into(acc, dX.terms, dY.terms, coeff)
     return SuperPoly.from_clean_terms(chart, acc)

@@ -8,14 +8,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 @pytest.fixture
 def bracket_calls(monkeypatch):
-    """A list that grows by one entry per poisson.bracket call, made from
-    any superpoisson module, while the test runs."""
+    """A list that grows by one entry (X, Y) per poisson.bracket call, made
+    from any superpoisson module, while the test runs."""
     from superpoisson import cli, poisson  # noqa: F401 (loads every module)
     original = poisson.bracket
     calls = []
 
     def counting(X, Y):
-        calls.append(None)
+        calls.append((X, Y))
         return original(X, Y)
 
     for name, module in list(sys.modules.items()):

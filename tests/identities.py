@@ -32,7 +32,7 @@ def pairing_invariance_defect(T, s, p, l):
 def jacobiator_master_defect(T, s, p, l):
     """J(s,p,l) - (-1)^p~ (1/2) {{{{T,T},s},p},l}."""
     return (courant.jacobiator(T, s, p, l)
-            - courant.jacobiator_via_master(T, s, p, l))
+            - courant.jacobiator_via_master(bracket(T, T), s, p, l))
 
 
 def commutator_defect(T, f, a):

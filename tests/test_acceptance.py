@@ -62,7 +62,7 @@ def test_criterion_2_symmetry_defect_100():
 
 def test_criterion_2_anchor_defect_100():
     for r, (T, s, p, _l, f) in enumerate(draws.derived_setups(2002, 100)):
-        assert courant.anchor_defect(T, s, p, f).is_zero, r
+        assert courant.anchor_defect(T, bracket(T, T), s, p, f).is_zero, r
 
 
 def test_criterion_2_jacobiator_master_100():

@@ -345,3 +345,31 @@ def test_each_loaded_chart_is_validated_once(tmp_path, capsys, monkeypatch):
         assert seen, argv
         assert [sum(c is chart for c in seen) for chart in seen] \
             == [1] * len(seen), argv
+
+
+def test_check_cross7_computes_three_self_brackets(bracket_calls, capsys):
+    # One {T, T} for the classification, one shared by every sample of the
+    # identity sweep, one for the lift's classification.
+    assert run(capsys, ["check", "cross7"])[0] == 0
+    assert sum(X is Y for X, Y in bracket_calls) == 3
+
+
+@pytest.mark.parametrize("potential, failure", [
+    ("xi1*xi2*pi1*pi2",
+     "potential: potential must be odd; even term xi1*xi2*pi1*pi2"),
+    ("xi1*xi2*xi3*pi1*pi2",
+     "potential: potential must have symplectic weight 3; term "
+     "xi1*xi2*xi3*pi1*pi2 has 5"),
+])
+def test_check_on_an_invalid_potential_reports_it(tmp_path, capsys,
+                                                  potential, failure):
+    # The chart is valid; the potential is not, so the checks that read it
+    # and the identity sweeps are skipped.
+    path = write_instance(tmp_path, "cross3",
+                          lambda d: d.update(potential=potential))
+    code, out, _err = run(capsys, ["check", path, "--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["identities"] == []
+    assert payload["failures"] == [failure]

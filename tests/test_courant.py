@@ -63,7 +63,7 @@ def test_symmetry_defect_vanishes():
 
 def test_anchor_defect_vanishes():
     for T, s, p, l, f in draws.derived_setups(32, 40):
-        assert courant.anchor_defect(T, s, p, f).is_zero
+        assert courant.anchor_defect(T, bracket(T, T), s, p, f).is_zero
 
 
 def test_jacobiator_equals_master_route():
@@ -166,7 +166,7 @@ def test_jacobiator_shares_anchor_vectors(bracket_calls):
 def test_anchor_defect_shares_anchor_vectors(bracket_calls):
     ch = make_darboux_chart(1, 3)
     T = parse_expr(ch, "x1*xi1*p1 + xi1*xi2*xi3")
-    value = courant.anchor_defect(T, parse_expr(ch, "x1*xi1"),
+    value = courant.anchor_defect(T, bracket(T, T), parse_expr(ch, "x1*xi1"),
                                   ch.gen("xi2"), parse_expr(ch, "x1^2"))
     assert value.is_zero
     assert len(bracket_calls) <= 13

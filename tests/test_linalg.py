@@ -1,0 +1,50 @@
+"""Exact linear algebra against textbook formulas written out here."""
+
+import itertools
+import random
+from fractions import Fraction
+
+from superpoisson import linalg
+
+
+def leibniz_det(rows):
+    """Sum over permutations of sign(perm) * prod rows[i][perm[i]]."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def random_entry(rng):
+    """An exact rational as SuperPoly stores one: int when integral."""
+    if rng.random() < 0.3:
+        return 0
+    value = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 7)))
+    return value.numerator if value.denominator == 1 else value
+
+
+def test_det_matches_leibniz_expansion():
+    rng = random.Random(4401)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            # a row that is a rational combination of two others, or a copy
+            a, b = rng.randrange(n), rng.randrange(n)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            target = rng.choice([i for i in range(n) if i != a])
+            rows[target] = [x + c * y if b != target else x
+                            for x, y in zip(rows[a], rows[b])]
+        want = leibniz_det(rows)
+        got = linalg.det(rows)
+        assert got == want, rows
+        assert type(got) is Fraction
+        singular += want == 0
+    assert singular > 25

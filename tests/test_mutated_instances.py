@@ -97,22 +97,27 @@ def graph_weight(d, rng):
     d["dirac"]["expr"] = "*".join(g["name"] for g in factors)
 
 
+def chart_lift_degree(d, rng):
+    """Raise the chart's lift degree above the one its pairing was lifted
+    to, so the conjugate lift weights no longer add up to it minus one."""
+    d["chart"]["lift_degree"] += 1
+
+
 MUTATIONS = (swap_names_in_potential, append_cubic_term, wrong_parity,
              wrong_weight, degenerate_pairing, broken_l_element, broken_spot,
              lift_degree)
 
 
 def check_mutated(tmp_path, capsys, name, mutate, rng, n):
-    """Exit code of `check` on the catalogue file of name after one
-    mutation, with the mutated document."""
+    """Exit code and stdout of `check --json` on the catalogue file of name
+    after one mutation, with the mutated document."""
     d = json.loads(gallery.canonical_json(
         gallery.instance_to_json(gallery.build(name))))
     mutate(d, rng)
     path = tmp_path / ("%s_%s_%d.json" % (name, mutate.__name__, n))
     path.write_text(json.dumps(d))
-    code = cli.main(["check", str(path), "--samples", "1"])
-    capsys.readouterr()
-    return code, d
+    code = cli.main(["check", str(path), "--samples", "1", "--json"])
+    return code, capsys.readouterr().out, d
 
 
 def test_mutated_instance_files_exit_0_1_or_2(tmp_path, capsys):
@@ -121,7 +126,8 @@ def test_mutated_instance_files_exit_0_1_or_2(tmp_path, capsys):
     for n in range(ROUNDS):
         for name in INSTANCES:
             for mutate in MUTATIONS:
-                code, d = check_mutated(tmp_path, capsys, name, mutate, rng, n)
+                code, _out, d = check_mutated(tmp_path, capsys, name, mutate,
+                                              rng, n)
                 assert code in (0, 1, 2), (name, mutate.__name__, d)
                 codes.add(code)
     assert codes == {0, 1, 2}
@@ -129,16 +135,22 @@ def test_mutated_instance_files_exit_0_1_or_2(tmp_path, capsys):
 
 def test_mutated_lifted_instance_files_exit_0_1_or_2(tmp_path, capsys):
     # The vb instances carry a lift degree and a graph; a graph function
-    # of the wrong lift weight is a malformed file.
+    # of the wrong lift weight is a malformed file, and a lift degree that
+    # the pairing does not fit is a failed chart check.
     rng = random.Random(VB_SEED)
     codes = set()
     for n in range(ROUNDS):
         for name in VB_INSTANCES:
-            for mutate in MUTATIONS + (graph_weight,):
-                code, d = check_mutated(tmp_path, capsys, name, mutate, rng,
-                                        n)
+            for mutate in MUTATIONS + (graph_weight, chart_lift_degree):
+                code, out, d = check_mutated(tmp_path, capsys, name, mutate,
+                                             rng, n)
                 if mutate is graph_weight:
                     assert code == 2, (name, d["dirac"])
+                if mutate is chart_lift_degree:
+                    assert code == 1, name
+                    failures = json.loads(out)["failures"]
+                    assert failures and all(
+                        f.startswith("chart: ") for f in failures), failures
                 assert code in (0, 1, 2), (name, mutate.__name__, d)
                 codes.add(code)
     assert codes == {0, 1, 2}

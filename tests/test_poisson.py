@@ -3,10 +3,10 @@ import random
 import draws
 import oracles
 from axioms import check_poisson_axioms, poisson_families
-from superpoisson import gallery, poisson
+from superpoisson import gallery, lifts, poisson
 from superpoisson.charts import hyperbolic_metric, make_darboux_chart
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import parse_expr, to_text
+from superpoisson.superpoly import SuperPoly, parse_expr, to_text
 
 
 def test_axioms_darboux():
@@ -28,6 +28,7 @@ def test_literal_darboux_formula_identity_metric():
         X = draws.random_homogeneous(ch, rng)
         Y = draws.random_homogeneous(ch, rng)
         assert oracles.darboux_literal_bracket(X, Y) == bracket(X, Y)
+        assert oracles.darboux_literal_bracket(X, X) == bracket(X, X)
 
 
 def test_literal_darboux_formula_hyperbolic_metric():
@@ -37,6 +38,7 @@ def test_literal_darboux_formula_hyperbolic_metric():
         X = draws.random_homogeneous(ch, rng)
         Y = draws.random_homogeneous(ch, rng)
         assert oracles.darboux_literal_bracket(X, Y) == bracket(X, Y)
+        assert oracles.darboux_literal_bracket(X, X) == bracket(X, X)
 
 
 def test_bracket_spot_values():
@@ -81,3 +83,34 @@ def test_bracket_differentiates_only_by_supported_generators(monkeypatch):
     del calls[:]
     assert bracket(ch.gen("xi1"), ch.gen("pi1")) == 1
     assert calls == ["xi1", "pi1"]
+
+
+def test_self_bracket_fold_equals_ordered_walk_on_catalogue_lifts():
+    # A copy of T is a distinct object, so bracket(T, copy) walks every
+    # ordered pairing entry; bracket(T, T) folds the unordered ones.
+    for name in gallery.INSTANCE_NAMES:
+        inst = gallery.build(name)
+        if inst.lift_k is None or inst.chart.lift_degree is not None:
+            continue
+        flat = lifts.flatten_chart(inst.chart)
+        low = lifts.flatten_poly(inst.default_potential, flat)
+        for k in (2, 3, 4):
+            T = lifts.complete_lift(low, k)
+            assert bracket(T, T) == bracket(T, SuperPoly(T.chart,
+                                                         dict(T.terms))), \
+                (name, k)
+
+
+def test_self_bracket_takes_each_left_derivative_once(monkeypatch):
+    calls = []
+    original = poisson.left_partial
+
+    def counting(P, g):
+        calls.append(g.name)
+        return original(P, g)
+
+    monkeypatch.setattr(poisson, "left_partial", counting)
+    T = gallery.build("cross7").default_potential
+    assert not bracket(T, T).is_zero
+    assert len(calls) == 14
+    assert len(set(calls)) == 14
