@@ -116,8 +116,8 @@ def classical_naive_differential(theta, psi, basis, dual):
     {theta, b_i} once per basis index, and every left-nested evaluation once
     per prefix of section labels (a basis index, or an index pair standing
     for its derived bracket).  Over a point (no generator of symplectic
-    weight 0) the anchor terms are skipped: every form value there is a
-    constant, which every anchor vector kills.
+    weight 0) the anchor terms and their anchor vectors are skipped: every
+    form value there is a constant, which every anchor vector kills.
     """
     if not naive_membership(theta, psi):
         raise PotentialError("element is not in the small complex: %s"
@@ -130,7 +130,8 @@ def classical_naive_differential(theta, psi, basis, dual):
     _check_dual(basis, dual)
     ck = identification_constant(k)
     brackets = {}
-    anchors = [anchor_vector(theta, b) for b in basis]
+    anchors = ([anchor_vector(theta, b) for b in basis]
+               if chart.base_indices else [])
     evaluations = {(): psi}
 
     def section(label):

@@ -5,8 +5,10 @@ The bracket of the constant-rank symplectic structure is
     {X, Y} = sum over ordered pairs (g, h) with P^gh != 0 of
              (-1)^(g~ (X~ + 1)) (d_g X) P^gh (d_h Y)
 
-with left derivatives, applied separately to each parity-homogeneous part
-of X.  On an affine Darboux chart this is the familiar
+with left derivatives.  The sign is taken per term of X, so an X of mixed
+parity needs no split into parity parts: for odd g the term d_g t of a term
+t of X has parity t~ + 1, and it is negated exactly when it is odd.  On an
+affine Darboux chart this is the familiar
 
     {X, Y} = dX/dp_a dY/dx^a - dX/dx^a dY/dp_a
              + (-1)^(X~+1) g^ij dX/dxi^j dY/dxi^i,
@@ -14,45 +16,34 @@ of X.  On an affine Darboux chart this is the familiar
 which the test suite checks term by term against an independent
 transcription of that display.
 
+Each argument is differentiated once, by superpoly.left_gradient: Y by
+every generator, then X only by the pairing partners of Y's derivative
+indices, since no other d_g X meets a nonzero d_h Y.
+
 For odd X the entries (g, h) and (h, g) add the same term to {X, X}, so
-{X, X} = sum over g < h of 2 (d_g X) P^gh (d_h X) plus the diagonal once.
-The pairing joins only generators of equal parity: for even g and h, P is
-skew and d_g X, d_h X are odd, so the two sign flips cancel; for odd g and
-h, the metric is symmetric and the derivatives are even.
+{X, X} = sum over g < h of 2 (d_g X) P^gh (d_h X) plus the diagonal once,
+and one gradient serves both sides.  The pairing joins only generators of
+equal parity: for even g and h, P is skew and d_g X, d_h X are odd, so the
+two sign flips cancel; for odd g and h, the metric is symmetric and the
+derivatives are even, so no per-term sign applies either.
 """
 
 from fractions import Fraction
 
-from .superpoly import EVEN, ODD, SuperPoly, left_partial, mul_terms_into
-
-
-def _support(P):
-    """Indices of the generators g whose left derivative of P can be
-    nonzero: those occurring in a monomial, plus the weight-zero even
-    generators when a term carries a scalar symbol (the chain rule extends
-    its jets)."""
-    out = set()
-    symbols = False
-    for scal, even, odd in P.terms:
-        out.update(odd)
-        out.update(idx for idx, _ in even)
-        if scal:
-            symbols = True
-    if symbols:
-        out.update(P.chart.true_base_indices)
-    return out
+from .superpoly import ODD, SuperPoly, left_gradient, mul_terms_into
 
 
 def bracket(X, Y):
     """Graded Poisson bracket of two elements of one chart.
 
-    Only the pairing entries (g, h) with g in the support of X and h in
-    the support of Y can contribute, so only those are walked.
+    Takes the gradient of Y once, and the gradient of X once over the
+    pairing partners of Y's derivative indices; each derivative of X by an
+    odd generator carries the sign (-1)^(X~+1) term by term.
 
-    When Y is X and X is odd, each entry (g, h) with g < h is folded onto
-    (h, g) with coefficient 2 P^gh and each d_g X is taken once, by the
-    sign argument of the module docstring.  A pair of mixed parity (only on
-    a chart that validate_chart refuses) keeps the ordered walk.
+    When Y is X and X is odd, the one gradient of X serves both sides:
+    each entry (g, h) with g < h is folded onto (h, g) with coefficient
+    2 P^gh, by the sign argument of the module docstring.  A pair of mixed
+    parity (only on a chart that validate_chart refuses) is not folded.
     """
     chart = X.chart
     if isinstance(Y, (int, Fraction)):
@@ -63,36 +54,26 @@ def bracket(X, Y):
         return chart.zero()
     gens = chart.generators
     rows = chart.pairing_rows
-    y_support = _support(Y)
     fold = X is Y and X.parity() == ODD
-    dY_cache = {}
+    dY = left_gradient(Y)
+    if fold:
+        dX = dY
+    else:
+        dX = left_gradient(X, {gi for hj in dY for gi, _ in rows.get(hj, ())})
     acc = {}
-    for flag in (EVEN, ODD):
-        Xp = X.parity_part(flag)
-        if Xp.is_zero:
-            continue
-        for gi in sorted(_support(Xp)):
-            dX = None
-            for hj, coeff in rows.get(gi, ()):
-                if hj not in y_support:
+    for gi in sorted(dX):
+        dXg = dX[gi]
+        odd_g = gens[gi].parity == ODD
+        if odd_g and not fold:
+            dXg = {k: -c if len(k[2]) & 1 else c for k, c in dXg.items()}
+        for hj, coeff in rows.get(gi, ()):
+            dYh = dY.get(hj)
+            if dYh is None:
+                continue
+            if fold and odd_g == (gens[hj].parity == ODD):
+                if hj > gi:
                     continue
-                if dX is None:
-                    dX = left_partial(Xp, gens[gi])
-                    if fold:
-                        dY_cache[gi] = dX
-                    if dX.is_zero:
-                        break
-                twin = fold and gens[gi].parity == gens[hj].parity
-                if twin and hj > gi:
-                    continue
-                if hj not in dY_cache:
-                    dY_cache[hj] = left_partial(Y, gens[hj])
-                dY = dY_cache[hj]
-                if dY.is_zero:
-                    continue
-                if gens[gi].parity == ODD and flag == EVEN:
-                    coeff = -coeff
-                if twin and hj < gi:
+                if hj < gi:
                     coeff = 2 * coeff
-                mul_terms_into(acc, dX.terms, dY.terms, coeff)
+            mul_terms_into(acc, dXg, dYh, coeff)
     return SuperPoly.from_clean_terms(chart, acc)

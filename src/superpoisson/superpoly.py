@@ -9,9 +9,12 @@ f, g, ... standing for unspecified smooth functions of the weight-zero
 even generators; their derivatives are tracked as jets D[f; x, y] that
 never simplify.  Every coefficient is exact: an int, or a
 fractions.Fraction when it is not integral, so "equals zero" is a
-decidable, exact statement.
+decidable, exact statement.  Left derivatives have one rule, in
+left_gradient, which takes all of an element's derivatives in one pass over
+its terms; the Poisson bracket differentiates each argument once with it.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 EVEN = 0
@@ -331,11 +334,6 @@ class SuperPoly:
                 return None
         return w
 
-    def parity_part(self, parity):
-        return SuperPoly.from_clean_terms(
-            self.chart, {k: c for k, c in self.terms.items()
-                         if self.term_parity(k) == parity})
-
     def uses_generator(self, idx):
         for scal, even, odd in self.terms:
             if idx in odd:
@@ -391,50 +389,65 @@ def homogeneity(P):
     return Homogeneity(False, None, None, offenders)
 
 
-def left_partial(P, g):
-    """Left derivative of P by generator g (name or Generator).
-
-    For odd g the derivative anticommutes past the factors to the left of
-    g; for an even weight-zero generator the chain rule also extends every
-    scalar symbol by one jet index.
-    """
-    chart = P.chart
-    if isinstance(g, str):
-        g = chart.generator(g)
-    gi = g.index
-    out = {}
-
-    def put(key, c):
-        c = _norm(out.get(key, 0) + c)
-        if c:
-            out[key] = c
-        else:
-            del out[key]
-
-    if g.parity == ODD:
-        for (scal, even, odd), c in P.terms.items():
-            if gi not in odd:
-                continue
-            pos = odd.index(gi)
-            rest = odd[:pos] + odd[pos + 1:]
-            put((scal, even, rest), -c if pos & 1 else c)
+def _add_term(out, key, c):
+    """Add c to out[key] in a term dict, dropping the key if the sum is 0."""
+    c = _norm(out.get(key, 0) + c)
+    if c:
+        out[key] = c
     else:
-        chain = g.is_true_base
-        for (scal, even, odd), c in P.terms.items():
-            for k, (idx, e) in enumerate(even):
-                if idx == gi:
-                    if e == 1:
-                        new_even = even[:k] + even[k + 1:]
-                    else:
-                        new_even = even[:k] + ((idx, e - 1),) + even[k + 1:]
-                    put((scal, new_even, odd), c * e)
-                    break
-            if chain:
+        del out[key]
+
+
+def left_gradient(P, wanted=None):
+    """Left derivatives of P by every generator, in one pass over its terms.
+
+    Returns {generator index: term dict of d_g P} for the g whose
+    derivative is nonzero, restricted to the indices in wanted when given.
+    For odd g the derivative anticommutes past the odd factors to the left
+    of g; for even g it lowers the exponent; for an even weight-zero g the
+    chain rule also extends every scalar symbol by one jet index.  Each
+    term dict lists its keys in the order of P's terms.
+
+    Dropping g from a term, or lowering its exponent, sends distinct terms
+    to distinct keys, and a chain-rule key always carries a symbol, so only
+    the terms with symbols can meet an existing key.  No derivative that
+    receives a term cancels to zero: the chain rule lifts the jets of the
+    highest order into an order nothing else reaches.
+    """
+    base = P.chart.true_base_indices
+    if wanted is not None:
+        base = [gi for gi in base if gi in wanted]
+    grad = defaultdict(dict)
+    for (scal, even, odd), c in P.terms.items():
+        for pos, gi in enumerate(odd):
+            if wanted is None or gi in wanted:
+                grad[gi][scal, even, odd[:pos] + odd[pos + 1:]] = (
+                    -c if pos & 1 else c)
+        for k, (gi, e) in enumerate(even):
+            if wanted is None or gi in wanted:
+                lowered = ((gi, e - 1),) if e > 1 else ()
+                key = (scal, even[:k] + lowered + even[k + 1:], odd)
+                if scal:
+                    _add_term(grad[gi], key, _norm(c * e))
+                else:
+                    grad[gi][key] = _norm(c * e)
+        if scal:
+            for gi in base:
+                out = grad[gi]
                 for k, (name, jets) in enumerate(scal):
                     entry = (name, tuple(sorted(jets + (gi,))))
-                    new_scal = tuple(sorted(scal[:k] + (entry,) + scal[k + 1:]))
-                    put((new_scal, even, odd), c)
-    return SuperPoly.from_clean_terms(chart, out)
+                    lifted = tuple(sorted(scal[:k] + (entry,) + scal[k + 1:]))
+                    _add_term(out, (lifted, even, odd), c)
+    return dict(grad)
+
+
+def left_partial(P, g):
+    """Left derivative of P by generator g (name or Generator): the g entry
+    of left_gradient as a SuperPoly."""
+    if isinstance(g, str):
+        g = P.chart.generator(g)
+    return SuperPoly.from_clean_terms(
+        P.chart, left_gradient(P, (g.index,)).get(g.index, {}))
 
 
 def substitute(P, genmap, target=None):

@@ -69,7 +69,8 @@ def darboux_literal_bracket(X, Y):
     assert len(base) == len(mom)
     out = chart.zero()
     for px in (0, 1):
-        Xp = X.parity_part(px)
+        Xp = SuperPoly(chart, {k: c for k, c in X.terms.items()
+                               if len(k[2]) % 2 == px})
         if Xp.is_zero:
             continue
         odd_sign = 1 if px else -1

@@ -6,7 +6,8 @@ from axioms import check_poisson_axioms, poisson_families
 from superpoisson import gallery, lifts, poisson
 from superpoisson.charts import hyperbolic_metric, make_darboux_chart
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import SuperPoly, parse_expr, to_text
+from superpoisson.superpoly import (SuperPoly, left_gradient, parse_expr,
+                                    to_text)
 
 
 def test_axioms_darboux():
@@ -41,6 +42,35 @@ def test_literal_darboux_formula_hyperbolic_metric():
         assert oracles.darboux_literal_bracket(X, X) == bracket(X, X)
 
 
+def test_left_gradient_equals_oracle_derivatives():
+    # Random sums mix parities and symbols; the fixed ones make chain-rule
+    # terms meet exponent terms and each other, and cancel.
+    charts = poisson_families() + [make_darboux_chart(2, 2)]
+    rng = random.Random(23)
+    fixed = ["g*D[h; x1] + D[g; x1]*h", "g*D[h; x1] - D[g; x1]*h",
+             "x1*D[g; x1] - g", "g - x1*D[g; x1]",
+             "2*g*xi1 + x1*D[g; x1]*xi1", "x1^2*g*xi1 + 2*x1*h*xi1"]
+    darboux = charts[-1]
+    elements = [(darboux, parse_expr(darboux, t)) for t in fixed]
+    for ch in charts:
+        for _ in range(40):
+            terms = [draws.random_monomial(ch, rng)
+                     for _ in range(rng.randint(1, 4))]
+            elements.append((ch, sum((m for m in terms if m is not None),
+                                     ch.zero())))
+    for ch, P in elements:
+        grad = left_gradient(P)
+        for g in ch.generators:
+            want = oracles.left_derivative(P, g.index)
+            assert SuperPoly(ch, grad.get(g.index, {})) == want, \
+                (to_text(P), g.name)
+            assert (g.index in grad) == (not want.is_zero)
+        wanted = set(rng.sample(range(len(ch.generators)),
+                                rng.randint(0, len(ch.generators))))
+        assert left_gradient(P, wanted) \
+            == {gi: d for gi, d in grad.items() if gi in wanted}
+
+
 def test_bracket_spot_values():
     ch = make_darboux_chart(1, 2)
     from superpoisson.superpoly import parse_expr
@@ -57,8 +87,11 @@ def test_literal_darboux_formula_on_symbol_carriers():
     # A symbol's chain rule reaches the base coordinates even when no base
     # coordinate is written, so those pairs must not be skipped.
     ch = make_darboux_chart(2, 2)
+    # The mixed-parity elements at the end take the bracket's per-term sign.
     texts = ["g", "g*xi1", "g*xi2", "p1*xi1", "p1*xi2", "g*p1", "g*p2*xi1",
-             "D[g; x1]*xi2", "g*h", "x1*h*xi2", "xi1*xi2", "p1*p2", "x2"]
+             "D[g; x1]*xi2", "g*h", "x1*h*xi2", "xi1*xi2", "p1*p2", "x2",
+             "g + xi1", "p1*xi1 + x2", "D[g; x1]*xi2 + p2",
+             "x1*xi1*xi2 + h*xi2 - p1"]
     elements = [parse_expr(ch, t) for t in texts]
     for X in elements:
         for Y in elements:
@@ -68,21 +101,30 @@ def test_literal_darboux_formula_on_symbol_carriers():
         == parse_expr(ch, "-D[g; x1]*xi1*xi2")
 
 
+def record_gradients(monkeypatch):
+    """Names of the derivative indices of each left_gradient pass the
+    bracket takes, one sorted list per pass."""
+    passes = []
+    original = poisson.left_gradient
+
+    def counting(P, wanted=None):
+        grad = original(P, wanted)
+        passes.append(sorted(P.chart.generators[gi].name for gi in grad))
+        return grad
+
+    monkeypatch.setattr(poisson, "left_gradient", counting)
+    return passes
+
+
 def test_bracket_differentiates_only_by_supported_generators(monkeypatch):
-    calls = []
-    original = poisson.left_partial
-
-    def counting(P, g):
-        calls.append(g.name)
-        return original(P, g)
-
-    monkeypatch.setattr(poisson, "left_partial", counting)
+    passes = record_gradients(monkeypatch)
     ch = gallery.build("cross7").chart
     assert bracket(ch.gen("xi1"), ch.gen("xi2")).is_zero
-    assert len(calls) <= 2, calls
-    del calls[:]
+    assert sum(len(names) for names in passes) <= 2, passes
+    del passes[:]
     assert bracket(ch.gen("xi1"), ch.gen("pi1")) == 1
-    assert calls == ["xi1", "pi1"]
+    assert sorted(name for names in passes for name in names) \
+        == ["pi1", "xi1"]
 
 
 def test_self_bracket_fold_equals_ordered_walk_on_catalogue_lifts():
@@ -102,15 +144,8 @@ def test_self_bracket_fold_equals_ordered_walk_on_catalogue_lifts():
 
 
 def test_self_bracket_takes_each_left_derivative_once(monkeypatch):
-    calls = []
-    original = poisson.left_partial
-
-    def counting(P, g):
-        calls.append(g.name)
-        return original(P, g)
-
-    monkeypatch.setattr(poisson, "left_partial", counting)
+    passes = record_gradients(monkeypatch)
     T = gallery.build("cross7").default_potential
     assert not bracket(T, T).is_zero
-    assert len(calls) == 14
-    assert len(set(calls)) == 14
+    assert len(passes) == 1
+    assert len(passes[0]) == len(set(passes[0])) == 14
