@@ -54,7 +54,7 @@ def main():
     h0, h1 = complexes.point_cohomology(T)
     print("point cohomology of the small complex: (%d, %d)" % (h0[0], h1[0]))
     print("degree-1 closure condition:",
-          complexes.naive_cohomology_condition(T))
+          complexes.naive_cohomology_condition(T, sc.sigma))
     print()
     print("small-complex elements and their differentials:")
     for el in inst.l_elements:

@@ -8,7 +8,8 @@ gallery    list or check the built-in catalogue
 
 Instances are referred to by catalogue name or by a path to a serialized
 instance file.  Exit codes: 0 all checks passed, 1 a check ran and failed,
-2 the request was malformed (unknown name, parse error, bad lift degree).
+2 the request was malformed (unknown name, parse error, bad lift degree,
+a section of mixed parity).
 """
 
 import argparse
@@ -65,11 +66,24 @@ def _load_valid_instance(ref):
 
 
 def _emit(args, payload, lines):
+    """The payload, stamped with the schema version and the command, as
+    canonical JSON under --json; the text lines otherwise."""
     if args.json:
-        sys.stdout.write(gallery.canonical_json(payload))
+        sys.stdout.write(gallery.canonical_json(
+            dict(payload, schema_version=SCHEMA_VERSION,
+                 command=args.command)))
     else:
         for line in lines:
             print(line)
+
+
+def _on_sections(op, T, *sections):
+    """op(T, *sections), where a section refused by op (one of mixed
+    parity) is a malformed request rather than a failed check."""
+    try:
+        return op(T, *sections)
+    except PotentialError as e:
+        raise UsageError(str(e))
 
 
 IDENTITIES = (
@@ -85,11 +99,11 @@ IDENTITIES = (
 )
 
 
-def identity_sweep(inst, rng, samples):
+def identity_sweep(inst, tt, rng, samples):
     """Seeded random sweep of the four engine identities on one chart;
-    every defect is identically zero, so a nonzero value names a bug."""
+    every defect is identically zero, so a nonzero value names a bug.
+    tt is {T, T} of the default potential T."""
     T = inst.default_potential
-    TT = bracket(T, T)
     chart = inst.chart
     state = {name: {"name": name, "formula": formula, "samples": samples,
                     "ok": True}
@@ -108,10 +122,10 @@ def identity_sweep(inst, rng, samples):
         l = sampling.random_section(chart, rng)
         f = sampling.random_base_function(chart, rng)
         record("bracket_symmetry", courant.symmetry_defect(T, s, p), (s, p))
-        record("anchor_morphism", courant.anchor_defect(T, TT, s, p, f),
+        record("anchor_morphism", courant.anchor_defect(T, tt, s, p, f),
                (s, p, f))
         direct = courant.jacobiator(T, s, p, l)
-        master = courant.jacobiator_via_master(TT, s, p, l)
+        master = courant.jacobiator_via_master(tt, s, p, l)
         record("jacobiator_master", direct - master, (s, p, l))
         alpha = s if i % 2 else s * l
         record("contraction_commutator",
@@ -121,26 +135,20 @@ def identity_sweep(inst, rng, samples):
 
 def cmd_check(args):
     inst = _load_instance(args.instance)
-    failures = gallery.check_instance(inst)
+    failures, sc = gallery.check_instance(inst)
     # The sweeps need a valid chart and potential; on an invalid one the
     # problems that check_instance reported are the answer.
     identities = []
-    if not validate_chart(inst.chart).problems:
+    if sc is not None:
         try:
-            courant.validate_potential(inst.default_potential)
-        except PotentialError:
-            pass
-        else:
-            try:
-                identities = identity_sweep(inst, random.Random(args.seed),
-                                            args.samples)
-            except sampling.SamplingError as e:
-                raise UsageError("cannot run the identity sweeps on %s: %s"
-                                 % (inst.name, e))
+            identities = identity_sweep(inst, sc.sigma,
+                                        random.Random(args.seed),
+                                        args.samples)
+        except sampling.SamplingError as e:
+            raise UsageError("cannot run the identity sweeps on %s: %s"
+                             % (inst.name, e))
     ok = not failures and all(row["ok"] for row in identities)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
         "instance": inst.name,
         "ok": ok,
         "failures": failures,
@@ -176,14 +184,13 @@ def cmd_bracket(args):
     left = parse_expr(chart, a)
     right = parse_expr(chart, b)
     if op == "pre":
-        value = courant.pre_bracket(inst.default_potential, left, right)
+        value = _on_sections(courant.pre_bracket, inst.default_potential,
+                             left, right)
     elif op == "poisson":
         value = bracket(left, right)
     else:
         value = courant.pairing(left, right)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bracket",
         "instance": inst.name,
         "op": op,
         "args": [a, b],
@@ -198,12 +205,10 @@ def cmd_jacobiator(args):
     chart = inst.chart
     T = inst.default_potential
     secs = [parse_expr(chart, a) for a in args.sections]
-    direct = courant.jacobiator(T, *secs)
+    direct = _on_sections(courant.jacobiator, T, *secs)
     master = courant.jacobiator_via_master(bracket(T, T), *secs)
     agrees = direct == master
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "jacobiator",
         "instance": inst.name,
         "args": list(args.sections),
         "value": to_text(direct),
@@ -238,8 +243,6 @@ def cmd_lift(args):
     except OSError as e:
         raise UsageError("cannot write %s: %s" % (out_path, e.strerror))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lift",
         "instance": inst.name,
         "degree": args.degree,
         "verdict": verdict.verdict,
@@ -254,19 +257,15 @@ def cmd_lift(args):
 
 def cmd_gallery(args):
     if args.list:
-        payload = {"schema_version": SCHEMA_VERSION, "command": "gallery",
-                   "names": gallery.names()}
-        _emit(args, payload, gallery.names())
+        _emit(args, {"names": gallery.names()}, gallery.names())
         return EXIT_OK
     if args.name is not None:
         try:
             inst = gallery.build(args.name)
         except gallery.GalleryError as e:
             raise UsageError(str(e))
-        failures = gallery.check_instance(inst)
+        failures, _ = gallery.check_instance(inst)
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "gallery",
             "instances": [{"name": inst.name, "ok": not failures,
                            "failures": failures}],
             "ok": not failures,
@@ -276,18 +275,12 @@ def cmd_gallery(args):
         _emit(args, payload, lines)
         return EXIT_OK if not failures else EXIT_FAILED
     report = gallery.run_all()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "gallery",
-        "instances": report["instances"],
-        "ok": report["ok"],
-    }
     lines = []
     for row in report["instances"]:
         lines.append("%-22s %s" % (row["name"],
                                    "ok" if row["ok"] else "FAILED"))
         lines.extend("  " + f for f in row["failures"])
-    _emit(args, payload, lines)
+    _emit(args, report, lines)
     return EXIT_OK if report["ok"] else EXIT_FAILED
 
 

@@ -266,7 +266,7 @@ def constant_l1_basis(theta):
     return out
 
 
-def naive_cohomology_condition(theta):
+def naive_cohomology_condition(theta, tt):
     """True when the Jacobiator kills every degree-1 small-complex element.
 
     Scans a constant-coefficient spanning set of the degree-1 elements
@@ -274,37 +274,20 @@ def naive_cohomology_condition(theta):
     holds the small complex is a genuine cochain complex (the squared
     differential vanishes on it), which the tests verify separately.
 
-    The Jacobiator is the direct one of courant.jacobiator,
-
-        J(k,u,v) = [[k,[[u,v]]]] - [[[[k,u]],v]]
-                   - (-1)^((k~+1)(u~+1)) [[u,[[k,v]]]],
-
-    with every derived bracket written as [[a, b]] = {anchor_vector(theta,
-    a), b}.  The triples overlap heavily, so within one call every anchor
-    vector is computed once per left argument (each kappa, each coordinate
-    section u and each [[kappa, u]]), every [[u, v]] once per ordered pair
-    and every [[kappa, u]] once per pair; a triple then costs its three
-    outer brackets.
+    The Jacobiator is read off the self-bracket tt = {theta, theta} in its
+    master form J(k,u,v) = (-1)^u~ (1/2) {{{tt, k}, u}, v}
+    (courant.jacobiator_via_master), so a triple vanishes exactly when
+    {{{tt, k}, u}, v} does.  Each {tt, k} is computed once per kappa and
+    each {{tt, k}, u} once per pair; a triple then costs one bracket.
     """
     chart = theta.chart
-    kappas = constant_l1_basis(theta)
     ones = [chart.gen(g.name) for g in chart.generators
             if chart.gen_symplectic_weight(g.index) == 1]
-    anchors = [anchor_vector(theta, u) for u in ones]
-    products = {}
-    for kappa in kappas:
-        rho_kappa = anchor_vector(theta, kappa)
-        with_kappa = [bracket(rho_kappa, u) for u in ones]
-        pk = kappa.parity()
-        for i, u in enumerate(ones):
-            sign = -1 if ((pk ^ 1) & (u.parity() ^ 1)) else 1
-            rho_with_u = anchor_vector(theta, with_kappa[i])
-            for j, v in enumerate(ones):
-                if (i, j) not in products:
-                    products[i, j] = bracket(anchors[i], v)
-                value = bracket(rho_kappa, products[i, j])
-                value = value - bracket(rho_with_u, v)
-                value = value - bracket(anchors[i], with_kappa[j]) * sign
-                if not value.is_zero:
+    for kappa in constant_l1_basis(theta):
+        with_kappa = bracket(tt, kappa)
+        for u in ones:
+            with_u = bracket(with_kappa, u)
+            for v in ones:
+                if not bracket(with_u, v).is_zero:
                     return False
     return True

@@ -13,9 +13,11 @@ The differential {T, f} of a function is ``complexes.q_theta``.
 
 The self-bracket {T, T} measures how far this structure is from a Courant
 algebroid; classify() sorts potentials into three classes by inspecting it.
-The two closed forms built on it, jacobiator_via_master and the right-hand
-side of anchor_defect, take {T, T} as an argument, so a caller that checks
-many samples computes it once.
+The closed forms built on it take {T, T} as an argument, so a caller that
+checks many samples computes it once: jacobiator_via_master, the
+right-hand side of anchor_defect, and complexes.naive_cohomology_condition,
+which asks whether the master form of the Jacobiator vanishes on the small
+complex.
 """
 
 from fractions import Fraction

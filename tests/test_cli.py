@@ -347,11 +347,28 @@ def test_each_loaded_chart_is_validated_once(tmp_path, capsys, monkeypatch):
             == [1] * len(seen), argv
 
 
-def test_check_cross7_computes_three_self_brackets(bracket_calls, capsys):
-    # One {T, T} for the classification, one shared by every sample of the
-    # identity sweep, one for the lift's classification.
+def test_check_cross7_computes_each_self_bracket_once(bracket_calls, capsys):
+    # One {T, T} for the classification, which the naive condition and
+    # every sample of the identity sweep reuse, and one for the lift's
+    # classification.
     assert run(capsys, ["check", "cross7"])[0] == 0
-    assert sum(X is Y for X, Y in bracket_calls) == 3
+    selves = [X for X, Y in bracket_calls if X is Y]
+    T = selves[0]
+    assert to_text(T) == to_text(gallery.build("cross7").default_potential)
+    assert sum(X is T for X in selves) == 1
+    assert len(selves) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "cross3", "--pre", "xi1+xi1*xi2", "pi1"],
+    ["jacobiator", "cross7", "xi1+xi1*xi2", "pi1", "pi2"],
+])
+def test_mixed_parity_section_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "must have homogeneous parity" in err
 
 
 @pytest.mark.parametrize("potential, failure", [

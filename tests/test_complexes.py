@@ -101,12 +101,32 @@ def test_cohomology_point_rejects_base_charts():
         complexes.point_cohomology(inst.default_potential)
 
 
+def naive_condition(theta):
+    return complexes.naive_cohomology_condition(theta, bracket(theta, theta))
+
+
 def test_naive_cohomology_condition():
-    assert complexes.naive_cohomology_condition(gallery.build("cross3").theta)
-    assert not complexes.naive_cohomology_condition(
-        gallery.build("cross7").theta)
-    assert not complexes.naive_cohomology_condition(
-        gallery.build("cross7_full").theta)
+    assert naive_condition(gallery.build("cross3").theta)
+    assert not naive_condition(gallery.build("cross7").theta)
+    assert not naive_condition(gallery.build("cross7_full").theta)
+
+
+def test_naive_condition_equals_the_direct_jacobiator_on_the_catalogue():
+    # The master form answers the same question as the direct Jacobiator
+    # over the same triples: every kappa against ordered pairs of weight-1
+    # coordinate sections.
+    outcomes = []
+    for name in gallery.names():
+        T = gallery.build(name).default_potential
+        chart = T.chart
+        ones = [chart.gen(g.name) for g in chart.generators
+                if chart.gen_symplectic_weight(g.index) == 1]
+        direct = all(courant.jacobiator(T, kappa, u, v).is_zero
+                     for kappa in complexes.constant_l1_basis(T)
+                     for u in ones for v in ones)
+        assert naive_condition(T) is direct, name
+        outcomes.append(direct)
+    assert outcomes.count(True) == 7 and outcomes.count(False) == 9
 
 
 def test_constant_l1_basis_sizes():
@@ -253,7 +273,7 @@ def test_naive_condition_is_jacobi_over_a_point(name):
     rank, c, lie = POINT_ALGEBRAS[name]
     assert oracles.jacobi_holds(c, rank) is lie
     theta = oracles.structure_theta(make_cotangent_antivb_chart(0, rank), c)
-    assert complexes.naive_cohomology_condition(theta) is lie
+    assert naive_condition(theta) is lie
 
 
 @pytest.mark.parametrize("name", sorted(oracles.CROSS_INSTANCES))
@@ -261,8 +281,7 @@ def test_naive_condition_of_cross_instances_against_oracle(name):
     rank, triples = oracles.CROSS_INSTANCES[name]
     inst = gallery.build(name)
     want = oracles.jacobi_holds(oracles.epsilon_table(triples), rank)
-    assert complexes.naive_cohomology_condition(inst.default_potential) \
-        is want
+    assert naive_condition(inst.default_potential) is want
     assert inst.expected["naive_condition"] is want
 
 
@@ -278,11 +297,13 @@ def test_point_cohomology_of_cross_instances_against_oracle(name):
 
 
 def test_naive_condition_computes_each_bracket_once(bracket_calls):
-    # 216 triples at 12 brackets each made 2,604 calls; with the inner
-    # brackets and anchor vectors tabled per call a triple costs three.
+    # 216 triples at 12 brackets each made 2,604 calls; read off {T, T}
+    # a triple costs one bracket past the {{tt, kappa}, u} it shares.
     T = gallery.build("cross3").default_potential
-    assert complexes.naive_cohomology_condition(T) is True
-    assert len(bracket_calls) <= 800
+    tt = bracket(T, T)
+    del bracket_calls[:]
+    assert complexes.naive_cohomology_condition(T, tt) is True
+    assert len(bracket_calls) == 258
 
 
 def test_commutator_defect_brackets_theta_with_f_once(bracket_calls):

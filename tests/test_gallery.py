@@ -80,13 +80,13 @@ def test_instance_json_round_trip():
             assert back.lambdas == inst.lambdas
         assert gallery.canonical_json(gallery.instance_to_json(back)) \
             == gallery.canonical_json(d)
-        assert gallery.check_instance(back) == []
+        assert gallery.check_instance(back)[0] == []
 
 
 def test_load_instance_from_file():
     inst = gallery.load_instance(gallery.data_path("cross3"))
     assert inst.name == "cross3"
-    assert gallery.check_instance(inst) == []
+    assert gallery.check_instance(inst)[0] == []
 
 
 def test_cross7_jacobiator_against_algebra_oracle():
@@ -160,7 +160,7 @@ def test_tampered_expectations_are_detected():
     assert d["expected"]["spots"][0]["value"] == "pi3"
     d["expected"]["spots"][0]["value"] = "pi4"
     inst = gallery.instance_from_json(d)
-    failures = gallery.check_instance(inst)
+    failures, _ = gallery.check_instance(inst)
     assert failures
     assert any("pre_bracket(pi1, pi2)" in f for f in failures)
 
@@ -168,7 +168,7 @@ def test_tampered_expectations_are_detected():
 def test_tampered_verdict_is_detected():
     d = copy.deepcopy(gallery.instance_to_json(gallery.build("cross3")))
     d["expected"]["verdict"] = "PreCourant"
-    failures = gallery.check_instance(gallery.instance_from_json(d))
+    failures, _ = gallery.check_instance(gallery.instance_from_json(d))
     assert any("verdict" in f for f in failures)
 
 
@@ -198,14 +198,17 @@ def test_check_instance_classifies_each_potential_once(monkeypatch, name,
         return original(theta)
 
     monkeypatch.setattr(courant, "classify", counting)
-    assert gallery.check_instance(gallery.build(name)) == []
+    assert gallery.check_instance(gallery.build(name))[0] == []
     assert len(calls) <= most
 
 
-def test_cross7_check_makes_567_brackets(bracket_calls):
-    # naive_membership contracts by the base coordinates only, and
-    # constant_l1_basis does not test its own nullspace again.
+def test_cross7_check_makes_170_brackets(bracket_calls):
+    # naive_membership contracts by the base coordinates only,
+    # constant_l1_basis does not test its own nullspace again, and the
+    # naive condition reads the Jacobiator off the class's {T, T}.
     inst = gallery.build("cross7")
     del bracket_calls[:]
-    assert gallery.check_instance(inst) == []
-    assert len(bracket_calls) == 567
+    failures, sc = gallery.check_instance(inst)
+    assert failures == []
+    assert sc.verdict == inst.expected["verdict"]
+    assert len(bracket_calls) == 170

@@ -52,9 +52,9 @@ def test_naive_condition_agrees_with_jacobi_oracle():
         theta = oracles.structure_theta(make_cotangent_antivb_chart(0, rank),
                                         c)
         want = oracles.jacobi_holds(c, rank)
-        assert complexes.naive_cohomology_condition(theta) is want
-        assert courant.classify(theta).verdict \
-            == ("Courant" if want else "PreCourant")
+        sc = courant.classify(theta)
+        assert complexes.naive_cohomology_condition(theta, sc.sigma) is want
+        assert sc.verdict == ("Courant" if want else "PreCourant")
         assert complexes.point_cohomology(theta) \
             == ({0: 1}, {0: oracles.point_h1(c, rank)})
         outcomes.add(want)
