@@ -12,8 +12,6 @@ terms plus bracket terms); its agreement with q_theta is a checked identity,
 with the degree-dependent identification constants recorded here.
 """
 
-from fractions import Fraction
-
 from .superpoly import homogeneity, to_text
 from .poisson import bracket
 from .courant import (PotentialError, anchor_vector, apply_anchor_vector,
@@ -111,6 +109,13 @@ def classical_naive_differential(theta, psi, basis, dual):
     families).  The result equals q_theta(theta, psi) exactly; that
     equality is a checked identity.
 
+    The constant c_k is applied once, to the assembled sum, not to each
+    evaluation.  This is exact: the anchor terms, the bracket terms and
+    the reassembly on dual monomials are all linear in the values Psi(t),
+    and c_k = +-1 is its own inverse, so dividing every value by c_k and
+    multiplying the sum by c_k give the same element, coefficient for
+    coefficient (an int scalar builds no Fraction).
+
     The basis tuples overlap heavily, so within one call every [[b_i, b_j]]
     is computed once per index pair, every anchor vector (-1)^b_i~
     {theta, b_i} once per basis index, and every left-nested evaluation once
@@ -149,7 +154,7 @@ def classical_naive_differential(theta, psi, basis, dual):
         for end in range(start + 1, len(labels) + 1):
             evaluations[labels[:end]] = bracket(evaluations[labels[:end - 1]],
                                                 section(labels[end - 1]))
-        return evaluations[labels] * Fraction(ck)
+        return evaluations[labels]
 
     out = chart.zero()
     n = len(basis)
@@ -172,7 +177,7 @@ def classical_naive_differential(theta, psi, basis, dual):
         for m in combo:
             monomial = monomial * dual[m]
         out = out - value * monomial
-    return out
+    return out * ck
 
 
 def _ascending_tuples(n, k):
@@ -280,13 +285,19 @@ def naive_cohomology_condition(theta, tt):
     {{{tt, k}, u}, v} does.  Each {tt, k} is computed once per kappa and
     each {{tt, k}, u} once per pair; a triple then costs one bracket.
     """
+    if tt.is_zero:
+        return True
     chart = theta.chart
     ones = [chart.gen(g.name) for g in chart.generators
             if chart.gen_symplectic_weight(g.index) == 1]
     for kappa in constant_l1_basis(theta):
         with_kappa = bracket(tt, kappa)
+        if with_kappa.is_zero:
+            continue
         for u in ones:
             with_u = bracket(with_kappa, u)
+            if with_u.is_zero:
+                continue
             for v in ones:
                 if not bracket(with_u, v).is_zero:
                     return False

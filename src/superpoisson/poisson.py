@@ -28,8 +28,6 @@ two sign flips cancel; for odd g and h, the metric is symmetric and the
 derivatives are even, so no per-term sign applies either.
 """
 
-from fractions import Fraction
-
 from .superpoly import ODD, SuperPoly, left_gradient, mul_terms_into
 
 
@@ -46,7 +44,7 @@ def bracket(X, Y):
     parity (only on a chart that validate_chart refuses) is not folded.
     """
     chart = X.chart
-    if isinstance(Y, (int, Fraction)):
+    if type(Y) is not SuperPoly:
         Y = SuperPoly.constant(chart, Y)
     if Y.chart is not chart:
         raise ValueError("bracket arguments live on different charts")

@@ -12,6 +12,14 @@ fractions.Fraction when it is not integral, so "equals zero" is a
 decidable, exact statement.  Left derivatives have one rule, in
 left_gradient, which takes all of an element's derivatives in one pass over
 its terms; the Poisson bracket differentiates each argument once with it.
+
+Scalars have one rule too, in _scalar, which products, sums, comparisons,
+constants and the Poisson bracket all follow: a SuperPoly operand is
+recognised first, by its exact type; an int (a bool included) stays an int
+and never builds a Fraction; a Fraction goes through _norm, so an integral
+one is stored as its int numerator.  A product by 1 is the element itself,
+which is safe because elements are immutable by convention: no code writes
+to an element's terms after building it.
 """
 
 from collections import defaultdict
@@ -62,6 +70,16 @@ def _norm(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _scalar(x):
+    """x as a coefficient under the one scalar rule: an int (a bool
+    included) as an int, a Fraction through _norm; None when x is neither."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return _norm(Fraction(x))
+    return None
 
 
 def _merge_odd(a, b):
@@ -175,10 +193,12 @@ class SuperPoly:
 
     @staticmethod
     def constant(chart, value):
-        value = _norm(Fraction(value))
-        if not value:
-            return SuperPoly(chart, {})
-        return SuperPoly(chart, {((), (), ()): value})
+        c = _scalar(value)
+        if c is None:
+            raise TypeError("a constant is an int or a Fraction, not %r"
+                            % (value,))
+        return SuperPoly.from_clean_terms(chart,
+                                          {((), (), ()): c} if c else {})
 
     @staticmethod
     def generator_monomial(chart, gen):
@@ -207,10 +227,10 @@ class SuperPoly:
         return self.terms.get(key, 0)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SuperPoly.constant(self.chart, other)
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
+        if type(other) is not SuperPoly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.chart is other.chart and self.terms == other.terms
 
     def __ne__(self, other):
@@ -224,16 +244,19 @@ class SuperPoly:
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, SuperPoly):
+        """other as an element of this chart: a SuperPoly of the same chart
+        as it is, a scalar as a constant; None for anything else."""
+        if type(other) is SuperPoly:
             if other.chart is not self.chart:
                 raise ValueError(
                     "cannot mix elements of charts %r and %r"
                     % (getattr(self.chart, "name", "?"),
                        getattr(other.chart, "name", "?")))
             return other
-        if isinstance(other, (int, Fraction)):
-            return SuperPoly.constant(self.chart, other)
-        return None
+        c = _scalar(other)
+        if c is None:
+            return None
+        return SuperPoly.constant(self.chart, c)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -267,23 +290,25 @@ class SuperPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _norm(Fraction(other))
-            if not c:
-                return SuperPoly(self.chart, {})
-            return SuperPoly.from_clean_terms(
-                self.chart, {k: _norm(v * c) for k, v in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is SuperPoly:
+            other = self._coerce(other)
+            out = {}
+            mul_terms_into(out, self.terms, other.terms)
+            return SuperPoly.from_clean_terms(self.chart, out)
+        c = _scalar(other)
+        if c is None:
             return NotImplemented
-        out = {}
-        mul_terms_into(out, self.terms, other.terms)
-        return SuperPoly.from_clean_terms(self.chart, out)
+        if c == 1:
+            return self
+        if not c:
+            return SuperPoly.from_clean_terms(self.chart, {})
+        return SuperPoly.from_clean_terms(
+            self.chart, {k: _norm(v * c) for k, v in self.terms.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        # Only a left operand that is not a SuperPoly lands here, and a
+        # scalar commutes with every element.
+        return self.__mul__(other)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -468,7 +493,7 @@ def substitute(P, genmap, target=None):
     for g, img in genmap.items():
         if isinstance(g, str):
             g = chart.generator(g)
-        if isinstance(img, (int, Fraction)):
+        if type(img) is not SuperPoly:
             img = SuperPoly.constant(target, img)
         if img.chart is not target:
             raise ValueError("image of %s lives on the wrong chart" % g.name)
@@ -745,7 +770,7 @@ class _Parser:
             if den == 0:
                 raise ParseError("zero denominator", dpos)
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def jet(self, dpos):
         self.expect_op("[")

@@ -298,12 +298,22 @@ def test_point_cohomology_of_cross_instances_against_oracle(name):
 
 def test_naive_condition_computes_each_bracket_once(bracket_calls):
     # 216 triples at 12 brackets each made 2,604 calls; read off {T, T}
-    # a triple costs one bracket past the {{tt, kappa}, u} it shares.
+    # a triple costs one bracket past the {{tt, kappa}, u} it shares, and
+    # a zero {T, T}, {tt, kappa} or {{tt, kappa}, u} is bracketed no
+    # further.  On cross3 {T, T} = 0 answers at once: the 258 calls that
+    # took its zero as the left argument are gone.  On cross7 112 of 133
+    # calls had a zero left argument.
     T = gallery.build("cross3").default_potential
     tt = bracket(T, T)
     del bracket_calls[:]
     assert complexes.naive_cohomology_condition(T, tt) is True
-    assert len(bracket_calls) == 258
+    assert len(bracket_calls) == 0
+    T = gallery.build("cross7").default_potential
+    tt = bracket(T, T)
+    del bracket_calls[:]
+    assert complexes.naive_cohomology_condition(T, tt) is False
+    assert len(bracket_calls) == 21
+    assert not any(X.is_zero for X, _ in bracket_calls)
 
 
 def test_commutator_defect_brackets_theta_with_f_once(bracket_calls):

@@ -202,13 +202,16 @@ def test_check_instance_classifies_each_potential_once(monkeypatch, name,
     assert len(calls) <= most
 
 
-def test_cross7_check_makes_170_brackets(bracket_calls):
+def test_cross7_check_makes_58_brackets(bracket_calls):
     # naive_membership contracts by the base coordinates only,
     # constant_l1_basis does not test its own nullspace again, and the
-    # naive condition reads the Jacobiator off the class's {T, T}.
+    # naive condition reads the Jacobiator off the class's {T, T} and
+    # brackets no zero {tt, kappa} or {{tt, kappa}, u} further (170 calls,
+    # 112 of them with a zero left argument, before).
     inst = gallery.build("cross7")
     del bracket_calls[:]
     failures, sc = gallery.check_instance(inst)
     assert failures == []
     assert sc.verdict == inst.expected["verdict"]
-    assert len(bracket_calls) == 170
+    assert len(bracket_calls) == 58
+    assert not any(X.is_zero for X, _ in bracket_calls)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import draws
+import identities
 import oracles
 from superpoisson import complexes, courant, gallery, lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
@@ -147,19 +148,35 @@ def test_substitute_identity_and_scaling():
     assert doubled == parse_expr(ch, "2*x1*xi1*p1 + 2*xi1*xi2")
 
 
-def _is_int_first(c):
-    """An int, or a Fraction that is not integral; never a float or bool."""
-    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+def assert_int_first(P):
+    """Refuse a zero coefficient of P, and any coefficient that is not an
+    int or a non-integral Fraction (a float, a bool, Fraction(2, 1)).
+
+    Term-dict equality treats Fraction(1) as 1, so only a type test sees
+    a coefficient that skipped normalisation.
+    """
+    for key, c in P.terms.items():
+        assert c != 0 and (
+            type(c) is int
+            or (type(c) is Fraction and c.denominator != 1)), (
+                to_text(P), key, repr(c))
 
 
 def test_catalogue_results_store_coefficients_int_first():
     seen = set()
     lifted = 0
+    differentials = 0
     for name in gallery.names():
         inst = gallery.build(name)
         T = inst.default_potential
         polys = [courant.classify(T).sigma]
         polys += [complexes.q_theta(T, el) for el in inst.l_elements]
+        if inst.l_elements:
+            basis, dual = identities.weight_one_frame(inst.chart)
+            polys += [
+                complexes.classical_naive_differential(T, el, basis, dual)
+                for el in inst.l_elements]
+            differentials += len(inst.l_elements)
         try:
             flat = lifts.flatten_chart(inst.chart)
         except lifts.LiftError:
@@ -168,9 +185,8 @@ def test_catalogue_results_store_coefficients_int_first():
             polys.append(lifts.complete_lift(lifts.flatten_poly(T, flat), 3))
             lifted += 1
         for P in polys:
-            for c in P.terms.values():
-                assert _is_int_first(c), (name, repr(c))
-                seen.add(type(c))
+            assert_int_first(P)
+            seen.update(map(type, P.terms.values()))
         # the chart's own data stays Fraction, so 1 / c is exact
         ch = inst.chart
         given = list(ch.pairing.values())
@@ -180,6 +196,7 @@ def test_catalogue_results_store_coefficients_int_first():
             given += [x for row in ch.metric[1] for x in row]
         assert all(type(c) is Fraction for c in given), name
     assert lifted == 13
+    assert differentials >= 20
     assert seen == {int, Fraction}
 
 
@@ -197,7 +214,7 @@ def test_integral_coefficients_are_stored_as_int():
               parse_expr(ch, "1/2*x1 + 1/2*x2") * x1_plus_x2,
               left_partial(parse_expr(ch, "1/2*x1^2"), "x1"),
               bracket(parse_expr(ch, "1/2*p1^2"), ch.gen("x1"))):
-        assert all(map(_is_int_first, P.terms.values())), to_text(P)
+        assert_int_first(P)
         assert int in set(map(type, P.terms.values())), to_text(P)
     P = parse_expr(ch, "-3/2*x1*xi1 + 5/2*D[f; x1]*p2 + 2*xi2")
     again = parse_expr(ch, to_text(P))
@@ -208,3 +225,54 @@ def test_integral_coefficients_are_stored_as_int():
         P * 0.5
     with pytest.raises(TypeError):
         0.5 * P
+
+
+SCALARS = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(4, 2), True)
+
+
+def _scalar_charts():
+    return (chart(), make_cotangent_antivb_chart(2, 2))
+
+
+def test_scalar_products_store_coefficients_int_first():
+    rng = random.Random(15)
+    for ch in _scalar_charts():
+        for _ in range(20):
+            P = draws.random_homogeneous(ch, rng)
+            for c in SCALARS:
+                want = {k: Fraction(v) * c for k, v in P.terms.items() if c}
+                for Q in (P * c, c * P):
+                    assert_int_first(Q)
+                    assert Q.chart is ch and Q.terms == want, (to_text(P), c)
+            assert P * 1 is P
+            assert P * True is P
+
+
+def test_constants_and_scalar_brackets_store_coefficients_int_first():
+    rng = random.Random(16)
+    for ch in _scalar_charts():
+        for c in SCALARS:
+            K = SuperPoly.constant(ch, c)
+            assert_int_first(K)
+            assert K == c and K.terms == ({((), (), ()): c} if c else {})
+        for _ in range(10):
+            X = draws.random_homogeneous(ch, rng)
+            for c in (3, Fraction(1, 2)):
+                B = bracket(X, c)
+                assert_int_first(B)
+                assert B.is_zero and B.chart is ch
+    with pytest.raises(TypeError):
+        SuperPoly.constant(chart(), 0.5)
+
+
+def test_products_and_comparisons_across_charts():
+    rng = random.Random(17)
+    for _ in range(10):
+        P = draws.random_homogeneous(chart(), rng)
+        Q = draws.random_homogeneous(chart(), rng)
+        with pytest.raises(ValueError):
+            P * Q
+        with pytest.raises(ValueError):
+            P + Q
+        assert (P == Q) is False
+        assert (P != Q) is True
