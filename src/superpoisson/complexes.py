@@ -236,37 +236,37 @@ def constant_l1_basis(theta):
     combinations of the weight-1 generators by exact nullspace computation.
     Those conditions are naive_membership's, and a weight-1 combination is
     momentum-free, so every nullspace element is in the small complex by
-    construction and is not tested again.
+    construction and is not tested again.  Each signed {theta, x_a} of
+    iota is computed once; a zero one imposes no condition.
     """
     chart = theta.chart
-    ones = [g.index for g in chart.generators
-            if chart.gen_symplectic_weight(g.index) == 1]
-    if not ones:
+    sections = [chart.gen(g.name) for g in chart.generators
+                if chart.gen_symplectic_weight(g.index) == 1]
+    if not sections:
         return []
     contractions = []
-    for m in ones:
-        sec = chart.gen(chart.generators[m].name)
-        pieces = [iota(theta, chart.gen(chart.generators[idx].name), sec)
-                  for idx in chart.base_indices]
-        contractions.append(pieces)
+    for idx in chart.base_indices:
+        f = chart.gen(chart.generators[idx].name)
+        tf = bracket(theta, f) * (-1 if f.parity() else 1)
+        if not tf.is_zero:
+            contractions.append([bracket(tf, s) for s in sections])
     keys = sorted({key
                    for pieces in contractions
                    for p in pieces
                    for key in p.terms})
     rows = []
-    for a in range(len(chart.base_indices)):
+    for pieces in contractions:
         for key in keys:
-            row = [contractions[m][a].coefficient(key)
-                   for m in range(len(ones))]
+            row = [p.coefficient(key) for p in pieces]
             if any(row):
                 rows.append(row)
-    kernel = linalg.nullspace(rows, ncols=len(ones))
+    kernel = linalg.nullspace(rows, ncols=len(sections))
     out = []
     for coeffs in kernel:
         el = chart.zero()
-        for c, m in zip(coeffs, ones):
+        for c, sec in zip(coeffs, sections):
             if c:
-                el = el + chart.gen(chart.generators[m].name) * c
+                el = el + sec * c
         out.append(el)
     return out
 

@@ -248,9 +248,10 @@ def curve_lift_value(P, k, target):
     """Coefficient of t^(k-1) in P evaluated on the formal curves
     g(t) = sum_eps g_eps t^eps, expressed on the given lifted chart.
 
-    Only for symbol-free P; symbols under substitution would need their
-    own Taylor handling, which is exactly what the lift implements, so the
-    curve route covers the symbol-free sector independently."""
+    Only for symbol-free P: a symbol on the curves would need its own
+    Taylor expansion, which this substitution cannot express.  The lift
+    reaches symbols by the chain rule on jets instead, and
+    routes.substitution_lift checks that sector by Taylor expansion."""
     if P.symbol_names():
         raise ValueError("curve oracle handles symbol-free input only")
     low = P.chart

@@ -5,13 +5,16 @@ formula: the structure functions of a potential over the metric frame and
 their closure equations, closed formulas for graph pullbacks, the almost
 Lie structure induced along a Dirac graph, the lift of a coordinate
 subbundle, left-nested evaluation of a form on sections, the contraction by
-a formal function symbol, and the weight table of a lifted potential (the
-lift weights of its brackets, pairings and anchors, which
-validate_potential already forces).  Tests compare them with the library;
-the library does not use them.
+a formal function symbol, the weight table of a lifted potential (the lift
+weights of its brackets, pairings and anchors, which validate_potential
+already forces), and the substitute-and-truncate complete lift (every
+generator replaced by the sum of its copies, every symbol Taylor-expanded,
+every product cut at lift weight k - 1).  Tests compare them with the
+library; the library does not use them.
 """
 
 import itertools
+import math
 import types
 from fractions import Fraction
 
@@ -22,9 +25,11 @@ from superpoisson.courant import (PotentialError, anchor_apply, metric_frame,
                                   validate_potential)
 from superpoisson.dirac import (CoordinateSubbundle, GraphError, is_isotropic,
                                 momentum_indices, tangency_residual)
-from superpoisson.lifts import LiftError, lifted_name
+from superpoisson.lifts import (LiftError, lift_component, lifted_name,
+                                tangent_lift_chart)
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import SuperPoly, left_partial, substitute, to_text
+from superpoisson.superpoly import (SuperPoly, homogeneity, left_partial,
+                                   mul_terms_into, substitute, to_text)
 
 
 def _darboux_sectors(chart):
@@ -336,3 +341,99 @@ def weight_table_check(theta):
         expect("anchor of %s on %s" % (names[si], names[fa]), got,
                p + 1 - k + r)
     return {"checks": checks, "problems": problems}
+
+
+# -- substitute-and-truncate complete lift ---------------------------------
+
+def _by_lift_weight(P):
+    """P's terms grouped by lift weight, as {weight: term dict}."""
+    groups = {}
+    for key, c in P.terms.items():
+        groups.setdefault(P.term_weight(key)[0], {})[key] = c
+    return groups
+
+
+def _product_below(P, Q, top):
+    """The part of P * Q of lift weight at most top.
+
+    Lift weights add under multiplication, so only the group pairs of P and
+    Q whose lift weights add up to at most top are multiplied.
+    """
+    out = {}
+    right = _by_lift_weight(Q)
+    for p, left in _by_lift_weight(P).items():
+        for q, terms in right.items():
+            if p + q <= top:
+                mul_terms_into(out, left, terms)
+    return SuperPoly.from_clean_terms(P.chart, out)
+
+
+def _copies(lifted, name, start, k):
+    """Sum of the copies of a generator of lift weight start to k - 1."""
+    total = lifted.zero()
+    for eps in range(start, k):
+        total = total + lifted.gen(lifted_name(name, eps))
+    return total
+
+
+def _symbol_image(chart, lifted, k, scal_key):
+    """Taylor expansion of a jet symbol around the weight-zero copies.
+
+    f with jets J maps to the sum over n and over ordered n-tuples of base
+    generators b of (1/n!) f_{J,b} (at the zero copies) times the product
+    of the positive-weight copies of the b's, cut at lift weight k - 1;
+    n is capped by k - 1 since every such copy has lift weight at least 1.
+    """
+    name, jets = scal_key
+    base_idxs = sorted(chart.true_base_indices)
+    shifts = {b: _copies(lifted, chart.generators[b].name, 1, k)
+              for b in base_idxs}
+    out = lifted.zero()
+    for n in range(k):
+        coeff = Fraction(1, math.factorial(n))
+        for extra in itertools.product(base_idxs, repeat=n):
+            lifted_jets = tuple(
+                lifted.name_to_index[lifted_name(chart.generators[j].name, 0)]
+                for j in tuple(jets) + extra)
+            piece = SuperPoly.symbol(lifted, name, lifted_jets)
+            for b in extra:
+                piece = _product_below(piece, shifts[b], k - 1)
+            out = out + piece * coeff
+    return out
+
+
+def substitution_lift(P, k, target=None):
+    """Highest tangent prolongation of a homogeneous P: substitute every
+    generator by the sum of its copies, expand symbols, keep lift weight
+    k - 1.
+
+    No factor has negative lift weight, so a term above lift weight k - 1
+    could only feed higher weights: the group pairs of the factors whose
+    lift weights add up to more than k - 1 are never multiplied.
+    """
+    chart = P.chart
+    if target is None:
+        target = tangent_lift_chart(chart, k)
+    if P.is_zero:
+        return target.zero()
+    hom = homogeneity(P)
+    if not hom.homogeneous:
+        raise LiftError("complete lift needs a homogeneous input: %s"
+                        % to_text(P))
+    sym_cache = {}
+    gen_cache = {}
+    total = target.zero()
+    for key, c in P.items():
+        scal, even, odd = key
+        piece = SuperPoly.constant(target, c)
+        for scal_key in scal:
+            if scal_key not in sym_cache:
+                sym_cache[scal_key] = _symbol_image(chart, target, k, scal_key)
+            piece = _product_below(piece, sym_cache[scal_key], k - 1)
+        for idx in [i for i, e in even for _ in range(e)] + list(odd):
+            if idx not in gen_cache:
+                gen_cache[idx] = _copies(target, chart.generators[idx].name,
+                                         0, k)
+            piece = _product_below(piece, gen_cache[idx], k - 1)
+        total = total + piece
+    return lift_component(total, k - 1)

@@ -134,6 +134,20 @@ def test_constant_l1_basis_sizes():
     assert len(complexes.constant_l1_basis(gallery.build("cross7").theta)) == 14
 
 
+@pytest.mark.parametrize("name, calls", [("rflux", 20), ("vb_twist", 36)])
+def test_constant_l1_basis_brackets_theta_with_each_coordinate_once(
+        bracket_calls, name, calls):
+    # One {T, x_a} per base coordinate, then {{T, x_a}, s} for each
+    # weight-1 generator s and each nonzero {T, x_a}: 2 of rflux's 4 are
+    # zero.  Bracketing T with x_a again for every s made 64 calls on each.
+    T = gallery.build(name).default_potential
+    del bracket_calls[:]
+    basis = complexes.constant_l1_basis(T)
+    assert len(bracket_calls) == calls
+    assert not any(X.is_zero for X, _ in bracket_calls)
+    assert len(basis) == {"rflux": 6, "vb_twist": 4}[name]
+
+
 def test_members_have_a_zero_formal_contraction():
     # naive_membership decides on the base coordinates alone; a formal
     # function symbol must then contract to zero as well.

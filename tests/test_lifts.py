@@ -235,23 +235,60 @@ def test_degree_four_lift_of_symbol_potentials(name):
         == courant.classify(inst.default_potential).verdict
 
 
-def test_complete_lift_multiplies_only_the_weight_groups_that_fit(
-        monkeypatch):
-    # Multiplying every pair of terms and filtering the product by lift
-    # weight afterwards makes 17,298 term_weight calls here.
+def test_complete_lift_multiplies_no_polynomials(monkeypatch):
+    # The substitute-and-truncate route multiplies lift-weight groups of
+    # SuperPoly factors; the total derivative rewrites term dicts instead.
     inst = gallery.build("quasi_poisson")
     flat = lifts.flatten_chart(inst.chart)
     low = lifts.flatten_poly(inst.default_potential, flat)
     target = lifts.tangent_lift_chart(flat, 4)
     calls = []
-    original = SuperPoly.term_weight
+    original = SuperPoly.__mul__
 
-    def counting(self, key):
+    def counting(self, other):
         calls.append(None)
-        return original(self, key)
+        return original(self, other)
 
-    monkeypatch.setattr(SuperPoly, "term_weight", counting)
+    monkeypatch.setattr(SuperPoly, "__mul__", counting)
     lifted = lifts.complete_lift(low, 4, target)
-    assert len(calls) <= 11000
+    assert calls == []
     assert not lifted.is_zero
 
+
+def catalogue_lift_inputs():
+    """(name, flattened default potential) of every catalogue instance
+    that lifts: a lift degree declared and a chart not already lifted."""
+    out = []
+    for name in gallery.INSTANCE_NAMES:
+        inst = gallery.build(name)
+        if inst.lift_k is None or inst.chart.lift_degree is not None:
+            continue
+        flat = lifts.flatten_chart(inst.chart)
+        out.append((name, lifts.flatten_poly(inst.default_potential, flat)))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_complete_lift_equals_substitution_route_on_the_catalogue(k):
+    inputs = catalogue_lift_inputs()
+    assert len(inputs) == 13
+    assert any(low.symbol_names() for _name, low in inputs)
+    for name, low in inputs:
+        target = lifts.tangent_lift_chart(low.chart, k)
+        assert lifts.complete_lift(low, k, target) \
+            == routes.substitution_lift(low, k, target), name
+
+
+def test_complete_lift_equals_substitution_route_on_draws_with_symbols():
+    rng = random.Random(54)
+    charts = [make_darboux_chart(2, 1), flat_antivb(1, 2)]
+    with_symbols = 0
+    for k in (2, 3, 4):
+        for r in range(12):
+            ch = charts[r % len(charts)]
+            target = lifts.tangent_lift_chart(ch, k)
+            P = draws.random_homogeneous(ch, rng, allow_symbols=True)
+            with_symbols += bool(P.symbol_names())
+            assert lifts.complete_lift(P, k, target) \
+                == routes.substitution_lift(P, k, target), (k, r, to_text(P))
+    assert with_symbols >= 10
