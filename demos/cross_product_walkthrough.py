@@ -39,7 +39,8 @@ def main():
     print()
 
     print("a Jacobiator that refuses to vanish:")
-    J = courant.jacobiator(T, ch.gen("pi1"), ch.gen("pi2"), ch.gen("pi4"))
+    pair = courant.section_pair(T, ch.gen("pi1"), ch.gen("pi2"))
+    J = courant.jacobiator(pair, ch.gen("pi4"))
     print("  J(pi1, pi2, pi4) =", to_text(J))
     M = courant.jacobiator_via_master(sc.sigma, ch.gen("pi1"),
                                       ch.gen("pi2"), ch.gen("pi4"))
@@ -47,11 +48,12 @@ def main():
     print()
 
     print("and one that does:")
-    J0 = courant.jacobiator(T, ch.gen("pi1"), ch.gen("pi2"), ch.gen("pi3"))
+    J0 = courant.jacobiator(pair, ch.gen("pi3"))
     print("  J(pi1, pi2, pi3) =", to_text(J0))
     print()
 
-    h0, h1 = complexes.point_cohomology(T)
+    anchors = courant.AnchorVectors(T)
+    h0, h1 = complexes.point_cohomology(anchors)
     print("point cohomology of the small complex: (%d, %d)" % (h0[0], h1[0]))
     print("degree-1 closure condition:",
           complexes.naive_cohomology_condition(T, sc.sigma))
@@ -59,7 +61,7 @@ def main():
     print("small-complex elements and their differentials:")
     for el in inst.l_elements:
         image = complexes.q_theta(T, el)
-        member = complexes.naive_membership(T, image)
+        member = complexes.naive_membership(anchors, image)
         print("  Q(%s) = %s   stays in the complex: %s"
               % (to_text(el), to_text(image), member))
 

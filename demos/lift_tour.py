@@ -47,14 +47,15 @@ def main():
         print("  bracket compatibility on a spot pair:",
               "holds" if defect.is_zero else to_text(defect))
         if k == 2:
-            h0, h1 = complexes.point_cohomology(TL)
+            h0, h1 = complexes.point_cohomology(courant.AnchorVectors(TL))
             print("  weighted cohomology: h0 =", h0, " h1 =", h1)
         print()
 
     print("against the zero potential the same chart has plenty of "
           "degree-1 cohomology:")
     target = lifts.tangent_lift_chart(flat, 2)
-    _h0, h1 = complexes.point_cohomology(target.zero())
+    zero = courant.AnchorVectors(target.zero())
+    _h0, h1 = complexes.point_cohomology(zero)
     print("  h1 =", h1)
 
 

@@ -9,10 +9,11 @@ gallery    list or check the built-in catalogue
 Instances are referred to by catalogue name or by a path to a serialized
 instance file.  Exit codes: 0 all checks passed, 1 a check ran and failed,
 2 the request was malformed (unknown name, parse error, bad lift degree,
-a section of mixed parity).
+a section argument of mixed parity or of symplectic weight other than 1).
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -77,13 +78,20 @@ def _emit(args, payload, lines):
             print(line)
 
 
-def _on_sections(op, T, *sections):
-    """op(T, *sections), where a section refused by op (one of mixed
-    parity) is a malformed request rather than a failed check."""
-    try:
-        return op(T, *sections)
-    except PotentialError as e:
-        raise UsageError(str(e))
+def _sections(chart, texts):
+    """The section arguments, parsed.  A section has homogeneous parity
+    and symplectic weight 1 in every term (zero included); an argument
+    that does not is a malformed request rather than a failed check."""
+    sections = [parse_expr(chart, text) for text in texts]
+    for text, s in zip(texts, sections):
+        if not s.is_zero and s.parity() is None:
+            raise UsageError("section %s must have homogeneous parity"
+                             % text)
+        if any(chart.symplectic_weight(s.term_weight(key)) != 1
+               for key in s.terms):
+            raise UsageError("section %s must have symplectic weight 1"
+                             % text)
+    return sections
 
 
 IDENTITIES = (
@@ -102,7 +110,14 @@ IDENTITIES = (
 def identity_sweep(inst, tt, rng, samples):
     """Seeded random sweep of the four engine identities on one chart;
     every defect is identically zero, so a nonzero value names a bug.
-    tt is {T, T} of the default potential T."""
+    tt is {T, T} of the default potential T.
+
+    Per sample the anchor vectors of s and p, [[s, p]] and its anchor
+    vector are computed once, in one courant.SectionPair that the
+    symmetry, anchor-morphism and direct Jacobiator defects share; the
+    other side of each identity comes from a different formula ({T, <s,p>}
+    and [[p, s]], the closed form on tt, the master form on tt).  When
+    alpha is s, {T, alpha} is read off the anchor vector of s."""
     T = inst.default_potential
     chart = inst.chart
     state = {name: {"name": name, "formula": formula, "samples": samples,
@@ -121,15 +136,23 @@ def identity_sweep(inst, tt, rng, samples):
         p = sampling.random_section(chart, rng)
         l = sampling.random_section(chart, rng)
         f = sampling.random_base_function(chart, rng)
-        record("bracket_symmetry", courant.symmetry_defect(T, s, p), (s, p))
-        record("anchor_morphism", courant.anchor_defect(T, tt, s, p, f),
+        pair = courant.section_pair(T, s, p)
+        record("bracket_symmetry", courant.symmetry_defect(pair), (s, p))
+        record("anchor_morphism", courant.anchor_defect(pair, tt, f),
                (s, p, f))
-        direct = courant.jacobiator(T, s, p, l)
+        direct = courant.jacobiator(pair, l)
         master = courant.jacobiator_via_master(tt, s, p, l)
         record("jacobiator_master", direct - master, (s, p, l))
-        alpha = s if i % 2 else s * l
+        if i % 2:
+            # {T, s} = (-1)^s~ rho_s
+            alpha = s
+            d_alpha = pair.rho_sigma * (-1 if pair.parities[0] else 1)
+        else:
+            alpha = s * l
+            d_alpha = complexes.q_theta(T, alpha)
         record("contraction_commutator",
-               complexes.naive_commutator_defect(T, f, alpha), (f, alpha))
+               complexes.naive_commutator_defect(T, f, alpha, d_alpha),
+               (f, alpha))
     return [state[name] for name, _ in IDENTITIES]
 
 
@@ -181,15 +204,14 @@ def cmd_bracket(args):
         op, (a, b) = "poisson", args.poisson
     else:
         op, (a, b) = "pairing", args.pairing
-    left = parse_expr(chart, a)
-    right = parse_expr(chart, b)
-    if op == "pre":
-        value = _on_sections(courant.pre_bracket, inst.default_potential,
-                             left, right)
-    elif op == "poisson":
-        value = bracket(left, right)
+    if op == "poisson":
+        value = bracket(parse_expr(chart, a), parse_expr(chart, b))
     else:
-        value = courant.pairing(left, right)
+        left, right = _sections(chart, (a, b))
+        if op == "pre":
+            value = courant.pre_bracket(inst.default_potential, left, right)
+        else:
+            value = courant.pairing(left, right)
     payload = {
         "instance": inst.name,
         "op": op,
@@ -204,8 +226,9 @@ def cmd_jacobiator(args):
     inst = _load_valid_instance(args.instance)
     chart = inst.chart
     T = inst.default_potential
-    secs = [parse_expr(chart, a) for a in args.sections]
-    direct = _on_sections(courant.jacobiator, T, *secs)
+    secs = _sections(chart, args.sections)
+    direct = courant.jacobiator(courant.section_pair(T, secs[0], secs[1]),
+                                secs[2])
     master = courant.jacobiator_via_master(bracket(T, T), *secs)
     agrees = direct == master
     payload = {
@@ -293,7 +316,11 @@ def positive_int(text):
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built on the first call and reused by
+    every later main() in the process: parsing leaves no state in it, each
+    call returns a fresh namespace.  It is not built at import."""
     parser = argparse.ArgumentParser(
         prog="superpoisson",
         description="Exact graded symplectic charts, derived brackets and "

@@ -4,18 +4,25 @@ Two complexes live on the same chart: the full one, whose differential is
 q_theta = {theta, .}, and the small one built on functions of the weight-1
 coordinates only, cut out by the contractions
 
-    iota(theta, f, alpha) = (-1)^f~ {{theta, f}, alpha}.
+    iota_f(alpha) = (-1)^f~ {{theta, f}, alpha}
+                  = {courant.anchor_vector(theta, f), alpha}.
 
 classical_naive_differential recomputes the differential of a small-complex
 element through the classical alternating sum over a section basis (anchor
 terms plus bracket terms); its agreement with q_theta is a checked identity,
 with the degree-dependent identification constants recorded here.
+
+Values that several checks read are arguments, computed once by the
+caller: naive_membership and point_cohomology read the anchor vectors
+(-1)^x~ {theta, x} of coordinates from a courant.AnchorVectors table,
+naive_commutator_defect takes {theta, alpha}, and
+naive_cohomology_condition takes {theta, theta}.
 """
 
 from .superpoly import homogeneity, to_text
 from .poisson import bracket
-from .courant import (PotentialError, anchor_vector, apply_anchor_vector,
-                      pairing, pre_bracket)
+from .courant import (AnchorVectors, PotentialError, anchor_vector,
+                      apply_anchor_vector, pairing, pre_bracket)
 from . import linalg
 
 
@@ -24,48 +31,47 @@ def q_theta(theta, alpha):
     return bracket(theta, alpha)
 
 
-def iota(theta, f, alpha):
-    """Contraction by a weight-0 function: (-1)^f~ {{theta, f}, alpha}."""
-    pf = f.parity()
-    sign = -1 if pf else 1
-    return bracket(bracket(theta, f), alpha) * sign
-
-
-def naive_membership(theta, alpha):
+def naive_membership(anchors, alpha):
     """Structural membership test for the small complex.
 
-    An element must be built from the base and weight-1 sectors only, and
-    every contraction must kill it.  The contractions by the base
-    coordinates decide that: for a momentum-free element the contraction by
-    any weight-0 function, a formal symbol included, is a combination of
-    them, so it vanishes once they all do.
+    anchors is the courant.AnchorVectors table of the potential.  An
+    element must be built from the base and weight-1 sectors only, and
+    every contraction {anchors[x], alpha} must kill it.  The contractions
+    by the base coordinates x decide that: for a momentum-free element the
+    contraction by any weight-0 function, a formal symbol included, is a
+    combination of them, so it vanishes once they all do.  The zero
+    element and a zero contraction vector need no bracket.
     """
     chart = alpha.chart
     for g in chart.generators:
         if chart.gen_symplectic_weight(g.index) > 1 and alpha.uses_generator(g.index):
             return False
+    if alpha.is_zero:
+        return True
     for idx in chart.base_indices:
-        f = chart.gen(chart.generators[idx].name)
-        if not iota(theta, f, alpha).is_zero:
+        rho = anchors[chart.generators[idx].name]
+        if not rho.is_zero and not bracket(rho, alpha).is_zero:
             return False
     return True
 
 
-def naive_commutator_defect(theta, f, alpha):
+def naive_commutator_defect(theta, f, alpha, d_alpha):
     """iota_f(Q alpha) + (-1)^f~ Q(iota_f alpha) - {{theta,{theta,f}}, alpha}.
 
     Identically zero for every potential; on a potential whose self-bracket
     kills weight-0 functions the last term dies, so the small complex is
     closed under the differential.
 
-    Within one call {theta, f} is computed once and serves both
+    d_alpha is Q alpha = {theta, alpha}, passed in so that a caller that
+    has it (the identity sweep, from a section's anchor vector) does not
+    compute it again.  {theta, f} is computed once and serves both
     contractions and the last term; in the second term the sign of the
     contraction cancels the (-1)^f~ in front of it.
     """
     pf = f.parity()
     sign = -1 if pf else 1
     theta_f = bracket(theta, f)
-    out = bracket(theta_f, q_theta(theta, alpha)) * sign
+    out = bracket(theta_f, d_alpha) * sign
     out = out + q_theta(theta, bracket(theta_f, alpha))
     out = out - bracket(bracket(theta, theta_f), alpha)
     return out
@@ -124,7 +130,7 @@ def classical_naive_differential(theta, psi, basis, dual):
     weight 0) the anchor terms and their anchor vectors are skipped: every
     form value there is a constant, which every anchor vector kills.
     """
-    if not naive_membership(theta, psi):
+    if not naive_membership(AnchorVectors(theta), psi):
         raise PotentialError("element is not in the small complex: %s"
                              % to_text(psi))
     hom = homogeneity(psi)
@@ -195,9 +201,10 @@ def _ascending_tuples(n, k):
     yield from rec(0, [])
 
 
-def point_cohomology(theta):
+def point_cohomology(anchors):
     """(H0, H1) of the small complex over a point, as dicts {lift weight:
-    dimension}.
+    dimension}, for the potential of the courant.AnchorVectors table
+    anchors.
 
     Over a point the contraction conditions are empty, so the degree-1
     cochains are spanned by the weight-1 generators, H0 is the constants
@@ -205,13 +212,14 @@ def point_cohomology(theta):
     {theta, .} on those generators.  They are grouped by lift weight on a
     lifted chart and form one group of lift weight 0 otherwise; dim H1 of
     a group is its size minus the rank of the images {theta, g}, by exact
-    linear algebra.
+    linear algebra.  The table's anchor vectors (-1)^g~ {theta, g} are
+    those images up to a sign per row, which leaves the rank as it is.
 
     Nothing is refused when {theta, theta} != 0: H0 and H1 depend only on
     d0 and d1, and d0 vanishes for every theta over a point, so a d^2 check
     on these degrees could never fail.
     """
-    chart = theta.chart
+    chart = anchors.theta.chart
     if chart.base_indices:
         raise PotentialError("point cohomology needs a chart over a point "
                              "(no symplectic-weight-0 generators)")
@@ -219,8 +227,7 @@ def point_cohomology(theta):
     for g in chart.generators:
         if chart.gen_symplectic_weight(g.index) == 1:
             weight = g.weight[0] if chart.lift_degree is not None else 0
-            groups.setdefault(weight, []).append(
-                bracket(theta, chart.gen(g.name)))
+            groups.setdefault(weight, []).append(anchors[g.name])
     h1 = {}
     for weight, images in sorted(groups.items()):
         keys = sorted({key for v in images for key in v.terms})

@@ -18,11 +18,18 @@ checks many samples computes it once: jacobiator_via_master, the
 right-hand side of anchor_defect, and complexes.naive_cohomology_condition,
 which asks whether the master form of the Jacobiator vanishes on the small
 complex.
+
+The identities on two sections s, p take a SectionPair in the same way:
+it carries the anchor vectors of s and p, the derived bracket [[s, p]]
+and its anchor vector, so symmetry_defect, anchor_defect and jacobiator
+on one pair share them instead of each computing them again.  An
+AnchorVectors table passes the anchor vectors of coordinates and named
+arguments to the checks of one instance in the same way.
 """
 
 from fractions import Fraction
 
-from .superpoly import ODD, to_text
+from .superpoly import ODD, parse_expr, to_text
 from .poisson import bracket
 from . import linalg
 
@@ -108,23 +115,69 @@ def pairing(sigma, psi):
     return bracket(sigma, psi)
 
 
-def jacobiator(theta, sigma, psi, lam):
+class SectionPair:
+    """Two sections and the pieces of their derived bracket.
+
+    rho_sigma and rho_psi are the anchor vectors of sigma and psi, given
+    (section_pair computes them, an AnchorVectors table looks them up);
+    value is [[sigma, psi]] = {rho_sigma, psi} and rho_value its anchor
+    vector, both computed here.
+    """
+
+    def __init__(self, theta, sigma, psi, rho_sigma, rho_psi):
+        self.theta = theta
+        self.sigma = sigma
+        self.psi = psi
+        self.parities = (_parity(sigma, "section"), _parity(psi, "section"))
+        # (-1)^((s~+1)(p~+1)), the sign of swapping the two sections.
+        self.swap_sign = -1 if not any(self.parities) else 1
+        self.rho_sigma = rho_sigma
+        self.rho_psi = rho_psi
+        self.value = bracket(rho_sigma, psi)
+        self.rho_value = anchor_vector(theta, self.value)
+
+
+def section_pair(theta, sigma, psi):
+    """The SectionPair of sigma and psi, with their anchor vectors."""
+    return SectionPair(theta, sigma, psi, anchor_vector(theta, sigma),
+                       anchor_vector(theta, psi))
+
+
+class AnchorVectors(dict):
+    """anchor_vector(theta, x) by the text of x, each computed on its first
+    lookup.
+
+    For a section x it is the anchor of x.  For a weight-0 coordinate x the
+    bracket with it is the contraction (-1)^x~ {{theta, x}, .} of the small
+    complex (complexes.naive_membership); for a weight-1 generator it is
+    {theta, x} up to a sign (complexes.point_cohomology).  One table serves
+    one computation, such as one check of an instance, so every check that
+    reads the same vector shares one bracket, and nothing outlives it.
+    """
+
+    def __init__(self, theta):
+        super().__init__()
+        self.theta = theta
+
+    def __missing__(self, text):
+        value = self[text] = anchor_vector(
+            self.theta, parse_expr(self.theta.chart, text))
+        return value
+
+
+def jacobiator(pair, lam):
     """Defect of the Jacobi identity for the derived bracket.
 
-    J(s,p,l) = [[s,[[p,l]]]] - [[[[s,p]],l]] - (-1)^((s~+1)(p~+1)) [[p,[[s,l]]]].
+    J(s,p,l) = [[s,[[p,l]]]] - [[[[s,p]],l]] - (-1)^((s~+1)(p~+1)) [[p,[[s,l]]]]
 
-    Every derived bracket [[a, b]] is {anchor_vector(theta, a), b}, so
-    within one call the anchor vectors of s and p are computed once each
-    and shared by the brackets that take them as left argument.
+    for the sections s, p of the SectionPair and l.  Every derived bracket
+    [[a, b]] is {anchor vector of a, b}; the pair supplies those of s, p
+    and [[s, p]].
     """
-    ps = _parity(sigma, "section")
-    pp = _parity(psi, "section")
-    sign = -1 if ((ps ^ 1) & (pp ^ 1)) else 1
-    rho_s = anchor_vector(theta, sigma)
-    rho_p = anchor_vector(theta, psi)
-    out = bracket(rho_s, bracket(rho_p, lam))
-    out = out - bracket(anchor_vector(theta, bracket(rho_s, psi)), lam)
-    out = out - bracket(rho_p, bracket(rho_s, lam)) * sign
+    out = bracket(pair.rho_sigma, bracket(pair.rho_psi, lam))
+    out = out - bracket(pair.rho_value, lam)
+    out = out - bracket(pair.rho_psi, bracket(pair.rho_sigma, lam)) \
+        * pair.swap_sign
     return out
 
 
@@ -139,47 +192,38 @@ def jacobiator_via_master(tt, sigma, psi, lam):
     return out * Fraction(sign, 2)
 
 
-def symmetry_defect(theta, sigma, psi):
+def symmetry_defect(pair):
     """[[s,p]] + (-1)^((s~+1)(p~+1)) [[p,s]] - (-1)^s~ {theta, <s,p>}.
 
     Identically zero for every potential; the derived bracket fails to be
-    skew only through the differential of the pairing.
+    skew only through the differential of the pairing.  [[s, p]] is the
+    pair's value, [[p, s]] = {rho_p, s} is computed here.
     """
-    ps = _parity(sigma, "section")
-    pp = _parity(psi, "section")
-    swap_sign = -1 if ((ps ^ 1) & (pp ^ 1)) else 1
-    d_sign = -1 if ps else 1
-    out = pre_bracket(theta, sigma, psi)
-    out = out + pre_bracket(theta, psi, sigma) * swap_sign
-    out = out - bracket(theta, pairing(sigma, psi)) * d_sign
+    s, p = pair.sigma, pair.psi
+    d_sign = -1 if pair.parities[0] else 1
+    out = pair.value + bracket(pair.rho_psi, s) * pair.swap_sign
+    out = out - bracket(pair.theta, pairing(s, p)) * d_sign
     return out
 
 
-def anchor_defect(theta, tt, sigma, psi, f):
+def anchor_defect(pair, tt, f):
     """Anchor-morphism defect minus its closed form; identically zero.
 
     The commutator of anchor actions differs from the anchor of the bracket
     by (1/2)(-1)^(f~(s~+p~)+p~) {{{tt,f},s},p} with tt = {theta, theta};
     this function computes both sides and returns their difference.  The
-    direct side uses theta only, the closed form tt only.
-
-    Within one call the anchor vectors of s and p are computed once each
-    and serve both anchor actions of each section and the derived bracket
-    [[s, p]] = {anchor_vector(theta, s), p}.
+    direct side uses the pair's anchor vectors only (those of s, p and
+    [[s, p]], all from theta), the closed form tt only.
     """
-    ps = _parity(sigma, "section")
-    pp = _parity(psi, "section")
+    ps, pp = pair.parities
     pf = _parity(f, "function")
-    swap_sign = -1 if ((ps ^ 1) & (pp ^ 1)) else 1
-    rho_s = anchor_vector(theta, sigma)
-    rho_p = anchor_vector(theta, psi)
+    rho_s, rho_p = pair.rho_sigma, pair.rho_psi
     lhs = apply_anchor_vector(rho_s, apply_anchor_vector(rho_p, f))
     lhs = lhs - apply_anchor_vector(
-        rho_p, apply_anchor_vector(rho_s, f)) * swap_sign
-    lhs = lhs - apply_anchor_vector(
-        anchor_vector(theta, bracket(rho_s, psi)), f)
+        rho_p, apply_anchor_vector(rho_s, f)) * pair.swap_sign
+    lhs = lhs - apply_anchor_vector(pair.rho_value, f)
     rhs_sign = -1 if ((pf & (ps ^ pp)) ^ pp) else 1
-    rhs = bracket(bracket(bracket(tt, f), sigma), psi)
+    rhs = bracket(bracket(bracket(tt, f), pair.sigma), pair.psi)
     rhs = rhs * Fraction(rhs_sign, 2)
     return lhs - rhs
 

@@ -97,11 +97,14 @@ SPOT_ARITY = {"poisson": 2, "nested_poisson": 3, "potential_nest": 1,
               "pre_bracket": 2, "anchor": 2, "pairing": 2, "jacobiator": 3}
 
 
-def _spot_result(inst, spot):
-    chart = inst.chart
-    args = [parse_expr(chart, a) for a in spot["args"]]
+def _spot_result(anchors, spot):
+    """The value of one spot for the potential of the AnchorVectors table
+    anchors.  A derived bracket [[a, b]] is {rho_a, b}, with the anchor
+    vector rho_a of its left argument read from the table."""
+    T = anchors.theta
+    texts = spot["args"]
+    args = [parse_expr(T.chart, a) for a in texts]
     op = spot["op"]
-    T = inst.default_potential
     if op == "poisson":
         return bracket(args[0], args[1])
     if op == "nested_poisson":
@@ -109,13 +112,15 @@ def _spot_result(inst, spot):
     if op == "potential_nest":
         return bracket(T, bracket(T, args[0]))
     if op == "pre_bracket":
-        return courant.pre_bracket(T, args[0], args[1])
+        return bracket(anchors[texts[0]], args[1])
     if op == "anchor":
-        return courant.anchor_apply(T, args[0], args[1])
+        return courant.apply_anchor_vector(anchors[texts[0]], args[1])
     if op == "pairing":
         return courant.pairing(args[0], args[1])
     if op == "jacobiator":
-        return courant.jacobiator(T, args[0], args[1], args[2])
+        pair = courant.SectionPair(T, args[0], args[1], anchors[texts[0]],
+                                   anchors[texts[1]])
+        return courant.jacobiator(pair, args[2])
     raise GalleryError("unknown spot op %r" % op)
 
 
@@ -156,6 +161,9 @@ def check_instance(inst):
     sc = None
     if inst.twist is not None:
         verdicts = expected.get("verdicts", {})
+        factor = expected.get("twist_sigma_factor")
+        if factor is not None:
+            theta_twist = bracket(inst.theta, inst.twist)
         for lam in inst.lambdas:
             want = verdicts.get(str(lam))
             if want is None:
@@ -165,11 +173,9 @@ def check_instance(inst):
             got = check_verdict(P, want, "lambda %s" % lam)
             if lam == 1:
                 sc = got
-            factor = expected.get("twist_sigma_factor")
             if factor is not None:
                 lhs = got.sigma if got is not None else bracket(P, P)
-                rhs = bracket(inst.theta, inst.twist) * (Fraction(factor)
-                                                         * lam)
+                rhs = theta_twist * (Fraction(factor) * lam)
                 if lhs != rhs:
                     failures.append(
                         "lambda %s: {T,T} != %s*lambda*{theta,twist}"
@@ -201,8 +207,11 @@ def check_instance(inst):
             failures.append("witness is %r, expected %r"
                             % (sc.witness_name, want_name))
 
+    # One table of anchor vectors serves the spots, the point cohomology
+    # and every membership test below, so each {T, x} is computed once.
+    anchors = courant.AnchorVectors(inst.default_potential)
     for spot in expected.get("spots", ()):
-        got = _spot_result(inst, spot)
+        got = _spot_result(anchors, spot)
         want = parse_expr(chart, spot["value"])
         if got != want:
             failures.append("%s: got %s, expected %s"
@@ -226,7 +235,7 @@ def check_instance(inst):
 
     if "cohomology_point" in expected:
         got = [sum(h.values()) for h in
-               complexes.point_cohomology(inst.default_potential)]
+               complexes.point_cohomology(anchors)]
         if got != list(expected["cohomology_point"]):
             failures.append("point cohomology %s, expected %s"
                             % (got, expected["cohomology_point"]))
@@ -238,12 +247,12 @@ def check_instance(inst):
                             % (got, expected["naive_condition"]))
 
     for el in inst.l_elements:
-        if not complexes.naive_membership(inst.default_potential, el):
+        if not complexes.naive_membership(anchors, el):
             failures.append("element %s left the small complex"
                             % to_text(el))
         elif sc.is_pre_courant:
             image = complexes.q_theta(inst.default_potential, el)
-            if not complexes.naive_membership(inst.default_potential, image):
+            if not complexes.naive_membership(anchors, image):
                 failures.append("differential of %s left the small complex"
                                 % to_text(el))
 

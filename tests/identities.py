@@ -31,13 +31,14 @@ def pairing_invariance_defect(T, s, p, l):
 
 def jacobiator_master_defect(T, s, p, l):
     """J(s,p,l) - (-1)^p~ (1/2) {{{{T,T},s},p},l}."""
-    return (courant.jacobiator(T, s, p, l)
+    return (courant.jacobiator(courant.section_pair(T, s, p), l)
             - courant.jacobiator_via_master(bracket(T, T), s, p, l))
 
 
 def commutator_defect(T, f, a):
     """iota_f(Q a) + (-1)^f~ Q(iota_f a) - {{T,{T,f}}, a}."""
-    return complexes.naive_commutator_defect(T, f, a)
+    return complexes.naive_commutator_defect(T, f, a,
+                                             complexes.q_theta(T, a))
 
 
 def d_squared_on_function(T, f):

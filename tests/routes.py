@@ -19,9 +19,9 @@ import types
 from fractions import Fraction
 
 import identities
-from superpoisson.complexes import iota
-from superpoisson.courant import (PotentialError, anchor_apply, metric_frame,
-                                  pairing, pre_bracket, symmetry_defect,
+from superpoisson.courant import (PotentialError, anchor_apply, anchor_vector,
+                                  metric_frame, pairing, pre_bracket,
+                                  section_pair, symmetry_defect,
                                   validate_potential)
 from superpoisson.dirac import (CoordinateSubbundle, GraphError, is_isotropic,
                                 momentum_indices, tangency_residual)
@@ -216,8 +216,9 @@ def induced_almost_lie(theta, graph):
             s = chart.gen(sname)
             t = chart.gen(tname)
             bracket_table[(sname, tname)] = pb(pre_bracket(theta, s, t))
-            symmetry_residuals.append(
-                (("symmetry", sname, tname), pb(symmetry_defect(theta, s, t))))
+            symmetry = symmetry_defect(section_pair(theta, s, t))
+            symmetry_residuals.append((("symmetry", sname, tname),
+                                       pb(symmetry)))
 
     anchor_table = {}
     for sname in sections:
@@ -274,7 +275,7 @@ def formal_contraction(theta, alpha):
     probe = "F"
     while probe in used:
         probe += "q"
-    return iota(theta, alpha.chart.symbol(probe), alpha)
+    return bracket(anchor_vector(theta, alpha.chart.symbol(probe)), alpha)
 
 
 def _is_lift_homogeneous(P, expect):

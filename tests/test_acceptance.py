@@ -57,12 +57,14 @@ def test_criterion_1_literal_darboux_formula_200_pairs():
 
 def test_criterion_2_symmetry_defect_100():
     for r, (T, s, p, _l, _f) in enumerate(draws.derived_setups(2001, 100)):
-        assert courant.symmetry_defect(T, s, p).is_zero, r
+        assert courant.symmetry_defect(
+            courant.section_pair(T, s, p)).is_zero, r
 
 
 def test_criterion_2_anchor_defect_100():
     for r, (T, s, p, _l, f) in enumerate(draws.derived_setups(2002, 100)):
-        assert courant.anchor_defect(T, bracket(T, T), s, p, f).is_zero, r
+        assert courant.anchor_defect(courant.section_pair(T, s, p),
+                                     bracket(T, T), f).is_zero, r
 
 
 def test_criterion_2_jacobiator_master_100():
@@ -109,8 +111,9 @@ def test_criterion_4_gallery_fidelity():
     assert sc7.verdict == "PreCourant"
     assert courant.pre_bracket(cross7.theta, ch7.gen("pi1"), ch7.gen("pi2")) \
         == ch7.gen("pi3")
-    nonzero_jac = courant.jacobiator(cross7.theta, ch7.gen("pi1"),
-                                     ch7.gen("pi2"), ch7.gen("pi4"))
+    nonzero_jac = courant.jacobiator(
+        courant.section_pair(cross7.theta, ch7.gen("pi1"), ch7.gen("pi2")),
+        ch7.gen("pi4"))
     assert to_text(nonzero_jac) == "-2*pi7"
 
     assert courant.classify(gallery.build("cross3").theta).verdict == "Courant"
@@ -156,10 +159,13 @@ def test_criterion_5_pre_courant_instances_have_closed_small_complex():
             f = ch.gen(ch.generators[idx].name)
             assert identities.d_squared_on_function(T, f).is_zero, \
                 (name, ch.generators[idx].name)
+        anchors = courant.AnchorVectors(T)
         for el in inst.l_elements:
-            assert complexes.naive_membership(T, el), (name, to_text(el))
+            assert complexes.naive_membership(anchors, el), \
+                (name, to_text(el))
             image = complexes.q_theta(T, el)
-            assert complexes.naive_membership(T, image), (name, to_text(el))
+            assert complexes.naive_membership(anchors, image), \
+                (name, to_text(el))
             for member in (el, image):
                 assert routes.formal_contraction(T, member).is_zero, \
                     (name, to_text(member))
@@ -184,7 +190,8 @@ def test_criterion_5_classical_differential_on_all_list_elements():
 
 
 def test_criterion_5_point_cohomology_of_3d_instance():
-    assert complexes.point_cohomology(gallery.build("cross3").theta) \
+    T = gallery.build("cross3").theta
+    assert complexes.point_cohomology(courant.AnchorVectors(T)) \
         == ({0: 1}, {0: 0})
 
 

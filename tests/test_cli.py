@@ -1,10 +1,17 @@
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
 import oracles
-from superpoisson import cli, gallery
+from superpoisson import cli, complexes, courant, gallery
+from superpoisson.poisson import bracket
 from superpoisson.superpoly import to_text
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def run(capsys, argv):
@@ -369,6 +376,108 @@ def test_mixed_parity_section_is_a_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "must have homogeneous parity" in err
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["jacobiator", "cross3", "1", "2", "3"], "1"),
+    (["bracket", "rflux", "--pre", "x1", "p1"], "x1"),
+    (["bracket", "rflux", "--pre", "xs1", "p1"], "p1"),
+    (["bracket", "cross3", "--pairing", "x1", "x2"], "x1"),
+    (["bracket", "cross7", "--pairing", "pi1", "pi1*pi2"], "pi1*pi2"),
+], ids=["constants", "base-coordinate", "momentum", "scalar-symbols",
+        "weight-2"])
+def test_section_of_another_weight_is_a_usage_error(capsys, argv, refused):
+    # Each of these printed 0 with exit 0 when any element was taken as a
+    # section; x1 and x2 are not generators of cross3 but scalar symbols.
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: section %s must have symplectic weight 1\n" \
+        % refused
+
+
+def test_sections_of_weight_one_are_accepted(capsys):
+    for argv, want in (
+            (["bracket", "rflux", "--pre", "xs1", "x1*pi2"], "0"),
+            (["bracket", "cross7", "--pairing", "0", "pi1"], "0"),
+            (["jacobiator", "cross7", "pi1", "pi2", "2*pi4"], "-4*pi7")):
+        code, out, _err = run(capsys, argv)
+        assert code == 0, argv
+        assert out.splitlines()[0] == want, argv
+
+
+@pytest.mark.parametrize("samples, calls", [(1, 30), (2, 59)])
+def test_identity_sweep_shares_each_sample_s_brackets(bracket_calls,
+                                                      samples, calls):
+    # Per sample one SectionPair gives the symmetry, anchor-morphism and
+    # direct Jacobiator defects their anchor vectors, [[s, p]] and its
+    # anchor vector (37 calls per sample before); the second sample's
+    # alpha is s, whose {T, s} is read off its anchor vector.
+    inst = gallery.build("cross7")
+    T = inst.default_potential
+    tt = bracket(T, T)
+    del bracket_calls[:]
+    rows = cli.identity_sweep(inst, tt, random.Random(1), samples)
+    assert [row["ok"] for row in rows] == [True] * 4
+    assert len(bracket_calls) == calls
+
+
+def _plus(module, name, term):
+    """module.name with term(*args) added to its value."""
+    original = getattr(module, name)
+    return lambda *args: original(*args) + term(*args)
+
+
+# On cross7 (no base coordinates) a base function f is a constant or a
+# formal symbol, which T kills: {T, <s, p>}, the anchor actions on f and
+# every term of the contraction row vanish there.  Each broken route
+# therefore adds a term that survives rather than scaling one.
+BROKEN_ROUTES = [
+    ("bracket_symmetry", courant, "pairing", lambda s, p: s),
+    ("anchor_morphism", courant, "apply_anchor_vector", lambda rho, f: f),
+    ("jacobiator_master", courant, "jacobiator_via_master",
+     lambda tt, s, p, l: l),
+    ("contraction_commutator", complexes, "q_theta", lambda theta, a: 1),
+]
+
+
+@pytest.mark.parametrize("row, module, name, term", BROKEN_ROUTES,
+                         ids=[r[0] for r in BROKEN_ROUTES])
+def test_a_broken_route_fails_its_identity_row(capsys, monkeypatch, row,
+                                               module, name, term):
+    # The shared pair must not let a row compare a value with itself: one
+    # broken route turns its own row NONZERO, with a witness, and leaves
+    # the other rows ok.
+    monkeypatch.setattr(module, name, _plus(module, name, term))
+    code, out, _err = run(capsys, ["check", "cross7", "--json"])
+    assert code == 1
+    rows = {r["name"]: r for r in json.loads(out)["identities"]}
+    assert rows[row]["ok"] is False
+    assert rows[row]["witness"]["inputs"]
+    assert rows[row]["witness"]["value"] != "0"
+    assert [r["name"] for r in rows.values() if not r["ok"]] == [row]
+    code, out, _err = run(capsys, ["check", "cross7"])
+    assert code == 1
+    assert "  identity %s (4 samples): NONZERO" % row in out.splitlines()
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # No --json, --seed or --samples state leaks from one call into the
+    # next: each stdout equals that of a fresh process.
+    argvs = (["check", "cross7", "--json", "--seed", "3", "--samples", "3"],
+             ["bracket", "cross7", "--pre", "pi1", "pi2"],
+             ["check", "cross7"])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    fresh = [subprocess.run([sys.executable, "-m", "superpoisson.cli"]
+                            + argv, env=env, capture_output=True, text=True,
+                            check=True).stdout
+             for argv in argvs]
+    cli.build_parser.cache_clear()
+    for argv, want in zip(argvs, fresh):
+        code, out, _err = run(capsys, argv)
+        assert code == 0, argv
+        assert out == want, argv
+    assert cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("potential, failure", [

@@ -40,8 +40,9 @@ def test_jacobiator_matches_algebra_oracle_everywhere():
     ch, T = cross7()
     eps = oracles.epsilon_table(oracles.CROSS7_TRIPLES)
     for (i, j, k) in itertools.combinations(range(1, 8), 3):
-        got = courant.jacobiator(T, ch.gen("pi%d" % i), ch.gen("pi%d" % j),
-                                 ch.gen("pi%d" % k))
+        pair = courant.section_pair(T, ch.gen("pi%d" % i),
+                                    ch.gen("pi%d" % j))
+        got = courant.jacobiator(pair, ch.gen("pi%d" % k))
         alg = oracles.algebra_jacobiator(eps, 7, i, j, k)
         want = ch.zero()
         for l, c in alg.items():
@@ -58,12 +59,14 @@ def test_pairing_and_anchor_on_point_chart():
 
 def test_symmetry_defect_vanishes():
     for T, s, p, l, f in draws.derived_setups(31, 40):
-        assert courant.symmetry_defect(T, s, p).is_zero
+        assert courant.symmetry_defect(
+            courant.section_pair(T, s, p)).is_zero
 
 
 def test_anchor_defect_vanishes():
     for T, s, p, l, f in draws.derived_setups(32, 40):
-        assert courant.anchor_defect(T, bracket(T, T), s, p, f).is_zero
+        assert courant.anchor_defect(courant.section_pair(T, s, p),
+                                     bracket(T, T), f).is_zero
 
 
 def test_jacobiator_equals_master_route():
@@ -158,7 +161,8 @@ def test_structure_residual_equivalence_samples():
 
 def test_jacobiator_shares_anchor_vectors(bracket_calls):
     ch, T = cross7()
-    value = courant.jacobiator(T, ch.gen("pi1"), ch.gen("pi2"), ch.gen("pi4"))
+    pair = courant.section_pair(T, ch.gen("pi1"), ch.gen("pi2"))
+    value = courant.jacobiator(pair, ch.gen("pi4"))
     assert to_text(value) == "-2*pi7"
     assert len(bracket_calls) <= 9
 
@@ -166,7 +170,8 @@ def test_jacobiator_shares_anchor_vectors(bracket_calls):
 def test_anchor_defect_shares_anchor_vectors(bracket_calls):
     ch = make_darboux_chart(1, 3)
     T = parse_expr(ch, "x1*xi1*p1 + xi1*xi2*xi3")
-    value = courant.anchor_defect(T, bracket(T, T), parse_expr(ch, "x1*xi1"),
-                                  ch.gen("xi2"), parse_expr(ch, "x1^2"))
+    pair = courant.section_pair(T, parse_expr(ch, "x1*xi1"), ch.gen("xi2"))
+    value = courant.anchor_defect(pair, bracket(T, T),
+                                  parse_expr(ch, "x1^2"))
     assert value.is_zero
     assert len(bracket_calls) <= 13

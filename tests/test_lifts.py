@@ -198,12 +198,13 @@ def test_weight_table_needs_lifted_chart():
 
 def test_weighted_cohomology_of_lifted_cross_product():
     lifted, TL = lifted_cross3(2)
-    assert complexes.point_cohomology(TL) == ({0: 1}, {0: 0, 1: 0})
+    assert complexes.point_cohomology(courant.AnchorVectors(TL)) \
+        == ({0: 1}, {0: 0, 1: 0})
 
 
 def test_weighted_cohomology_of_zero_potential():
     lifted, _TL = lifted_cross3(2)
-    assert complexes.point_cohomology(lifted.zero()) \
+    assert complexes.point_cohomology(courant.AnchorVectors(lifted.zero())) \
         == ({0: 1}, {0: 6, 1: 6})
 
 
@@ -212,7 +213,7 @@ def test_weighted_cohomology_needs_point_chart():
     lifted = lifts.tangent_lift_chart(flat, 2)
     theta = lifts.complete_lift(parse_expr(flat, "xi1*p1"), 2, lifted)
     with pytest.raises(PotentialError, match="point"):
-        complexes.point_cohomology(theta)
+        complexes.point_cohomology(courant.AnchorVectors(theta))
 
 
 def test_lifted_verdicts():

@@ -55,7 +55,7 @@ def test_naive_condition_agrees_with_jacobi_oracle():
         sc = courant.classify(theta)
         assert complexes.naive_cohomology_condition(theta, sc.sigma) is want
         assert sc.verdict == ("Courant" if want else "PreCourant")
-        assert complexes.point_cohomology(theta) \
+        assert complexes.point_cohomology(courant.AnchorVectors(theta)) \
             == ({0: 1}, {0: oracles.point_h1(c, rank)})
         outcomes.add(want)
 
