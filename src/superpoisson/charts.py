@@ -8,6 +8,12 @@ bracket engine relies on (weight compatibility, parity compatibility,
 nondegeneracy over the rationals) is checked here, not in the engine.
 Nondegeneracy is checked by an exact determinant per connected block of
 the pairing (a conjugate pair, a metric block), not of the whole matrix.
+
+The grading is decided here and nowhere else: Chart.symplectic_weight and
+Chart.lift_weight sum a weight vector over the symplectic axes and over
+the others (the lift axis of a lifted chart), and the sectors are indexed
+once, on construction: base_indices (symplectic weight 0),
+section_indices (weight 1) and momentum_indices (conjugate to the base).
 """
 
 from fractions import Fraction
@@ -138,6 +144,9 @@ class Chart:
         self.base_indices = tuple(
             g.index for g in self.generators
             if self.symplectic_weight(g.weight) == 0)
+        self.section_indices = tuple(
+            g.index for g in self.generators
+            if self.symplectic_weight(g.weight) == 1)
         base = set(self.base_indices)
         momenta = set()
         for (gi, hj) in self.pairing:
@@ -159,16 +168,13 @@ class Chart:
         return self.generators[self.name_to_index[name]]
 
     def symplectic_weight(self, weight):
+        """The entries of a weight vector on the symplectic axes, summed."""
         return sum(weight[a] for a in self.symplectic_axes)
 
-    def gen_symplectic_weight(self, idx):
-        return self.symplectic_weight(self.generators[idx].weight)
-
-    def element_symplectic_weight(self, P):
-        w = P.weight()
-        if w is None:
-            return None
-        return self.symplectic_weight(w)
+    def lift_weight(self, weight):
+        """The entries of a weight vector on the other axes, summed: the
+        lift weight on a lifted chart, 0 where every axis is symplectic."""
+        return sum(weight) - self.symplectic_weight(weight)
 
     def pairing_entries(self):
         """All nonzero ordered pairs (gi, hj, coefficient), deterministic."""
@@ -280,7 +286,7 @@ def _structural_problems(chart):
             "conjugate weights sum to %r; the symplectic form must have "
             "symplectic weight 2" % (pair_weight,))
     elif (chart.lift_degree is not None
-          and sum(pair_weight) - 2 != chart.lift_degree - 1):
+          and chart.lift_weight(pair_weight) != chart.lift_degree - 1):
         problems.append(
             "conjugate weights sum to %r; on a degree-%d lifted chart the "
             "symplectic form must have lift weight %d"
@@ -337,7 +343,7 @@ def _structural_problems(chart):
                 problems.append("unknown role %r for %s" % (role, name))
                 continue
             idx = chart.name_to_index[name]
-            if role == "base" and chart.gen_symplectic_weight(idx) != 0:
+            if role == "base" and idx not in chart.base_indices:
                 problems.append(
                     "generator %s has role base but nonzero symplectic "
                     "weight" % name)

@@ -287,16 +287,11 @@ def cmd_gallery(args):
             inst = gallery.build(args.name)
         except gallery.GalleryError as e:
             raise UsageError(str(e))
-        failures, _ = gallery.check_instance(inst)
-        payload = {
-            "instances": [{"name": inst.name, "ok": not failures,
-                           "failures": failures}],
-            "ok": not failures,
-        }
-        lines = ["%s: %s" % (inst.name, "ok" if not failures else "FAILED")]
-        lines.extend("  " + f for f in failures)
-        _emit(args, payload, lines)
-        return EXIT_OK if not failures else EXIT_FAILED
+        row = gallery.check_row(inst)
+        lines = ["%s: %s" % (row["name"], "ok" if row["ok"] else "FAILED")]
+        lines.extend("  " + f for f in row["failures"])
+        _emit(args, {"instances": [row], "ok": row["ok"]}, lines)
+        return EXIT_OK if row["ok"] else EXIT_FAILED
     report = gallery.run_all()
     lines = []
     for row in report["instances"]:

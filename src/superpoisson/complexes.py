@@ -19,7 +19,7 @@ naive_commutator_defect takes {theta, alpha}, and
 naive_cohomology_condition takes {theta, theta}.
 """
 
-from .superpoly import homogeneity, to_text
+from .superpoly import to_text
 from .poisson import bracket
 from .courant import (AnchorVectors, PotentialError, anchor_vector,
                       apply_anchor_vector, pairing, pre_bracket)
@@ -44,7 +44,8 @@ def naive_membership(anchors, alpha):
     """
     chart = alpha.chart
     for g in chart.generators:
-        if chart.gen_symplectic_weight(g.index) > 1 and alpha.uses_generator(g.index):
+        if (chart.symplectic_weight(g.weight) > 1
+                and alpha.uses_generator(g.index)):
             return False
     if alpha.is_zero:
         return True
@@ -133,11 +134,11 @@ def classical_naive_differential(theta, psi, basis, dual):
     if not naive_membership(AnchorVectors(theta), psi):
         raise PotentialError("element is not in the small complex: %s"
                              % to_text(psi))
-    hom = homogeneity(psi)
-    if not hom.homogeneous or hom.weight is None:
+    weight = psi.weight()
+    if weight is None or psi.parity() is None:
         raise PotentialError("element must be homogeneous: %s" % to_text(psi))
     chart = psi.chart
-    k = chart.symplectic_weight(hom.weight)
+    k = chart.symplectic_weight(weight)
     _check_dual(basis, dual)
     ck = identification_constant(k)
     brackets = {}
@@ -209,11 +210,12 @@ def point_cohomology(anchors):
     Over a point the contraction conditions are empty, so the degree-1
     cochains are spanned by the weight-1 generators, H0 is the constants
     (lift weight 0) and d0 = {theta, const} = 0, so H1 is the kernel of
-    {theta, .} on those generators.  They are grouped by lift weight on a
-    lifted chart and form one group of lift weight 0 otherwise; dim H1 of
-    a group is its size minus the rank of the images {theta, g}, by exact
-    linear algebra.  The table's anchor vectors (-1)^g~ {theta, g} are
-    those images up to a sign per row, which leaves the rank as it is.
+    {theta, .} on those generators.  They are grouped by lift weight
+    (Chart.lift_weight) on a lifted chart and form one group of lift
+    weight 0 otherwise; dim H1 of a group is its size minus the rank of
+    the images {theta, g}, by exact linear algebra.  The table's anchor
+    vectors (-1)^g~ {theta, g} are those images up to a sign per row,
+    which leaves the rank as it is.
 
     Nothing is refused when {theta, theta} != 0: H0 and H1 depend only on
     d0 and d1, and d0 vanishes for every theta over a point, so a d^2 check
@@ -224,10 +226,11 @@ def point_cohomology(anchors):
         raise PotentialError("point cohomology needs a chart over a point "
                              "(no symplectic-weight-0 generators)")
     groups = {}
-    for g in chart.generators:
-        if chart.gen_symplectic_weight(g.index) == 1:
-            weight = g.weight[0] if chart.lift_degree is not None else 0
-            groups.setdefault(weight, []).append(anchors[g.name])
+    for idx in chart.section_indices:
+        g = chart.generators[idx]
+        weight = (chart.lift_weight(g.weight)
+                  if chart.lift_degree is not None else 0)
+        groups.setdefault(weight, []).append(anchors[g.name])
     h1 = {}
     for weight, images in sorted(groups.items()):
         keys = sorted({key for v in images for key in v.terms})
@@ -247,14 +250,13 @@ def constant_l1_basis(theta):
     iota is computed once; a zero one imposes no condition.
     """
     chart = theta.chart
-    sections = [chart.gen(g.name) for g in chart.generators
-                if chart.gen_symplectic_weight(g.index) == 1]
+    sections = [chart.gen(chart.generators[idx].name)
+                for idx in chart.section_indices]
     if not sections:
         return []
     contractions = []
     for idx in chart.base_indices:
-        f = chart.gen(chart.generators[idx].name)
-        tf = bracket(theta, f) * (-1 if f.parity() else 1)
+        tf = anchor_vector(theta, chart.gen(chart.generators[idx].name))
         if not tf.is_zero:
             contractions.append([bracket(tf, s) for s in sections])
     keys = sorted({key
@@ -295,8 +297,8 @@ def naive_cohomology_condition(theta, tt):
     if tt.is_zero:
         return True
     chart = theta.chart
-    ones = [chart.gen(g.name) for g in chart.generators
-            if chart.gen_symplectic_weight(g.index) == 1]
+    ones = [chart.gen(chart.generators[idx].name)
+            for idx in chart.section_indices]
     for kappa in constant_l1_basis(theta):
         with_kappa = bracket(tt, kappa)
         if with_kappa.is_zero:

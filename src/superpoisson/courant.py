@@ -47,43 +47,41 @@ def _parity(value, what):
     return par
 
 
+def _term_problem(theta, key, lift):
+    """What is wrong with the term key of a potential, as a message with
+    one %s for the term's text; None when nothing is."""
+    chart = theta.chart
+    weight = theta.term_weight(key)
+    if theta.term_parity(key) != ODD:
+        return "potential must be odd; even term %s"
+    if chart.symplectic_weight(weight) != 3:
+        return ("potential must have symplectic weight 3; term %%s has %d"
+                % chart.symplectic_weight(weight))
+    if lift is not None and chart.lift_weight(weight) != lift:
+        return ("potential on a degree-%d lifted chart must have lift "
+                "weight %d; term %%s has %d"
+                % (lift + 1, lift, chart.lift_weight(weight)))
+    return None
+
+
 def validate_potential(theta):
     """Check that theta is odd and of symplectic weight 3 in every term.
 
     The weight vector may differ between terms across the symplectic axes
     (on a two-axis cotangent chart the pure cubic fibre term trades axis
     weights against the momentum terms), so the scan is term by term.  On
-    charts carrying a lift axis every term must in addition have lift
-    weight k - 1 where k is the chart's lift degree.  Raises
-    PotentialError with a description of the first problem found.
+    a lifted chart every term must in addition have lift weight k - 1
+    where k is the chart's lift degree.  Raises PotentialError for the
+    least offending term key; the terms are sorted, and a term's text
+    built, only for that message.
     """
     chart = theta.chart
-    if theta.is_zero:
-        return
-    lift_axes = None
-    if chart.lift_degree is not None:
-        lift_axes = [axis for axis in range(chart.axes)
-                     if axis not in chart.symplectic_axes]
-    for key in sorted(theta.terms):
-        parity = theta.term_parity(key)
-        weight = theta.term_weight(key)
-        term = type(theta)(chart, {key: theta.terms[key]})
-        if parity != ODD:
-            raise PotentialError(
-                "potential must be odd; even term %s" % to_text(term))
-        wsym = sum(weight[axis] for axis in chart.symplectic_axes)
-        if wsym != 3:
-            raise PotentialError(
-                "potential must have symplectic weight 3; term %s has %d"
-                % (to_text(term), wsym))
-        if lift_axes is not None:
-            wlift = sum(weight[axis] for axis in lift_axes)
-            if wlift != chart.lift_degree - 1:
-                raise PotentialError(
-                    "potential on a degree-%d lifted chart must have lift "
-                    "weight %d; term %s has %d"
-                    % (chart.lift_degree, chart.lift_degree - 1,
-                       to_text(term), wlift))
+    lift = None if chart.lift_degree is None else chart.lift_degree - 1
+    bad = [key for key in theta.terms if _term_problem(theta, key, lift)]
+    if bad:
+        key = min(bad)
+        raise PotentialError(_term_problem(theta, key, lift) % to_text(
+            type(theta)(chart, {key: theta.terms[key]})))
 
 
 def pre_bracket(theta, sigma, psi):
@@ -100,8 +98,11 @@ def anchor_vector(theta, sigma):
 
 def apply_anchor_vector(rho, f):
     """{rho, f} for an anchor vector rho and a weight-0 function f."""
-    if not f.is_zero and f.chart.element_symplectic_weight(f) != 0:
-        raise PotentialError("anchor argument must have symplectic weight 0: %s" % to_text(f))
+    if not f.is_zero:
+        weight = f.weight()
+        if weight is None or f.chart.symplectic_weight(weight) != 0:
+            raise PotentialError("anchor argument must have symplectic "
+                                 "weight 0: %s" % to_text(f))
     return bracket(rho, f)
 
 

@@ -25,7 +25,7 @@ lift weight k - 1, so that the substitution keeps every coordinate's
 bi-weight; a graph that breaks this is refused when it is built.
 """
 
-from .superpoly import homogeneity, left_partial, substitute, to_text
+from .superpoly import left_partial, substitute, to_text
 from .poisson import bracket
 from .courant import validate_potential
 
@@ -66,16 +66,16 @@ def _check_sector_function(chart, value, odd_role, what):
     lift weight k - 1."""
     if value.is_zero:
         return
-    hom = homogeneity(value)
-    if not hom.homogeneous:
+    weight, parity = value.weight(), value.parity()
+    if weight is None or parity is None:
         raise GraphError("%s must be homogeneous: %s" % (what, to_text(value)))
-    if hom.parity != 0:
+    if parity != 0:
         raise GraphError("%s must be even: %s" % (what, to_text(value)))
-    if chart.symplectic_weight(hom.weight) != 2:
+    if chart.symplectic_weight(weight) != 2:
         raise GraphError(
             "%s must have symplectic weight 2, got %d"
-            % (what, chart.symplectic_weight(hom.weight)))
-    lift = sum(hom.weight) - chart.symplectic_weight(hom.weight)
+            % (what, chart.symplectic_weight(weight)))
+    lift = chart.lift_weight(weight)
     if chart.lift_degree is not None and lift != chart.lift_degree - 1:
         raise GraphError(
             "%s on a degree-%d lifted chart must have lift weight %d, got %d"
@@ -108,7 +108,7 @@ class CoordinateSubbundle:
             if name in seen:
                 continue
             idx = chart.name_to_index[name]
-            if chart.gen_symplectic_weight(idx) == 0:
+            if idx in chart.base_indices:
                 raise GraphError(
                     "vanishing the base coordinate %s would move the "
                     "support off the full base, which is not supported"
@@ -209,7 +209,7 @@ def is_isotropic(graph):
         return True
     chart = graph.chart
     alive = [i for i in graph.survivor_indices()
-             if chart.gen_symplectic_weight(i) == 1]
+             if i in chart.section_indices]
     for i in alive:
         for j in alive:
             if chart.pairing.get((i, j), 0) != 0:

@@ -270,17 +270,18 @@ def check_instance(inst):
     return failures, sc
 
 
+def check_row(inst):
+    """The report row of one instance: its name, whether every check
+    passed, and the failures."""
+    failures, _ = check_instance(inst)
+    return {"name": inst.name, "ok": not failures, "failures": failures}
+
+
 def run_all():
     """Check every instance; the report lists per-instance failures."""
-    rows = []
-    ok = True
-    for name in INSTANCE_NAMES:
-        inst = build(name)
-        failures, _ = check_instance(inst)
-        ok = ok and not failures
-        rows.append({"name": name, "ok": not failures,
-                     "failures": failures})
-    return {"schema_version": SCHEMA_VERSION, "ok": ok, "instances": rows}
+    rows = [check_row(build(name)) for name in INSTANCE_NAMES]
+    return {"schema_version": SCHEMA_VERSION,
+            "ok": all(row["ok"] for row in rows), "instances": rows}
 
 
 # -- file format ------------------------------------------------------------

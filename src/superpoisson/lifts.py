@@ -30,7 +30,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 
-from .superpoly import SuperPoly, _norm, homogeneity, to_text
+from .superpoly import SuperPoly, _norm, to_text
 from .poisson import bracket
 from .charts import Chart
 
@@ -49,8 +49,8 @@ def flatten_chart(chart, name=None):
         raise LiftError(
             "chart %s has non-symplectic axes; flattening would lose its "
             "grading" % chart.name)
-    gens = [(g.name, g.parity, (chart.gen_symplectic_weight(i),))
-            for i, g in enumerate(chart.generators)]
+    gens = [(g.name, g.parity, (chart.symplectic_weight(g.weight),))
+            for g in chart.generators]
     pairing_spec = [(chart.generators[gi].name, chart.generators[hj].name, c)
                     for gi, hj, c in chart.pairing_entries()
                     if gi < hj or (gi == hj)]
@@ -184,8 +184,7 @@ def complete_lift(P, k, target=None):
         target = tangent_lift_chart(chart, k)
     if P.is_zero:
         return target.zero()
-    hom = homogeneity(P)
-    if not hom.homogeneous:
+    if P.parity() is None or P.weight() is None:
         raise LiftError("complete lift needs a homogeneous input: %s"
                         % to_text(P))
     n = len(chart.generators)

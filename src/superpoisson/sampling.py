@@ -42,8 +42,7 @@ def random_base_function(chart, rng):
 def random_section(chart, rng):
     """Random symplectic-weight-1 element: one to three generator terms
     with base-function coefficients."""
-    ones = [g for g in chart.generators
-            if chart.symplectic_weight(g.weight) == 1]
+    ones = [chart.generators[idx] for idx in chart.section_indices]
     if not ones:
         raise SamplingError("chart %s has no weight-1 sector" % chart.name)
     total = chart.zero()

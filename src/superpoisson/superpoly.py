@@ -377,43 +377,6 @@ class SuperPoly:
         return names
 
 
-class Homogeneity:
-    """Result of a homogeneity scan: shared parity/weight or the offenders."""
-
-    __slots__ = ("homogeneous", "parity", "weight", "offenders")
-
-    def __init__(self, homogeneous, parity, weight, offenders):
-        self.homogeneous = homogeneous
-        self.parity = parity
-        self.weight = weight
-        self.offenders = offenders
-
-    def __repr__(self):
-        return ("Homogeneity(homogeneous=%r, parity=%r, weight=%r, offenders=%r)"
-                % (self.homogeneous, self.parity, self.weight, self.offenders))
-
-
-def homogeneity(P):
-    """Report whether P is parity- and weight-homogeneous.
-
-    Zero is homogeneous of every parity and weight (both reported None).
-    Offenders list the distinct (parity, weight) classes present when the
-    scan fails.
-    """
-    if P.is_zero:
-        return Homogeneity(True, None, None, [])
-    classes = {}
-    for key in sorted(P.terms):
-        cls = (P.term_parity(key), P.term_weight(key))
-        classes.setdefault(cls, []).append(key)
-    if len(classes) == 1:
-        (parity, weight), = classes.keys()
-        return Homogeneity(True, parity, weight, [])
-    offenders = [(parity, weight, _key_text(P.chart, keys[0]))
-                 for (parity, weight), keys in sorted(classes.items())]
-    return Homogeneity(False, None, None, offenders)
-
-
 def _add_term(out, key, c):
     """Add c to out[key] in a term dict, dropping the key if the sum is 0."""
     c = _norm(out.get(key, 0) + c)

@@ -59,9 +59,8 @@ def weight_one_frame(chart):
         return ([chart.gen(n) for n in names_], courant.metric_frame(chart))
     basis = []
     dual = []
-    for g in chart.generators:
-        if chart.gen_symplectic_weight(g.index) != 1:
-            continue
+    for idx in chart.section_indices:
+        g = chart.generators[idx]
         conj = chart.conjugates(g.index)
         if len(conj) != 1:
             raise ValueError("no single conjugate for %s" % g.name)

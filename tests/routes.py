@@ -28,8 +28,8 @@ from superpoisson.dirac import (CoordinateSubbundle, GraphError, is_isotropic,
 from superpoisson.lifts import (LiftError, lift_component, lifted_name,
                                 tangent_lift_chart)
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import (SuperPoly, homogeneity, left_partial,
-                                   mul_terms_into, substitute, to_text)
+from superpoisson.superpoly import (SuperPoly, left_partial, mul_terms_into,
+                                   substitute, to_text)
 
 
 def _darboux_sectors(chart):
@@ -204,9 +204,9 @@ def induced_almost_lie(theta, graph):
 
     alive = graph.survivor_indices()
     sections = [chart.generators[i].name for i in alive
-                if chart.gen_symplectic_weight(i) == 1]
+                if i in chart.section_indices]
     base_names = [chart.generators[i].name for i in alive
-                  if chart.gen_symplectic_weight(i) == 0
+                  if i in chart.base_indices
                   and chart.generators[i].parity == 0]
 
     bracket_table = {}
@@ -301,13 +301,11 @@ def weight_table_check(theta):
         raise LiftError("weight table needs a chart with a lift degree")
     k = chart.lift_degree
     validate_potential(theta)
-    sections = [(i, chart.generators[i].weight[0])
-                for i in range(len(chart.generators))
-                if chart.gen_symplectic_weight(i) == 1]
-    base = [(i, chart.generators[i].weight[0])
-            for i in range(len(chart.generators))
-            if chart.gen_symplectic_weight(i) == 0
-            and chart.generators[i].parity == 0]
+    sections = [(i, chart.lift_weight(chart.generators[i].weight))
+                for i in chart.section_indices]
+    base = [(i, chart.lift_weight(chart.generators[i].weight))
+            for i in chart.base_indices
+            if chart.generators[i].parity == 0]
     problems = []
     checks = 0
 
@@ -417,8 +415,7 @@ def substitution_lift(P, k, target=None):
         target = tangent_lift_chart(chart, k)
     if P.is_zero:
         return target.zero()
-    hom = homogeneity(P)
-    if not hom.homogeneous:
+    if P.parity() is None or P.weight() is None:
         raise LiftError("complete lift needs a homogeneous input: %s"
                         % to_text(P))
     sym_cache = {}

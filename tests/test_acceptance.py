@@ -22,7 +22,7 @@ from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.dirac import BivectorGraph, TwoFormGraph
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import homogeneity, to_text
+from superpoisson.superpoly import to_text
 
 
 REPORT = gallery.run_all()
@@ -181,8 +181,7 @@ def test_criterion_5_classical_differential_on_all_list_elements():
         T = inst.default_potential
         basis, dual = identities.weight_one_frame(inst.chart)
         for el in inst.l_elements:
-            hom = homogeneity(el)
-            assert inst.chart.symplectic_weight(hom.weight) <= 3
+            assert inst.chart.symplectic_weight(el.weight()) <= 3
             got = complexes.classical_naive_differential(T, el, basis, dual)
             assert got == complexes.q_theta(T, el), (name, to_text(el))
             seen += 1

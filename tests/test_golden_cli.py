@@ -31,6 +31,8 @@ GOLDEN = os.path.join(HERE, "golden")
 
 COMMANDS = (
     ("gallery_json", ["gallery", "--json"]),
+    ("gallery_cross3_json", ["gallery", "cross3", "--json"]),
+    ("gallery_cross3", ["gallery", "cross3"]),
     ("check_cross7", ["check", "cross7", "--json", "--seed", "3",
                       "--samples", "3"]),
     ("check_quasi_poisson", ["check", "quasi_poisson", "--json", "--seed",

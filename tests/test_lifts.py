@@ -6,7 +6,9 @@ import draws
 import oracles
 import routes
 from superpoisson import complexes, courant, gallery, lifts
-from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
+from superpoisson.charts import (chart_from_json, chart_to_json,
+                                 make_cotangent_antivb_chart,
+                                 make_darboux_chart)
 from superpoisson.courant import PotentialError
 from superpoisson.lifts import LiftError
 from superpoisson.poisson import bracket
@@ -30,7 +32,7 @@ def test_flatten_collapses_weights_and_keeps_structure():
     for g in ch.generators:
         idx = flat.name_to_index[g.name]
         assert flat.generators[idx].weight \
-            == (ch.gen_symplectic_weight(g.index),)
+            == (ch.symplectic_weight(g.weight),)
         assert flat.roles.get(g.name) == ch.roles.get(g.name)
     assert bracket(flat.gen("xi1"), flat.gen("pi1")) == flat.one()
     assert bracket(flat.gen("p1"), flat.gen("x1")) == flat.one()
@@ -214,6 +216,24 @@ def test_weighted_cohomology_needs_point_chart():
     theta = lifts.complete_lift(parse_expr(flat, "xi1*p1"), 2, lifted)
     with pytest.raises(PotentialError, match="point"):
         complexes.point_cohomology(courant.AnchorVectors(theta))
+
+
+def test_weighted_cohomology_reads_the_lift_axis_from_the_chart():
+    # The same degree-3 lift of cross3 with every weight vector reversed:
+    # the lift axis is now the second one and the symplectic axis the
+    # first, a layout the chart format accepts.  The split of H1 follows
+    # the chart's non-symplectic axis, wherever it sits.
+    lifted, TL = lifted_cross3(3)
+    data = chart_to_json(lifted)
+    for g in data["generators"]:
+        g["weight"] = g["weight"][::-1]
+    data["symplectic_axes"] = [0]
+    swapped = chart_from_json(data)
+    TS = parse_expr(swapped, to_text(TL))
+    want = ({0: 1}, {0: 0, 1: 0, 2: 0})
+    assert complexes.point_cohomology(courant.AnchorVectors(TL)) == want
+    assert complexes.point_cohomology(courant.AnchorVectors(TS)) == want
+    assert courant.classify(TS).verdict == courant.classify(TL).verdict
 
 
 def test_lifted_verdicts():
