@@ -15,16 +15,11 @@ from superpoisson.superpoly import parse_expr, to_text
 
 def main():
     ch = make_darboux_chart(2, 1)
-    lifted2 = lifts.tangent_lift_chart(ch, 2)
-    lifted3 = lifts.tangent_lift_chart(ch, 3)
     print("complete lifts on a small chart:")
-    for text, k, target in (("x1", 2, lifted2),
-                            ("g", 2, lifted2),
-                            ("x1*x2", 3, lifted3),
-                            ("xi1*p1", 2, lifted2)):
+    for text, k in (("x1", 2), ("g", 2), ("x1*x2", 3), ("xi1*p1", 2)):
         P = parse_expr(ch, text)
         print("  (%s)^c at k=%d:  %s"
-              % (text, k, to_text(lifts.complete_lift(P, k, target))))
+              % (text, k, to_text(lifts.complete_lift(P, k))))
     print()
 
     inst = gallery.build("cross3")
@@ -35,15 +30,14 @@ def main():
     print()
 
     for k in (2, 3):
-        target = lifts.tangent_lift_chart(flat, k)
-        TL = lifts.complete_lift(theta, k, target)
-        print("lift at k=%d onto %s:" % (k, target.name))
+        TL = lifts.complete_lift(theta, k)
+        print("lift at k=%d onto %s:" % (k, TL.chart.name))
         print("  potential:", to_text(TL))
         sc = courant.classify(TL)
         print("  verdict:", sc.verdict)
         P = parse_expr(flat, "xi1*pi2")
         Q = parse_expr(flat, "pi3")
-        defect = lifts.lift_identity_check(P, Q, k, target)
+        defect = lifts.lift_identity_check(P, Q, k)
         print("  bracket compatibility on a spot pair:",
               "holds" if defect.is_zero else to_text(defect))
         if k == 2:

@@ -385,15 +385,12 @@ def hyperbolic_metric(half_rank):
     return rows
 
 
-def make_darboux_chart(base_dim, rank, metric=None, *, name=None,
-                       odd_names=None):
+def make_darboux_chart(base_dim, rank, metric=None):
     """Affine Darboux chart: x^a (weight 0), p_a (weight 2), xi^i (weight 1)
     with {p_a, x^b} = delta and {xi^i, xi^j} = g^ij."""
     if metric is None:
         metric = identity_metric(rank)
-    if odd_names is None:
-        odd_names = ["xi%d" % (i + 1) for i in range(rank)]
-    assert len(odd_names) == rank
+    odd_names = ["xi%d" % (i + 1) for i in range(rank)]
     gens = []
     for a in range(base_dim):
         gens.append(("x%d" % (a + 1), EVEN, (0,)))
@@ -415,25 +412,19 @@ def make_darboux_chart(base_dim, rank, metric=None, *, name=None,
         roles["p%d" % (a + 1)] = "momentum"
     for i in range(rank):
         roles[odd_names[i]] = "fibre"
-    return Chart(name or "darboux(%d|%d)" % (base_dim, rank), 1, gens,
+    return Chart("darboux(%d|%d)" % (base_dim, rank), 1, gens,
                  pairing, metric=(odd_names, metric), n_manifold=True,
                  symplectic_axes=(0,), roles=roles)
 
 
-def make_cotangent_antivb_chart(base_dim, fibre_rank, *, name=None,
-                                base_names=None, fibre_names=None,
-                                momentum_names=None, cofibre_names=None):
+def make_cotangent_antivb_chart(base_dim, fibre_rank):
     """Chart of the cotangent of a parity-shifted vector bundle: x^a (0,0)
     even, xi^i (1,0) odd, p_a (1,1) even, pi_i (0,1) odd, with {p_a, x^b} =
     delta and {xi^i, pi_j} = delta.  Symplectic weight is the total weight."""
-    base_names = base_names or ["x%d" % (a + 1) for a in range(base_dim)]
-    fibre_names = fibre_names or ["xi%d" % (i + 1) for i in range(fibre_rank)]
-    momentum_names = momentum_names or ["p%d" % (a + 1)
-                                        for a in range(base_dim)]
-    cofibre_names = cofibre_names or ["pi%d" % (i + 1)
-                                      for i in range(fibre_rank)]
-    assert len(base_names) == len(momentum_names) == base_dim
-    assert len(fibre_names) == len(cofibre_names) == fibre_rank
+    base_names = ["x%d" % (a + 1) for a in range(base_dim)]
+    fibre_names = ["xi%d" % (i + 1) for i in range(fibre_rank)]
+    momentum_names = ["p%d" % (a + 1) for a in range(base_dim)]
+    cofibre_names = ["pi%d" % (i + 1) for i in range(fibre_rank)]
     gens = []
     for nm in base_names:
         gens.append((nm, EVEN, (0, 0)))
@@ -457,7 +448,7 @@ def make_cotangent_antivb_chart(base_dim, fibre_rank, *, name=None,
         roles[nm] = "momentum"
     for nm in cofibre_names:
         roles[nm] = "cofibre"
-    return Chart(name or "cotangent_antivb(%d|%d)" % (base_dim, fibre_rank),
+    return Chart("cotangent_antivb(%d|%d)" % (base_dim, fibre_rank),
                  2, gens, pairing, n_manifold=True, symplectic_axes=(0, 1),
                  roles=roles)
 

@@ -97,12 +97,12 @@ def anchor_vector(theta, sigma):
 
 
 def apply_anchor_vector(rho, f):
-    """{rho, f} for an anchor vector rho and a weight-0 function f."""
-    if not f.is_zero:
-        weight = f.weight()
-        if weight is None or f.chart.symplectic_weight(weight) != 0:
-            raise PotentialError("anchor argument must have symplectic "
-                                 "weight 0: %s" % to_text(f))
+    """{rho, f} for an anchor vector rho and a function f of symplectic
+    weight 0 in every term; the terms may differ in lift weight."""
+    if any(f.chart.symplectic_weight(f.term_weight(key)) != 0
+           for key in f.terms):
+        raise PotentialError("anchor argument must have symplectic "
+                             "weight 0: %s" % to_text(f))
     return bracket(rho, f)
 
 

@@ -16,6 +16,10 @@ exactly that on term dicts, dividing once at the end.  The bracket
 identity {P^c, Q^c} = ({P, Q})^c, checked by the tests and exposed as
 ``lift_identity_check``, pins this convention.
 
+complete_lift(P, k) returns an element of a new lifted chart, read as
+``.chart``.  Lifts on one chart come from lift_identity_check, or from
+``superpoly.substitute`` transport by name onto a chart already built.
+
 Charts with two axes must be flattened to total weight before lifting;
 ``flatten_chart`` and ``flatten_poly`` do this by preserving names.
 
@@ -39,7 +43,7 @@ class LiftError(ValueError):
     pass
 
 
-def flatten_chart(chart, name=None):
+def flatten_chart(chart):
     """Collapse a multi-axis chart to a single axis of total symplectic
     weight.  Names, parities, pairing, roles and the N-flag survive; the
     metric block does too since it is keyed by names."""
@@ -54,7 +58,7 @@ def flatten_chart(chart, name=None):
     pairing_spec = [(chart.generators[gi].name, chart.generators[hj].name, c)
                     for gi, hj, c in chart.pairing_entries()
                     if gi < hj or (gi == hj)]
-    return Chart(name or ("%s|flat" % chart.name), 1, gens, pairing_spec,
+    return Chart("%s|flat" % chart.name, 1, gens, pairing_spec,
                  metric=chart.metric, n_manifold=chart.n_manifold,
                  symplectic_axes=(0,), roles=chart.roles)
 
@@ -69,7 +73,7 @@ def lifted_name(name, eps):
     return "%s_%d" % (name, eps)
 
 
-def tangent_lift_chart(chart, k, name=None):
+def tangent_lift_chart(chart, k):
     """Chart of the (k-1)-th tangent prolongation: copies z_eps with
     bi-weight (eps, w(z)) and pairing {g_eps, h_delta} = {g, h} exactly
     when eps + delta = k - 1."""
@@ -105,7 +109,7 @@ def tangent_lift_chart(chart, k, name=None):
                 continue
             for eps in range(k):
                 roles[lifted_name(g.name, eps)] = role
-    return Chart(name or ("%s|T%d" % (chart.name, k - 1)), 2, gens,
+    return Chart("%s|T%d" % (chart.name, k - 1), 2, gens,
                  pairing_spec, n_manifold=chart.n_manifold,
                  symplectic_axes=(1,), roles=roles, lift_degree=k)
 
@@ -170,18 +174,20 @@ def _total_derivative(terms, up, base):
     return {key: _norm(c) for key, c in out.items() if c}
 
 
-def complete_lift(P, k, target=None):
-    """P^c = D^(k-1)(P_0) / (k-1)! of a homogeneous P, where
-    D g_eps = (eps + 1) g_(eps+1), 0 at eps = k - 1, and
-    D f_J = sum_b f_(J,b) x_(b,1); see the module docstring.
+def complete_lift(P, k):
+    """P^c = D^(k-1)(P_0) / (k-1)! of a homogeneous P, on a new
+    tangent_lift_chart(P.chart, k); see the module docstring."""
+    return _lift(P, k, tangent_lift_chart(P.chart, k))
 
-    target, built when not given, is tangent_lift_chart(P.chart, k): copy
-    eps of generator i has index eps n + i there, so P_0 has P's own term
-    dict, and eps is read from a copy's weight.  (k-1)! divides once.
+
+def _lift(P, k, target):
+    """complete_lift onto target, which is tangent_lift_chart(P.chart, k):
+    D g_eps = (eps + 1) g_(eps+1), 0 at eps = k - 1, and
+    D f_J = sum_b f_(J,b) x_(b,1).  Copy eps of generator i has index
+    eps n + i on target, so P_0 has P's own term dict, and eps is read
+    from a copy's weight.  (k-1)! divides once.
     """
     chart = P.chart
-    if target is None:
-        target = tangent_lift_chart(chart, k)
     if P.is_zero:
         return target.zero()
     if P.parity() is None or P.weight() is None:
@@ -199,13 +205,11 @@ def complete_lift(P, k, target=None):
     return lift_component(SuperPoly.from_clean_terms(target, lifted), k - 1)
 
 
-def lift_identity_check(P, Q, k, target=None):
-    """{P^c, Q^c} on the lifted chart minus ({P, Q})^c; identically zero
+def lift_identity_check(P, Q, k):
+    """{P^c, Q^c} minus ({P, Q})^c, on one lifted chart; identically zero
     when the lift conventions are consistent."""
     if P.chart is not Q.chart:
         raise LiftError("inputs live on different charts")
-    if target is None:
-        target = tangent_lift_chart(P.chart, k)
-    lhs = bracket(complete_lift(P, k, target), complete_lift(Q, k, target))
-    rhs = complete_lift(bracket(P, Q), k, target)
-    return lhs - rhs
+    target = tangent_lift_chart(P.chart, k)
+    lhs = bracket(_lift(P, k, target), _lift(Q, k, target))
+    return lhs - _lift(bracket(P, Q), k, target)

@@ -45,18 +45,9 @@ def rank(rows):
     return len(pivots)
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the right kernel as a list of Fraction vectors."""
-    if not rows:
-        if ncols is None:
-            return []
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = len(rows[0])
+def nullspace(rows, ncols):
+    """Basis of the right kernel of rows, each of length ncols, as a list
+    of Fraction vectors; with no rows, the identity basis."""
     m, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

@@ -232,10 +232,9 @@ def test_criterion_7_lift_identity_50_pairs():
     for k in (2, 3):
         for r in range(25):
             ch = charts[r % len(charts)]
-            target = lifts.tangent_lift_chart(ch, k)
             P = draws.random_homogeneous(ch, rng)
             Q = draws.random_homogeneous(ch, rng)
-            assert lifts.lift_identity_check(P, Q, k, target).is_zero, (k, r)
+            assert lifts.lift_identity_check(P, Q, k).is_zero, (k, r)
 
 
 def test_criterion_7_lifts_preserve_the_verdict():
@@ -248,10 +247,8 @@ def test_criterion_7_lifts_preserve_the_verdict():
         if verdict not in seen:
             continue
         flat = lifts.flatten_chart(inst.chart)
-        lifted = lifts.tangent_lift_chart(flat, inst.lift_k)
         TL = lifts.complete_lift(
-            lifts.flatten_poly(inst.default_potential, flat),
-            inst.lift_k, lifted)
+            lifts.flatten_poly(inst.default_potential, flat), inst.lift_k)
         assert courant.classify(TL).verdict == verdict, name
         seen[verdict] += 1
     assert seen["PreCourant"] >= 4
@@ -261,8 +258,7 @@ def test_criterion_7_lifts_preserve_the_verdict():
 def test_criterion_7_weight_table_on_the_vb_lift():
     inst = gallery.build("cross7")
     flat = lifts.flatten_chart(inst.chart)
-    lifted = lifts.tangent_lift_chart(flat, 2)
-    TL = lifts.complete_lift(lifts.flatten_poly(inst.theta, flat), 2, lifted)
+    TL = lifts.complete_lift(lifts.flatten_poly(inst.theta, flat), 2)
     report = routes.weight_table_check(TL)
     assert report["problems"] == []
     assert report["checks"] == 1568

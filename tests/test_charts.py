@@ -46,12 +46,6 @@ def test_antivb_weights_and_roles():
         ch.name_to_index["xi1"], ch.name_to_index["xi2"]]
 
 
-def test_custom_fibre_names():
-    ch = make_cotangent_antivb_chart(2, 2, fibre_names=["xs1", "xs2"])
-    assert "xs1" in ch.name_to_index
-    assert ch.generators[ch.name_to_index["xs1"]].parity == 1
-
-
 def test_conjugates():
     ch = make_cotangent_antivb_chart(1, 2)
     xi1 = ch.name_to_index["xi1"]

@@ -8,7 +8,7 @@ import draws
 import identities
 import oracles
 import routes
-from superpoisson import complexes, courant
+from superpoisson import complexes, courant, gallery
 from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.courant import PotentialError
@@ -89,6 +89,20 @@ def test_d_operator_against_anchor():
         lhs = courant.pairing(complexes.q_theta(T, f), s)
         rhs = courant.anchor_apply(T, s, f)
         assert (lhs - rhs).is_zero or (lhs + rhs).is_zero
+
+
+def test_anchor_takes_weight_zero_terms_of_any_lift_weight():
+    # On vb_plain x1 has weight (0, 0) and q1 weight (1, 0): both are of
+    # symplectic weight 0, so the anchor acts on their sum term by term.
+    inst = gallery.build("vb_plain")
+    T, ch = inst.theta, inst.chart
+    s = ch.gen("pi1")
+    got = courant.anchor_apply(T, s, parse_expr(ch, "x1 + q1"))
+    parts = [courant.anchor_apply(T, s, ch.gen(name))
+             for name in ("x1", "q1")]
+    assert got == parts[0] + parts[1] == -1
+    with pytest.raises(PotentialError, match="symplectic weight 0"):
+        courant.anchor_apply(T, s, parse_expr(ch, "x1 + dx1"))
 
 
 def test_classify_verdicts():

@@ -140,16 +140,10 @@ def test_graph_json_round_trips():
         dirac.graph_from_json(ch, {"kind": "mystery"})
 
 
-def lifted_pair(rank, k):
-    base = make_cotangent_antivb_chart(0, rank)
-    flat = lifts.flatten_chart(base)
-    lifted = lifts.tangent_lift_chart(flat, k)
-    return flat, lifted
-
-
 def test_weighted_gate_rejects_offgrade_bivector():
-    flat, lifted = lifted_pair(2, 2)
-    T = lifts.complete_lift(parse_expr(flat, "xi1*xi2*pi1"), 2, lifted)
+    flat = lifts.flatten_chart(make_cotangent_antivb_chart(0, 2))
+    T = lifts.complete_lift(parse_expr(flat, "xi1*xi2*pi1"), 2)
+    lifted = T.chart
     with pytest.raises(GraphError, match="weight"):
         BivectorGraph(lifted, parse_expr(lifted, "pi1_0*pi2_0"))
     good = BivectorGraph(
@@ -160,8 +154,8 @@ def test_weighted_gate_rejects_offgrade_bivector():
 def test_lifted_coordinate_graph_stays_tangent():
     inst = gallery.build("cross3")
     flat = lifts.flatten_chart(inst.chart)
-    lifted = lifts.tangent_lift_chart(flat, 2)
-    T = lifts.complete_lift(lifts.flatten_poly(inst.theta, flat), 2, lifted)
+    T = lifts.complete_lift(lifts.flatten_poly(inst.theta, flat), 2)
+    lifted = T.chart
     graph = CoordinateSubbundle(flat, ["pi1", "pi2", "pi3"])
     up = routes.lift_graph(graph, lifted, 2)
     assert set(up.vanish) == {"pi%d_%d" % (i, e)

@@ -97,10 +97,9 @@ def test_lifted_name_format():
 
 def test_complete_lift_of_coordinates_and_symbols():
     ch = make_darboux_chart(1, 1)
-    lifted = lifts.tangent_lift_chart(ch, 2)
-    assert to_text(lifts.complete_lift(ch.gen("x1"), 2, lifted)) == "x1_1"
-    assert to_text(lifts.complete_lift(ch.gen("p1"), 2, lifted)) == "p1_1"
-    assert to_text(lifts.complete_lift(ch.symbol("g"), 2, lifted)) \
+    assert to_text(lifts.complete_lift(ch.gen("x1"), 2)) == "x1_1"
+    assert to_text(lifts.complete_lift(ch.gen("p1"), 2)) == "p1_1"
+    assert to_text(lifts.complete_lift(ch.symbol("g"), 2)) \
         == "D[g; x1_0]*x1_1"
     higher = {
         (3, "g"): "D[g; x1_0]*x1_2 + 1/2*D[g; x1_0, x1_0]*x1_1^2",
@@ -115,16 +114,14 @@ def test_complete_lift_of_coordinates_and_symbols():
                      " + 1/6*D[g; x1_0, x1_0, x1_0]*x1_0*x1_1^3",
     }
     for (k, text), want in higher.items():
-        got = lifts.complete_lift(parse_expr(ch, text), k,
-                                  lifts.tangent_lift_chart(ch, k))
+        got = lifts.complete_lift(parse_expr(ch, text), k)
         assert to_text(got) == want, (k, text)
 
 
 def test_complete_lift_of_products():
     ch = make_darboux_chart(2, 1)
-    lifted = lifts.tangent_lift_chart(ch, 3)
-    got = lifts.complete_lift(parse_expr(ch, "x1*x2"), 3, lifted)
-    want = parse_expr(lifted, "x1_0*x2_2 + x1_1*x2_1 + x1_2*x2_0")
+    got = lifts.complete_lift(parse_expr(ch, "x1*x2"), 3)
+    want = parse_expr(got.chart, "x1_0*x2_2 + x1_1*x2_1 + x1_2*x2_0")
     assert got == want
 
 
@@ -140,10 +137,9 @@ def test_lift_identity_on_random_pairs():
     for k in (2, 3):
         for r in range(10):
             ch = charts[r % len(charts)]
-            target = lifts.tangent_lift_chart(ch, k)
             P = draws.random_homogeneous(ch, rng)
             Q = draws.random_homogeneous(ch, rng)
-            defect = lifts.lift_identity_check(P, Q, k, target)
+            defect = lifts.lift_identity_check(P, Q, k)
             assert defect.is_zero, (k, r, to_text(defect))
 
 
@@ -153,19 +149,17 @@ def test_complete_lift_matches_curve_oracle():
     for k in (2, 3):
         for r in range(10):
             ch = charts[r % len(charts)]
-            target = lifts.tangent_lift_chart(ch, k)
             P = draws.random_homogeneous(ch, rng, allow_symbols=False)
-            got = lifts.complete_lift(P, k, target)
-            want = oracles.curve_lift_value(P, k, target)
+            got = lifts.complete_lift(P, k)
+            want = oracles.curve_lift_value(P, k, got.chart)
             assert got == want, (k, r)
 
 
 def lifted_cross3(k):
     inst = gallery.build("cross3")
     flat = lifts.flatten_chart(inst.chart)
-    lifted = lifts.tangent_lift_chart(flat, k)
-    TL = lifts.complete_lift(lifts.flatten_poly(inst.theta, flat), k, lifted)
-    return lifted, TL
+    TL = lifts.complete_lift(lifts.flatten_poly(inst.theta, flat), k)
+    return TL.chart, TL
 
 
 def test_weight_table_on_lifted_cross_product():
@@ -212,8 +206,7 @@ def test_weighted_cohomology_of_zero_potential():
 
 def test_weighted_cohomology_needs_point_chart():
     flat = flat_antivb(1, 1)
-    lifted = lifts.tangent_lift_chart(flat, 2)
-    theta = lifts.complete_lift(parse_expr(flat, "xi1*p1"), 2, lifted)
+    theta = lifts.complete_lift(parse_expr(flat, "xi1*p1"), 2)
     with pytest.raises(PotentialError, match="point"):
         complexes.point_cohomology(courant.AnchorVectors(theta))
 
@@ -249,9 +242,8 @@ def test_degree_four_lift_of_symbol_potentials(name):
     flat = lifts.flatten_chart(inst.chart)
     low = lifts.flatten_poly(inst.default_potential, flat)
     assert low.symbol_names()
-    target = lifts.tangent_lift_chart(flat, 4)
-    assert lifts.lift_identity_check(low, low, 4, target).is_zero
-    lifted = lifts.complete_lift(low, 4, target)
+    assert lifts.lift_identity_check(low, low, 4).is_zero
+    lifted = lifts.complete_lift(low, 4)
     assert courant.classify(lifted).verdict \
         == courant.classify(inst.default_potential).verdict
 
@@ -262,7 +254,6 @@ def test_complete_lift_multiplies_no_polynomials(monkeypatch):
     inst = gallery.build("quasi_poisson")
     flat = lifts.flatten_chart(inst.chart)
     low = lifts.flatten_poly(inst.default_potential, flat)
-    target = lifts.tangent_lift_chart(flat, 4)
     calls = []
     original = SuperPoly.__mul__
 
@@ -271,7 +262,7 @@ def test_complete_lift_multiplies_no_polynomials(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(SuperPoly, "__mul__", counting)
-    lifted = lifts.complete_lift(low, 4, target)
+    lifted = lifts.complete_lift(low, 4)
     assert calls == []
     assert not lifted.is_zero
 
@@ -295,9 +286,8 @@ def test_complete_lift_equals_substitution_route_on_the_catalogue(k):
     assert len(inputs) == 13
     assert any(low.symbol_names() for _name, low in inputs)
     for name, low in inputs:
-        target = lifts.tangent_lift_chart(low.chart, k)
-        assert lifts.complete_lift(low, k, target) \
-            == routes.substitution_lift(low, k, target), name
+        got = lifts.complete_lift(low, k)
+        assert got == routes.substitution_lift(low, k, got.chart), name
 
 
 def test_complete_lift_equals_substitution_route_on_draws_with_symbols():
@@ -307,9 +297,9 @@ def test_complete_lift_equals_substitution_route_on_draws_with_symbols():
     for k in (2, 3, 4):
         for r in range(12):
             ch = charts[r % len(charts)]
-            target = lifts.tangent_lift_chart(ch, k)
             P = draws.random_homogeneous(ch, rng, allow_symbols=True)
             with_symbols += bool(P.symbol_names())
-            assert lifts.complete_lift(P, k, target) \
-                == routes.substitution_lift(P, k, target), (k, r, to_text(P))
+            got = lifts.complete_lift(P, k)
+            assert got == routes.substitution_lift(P, k, got.chart), \
+                (k, r, to_text(P))
     assert with_symbols >= 10

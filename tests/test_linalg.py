@@ -48,3 +48,30 @@ def test_det_matches_leibniz_expansion():
         assert type(got) is Fraction
         singular += want == 0
     assert singular > 25
+
+
+def test_nullspace_of_no_rows_is_the_identity_basis():
+    assert linalg.nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_nullspace_is_a_kernel_basis_of_the_right_size():
+    # (rows, rank by construction): one row; an invertible square, checked
+    # by its Leibniz determinant; a 3x4 matrix whose third row is the sum
+    # of the other two.
+    square = [[2, 1, 0], [Fraction(1, 2), 0, -1], [0, 3, 1]]
+    assert leibniz_det(square) != 0
+    cases = [
+        ([[1, -2, Fraction(3, 4)]], 1),
+        (square, 3),
+        ([[1, 2, 0, -1], [0, 1, 1, Fraction(1, 3)],
+          [1, 3, 1, Fraction(-2, 3)]], 2),
+    ]
+    for rows, rank in cases:
+        ncols = len(rows[0])
+        basis = linalg.nullspace(rows, ncols)
+        assert len(basis) == ncols - rank, rows
+        assert linalg.rank(basis) == len(basis)
+        for v in basis:
+            assert len(v) == ncols
+            assert all(sum(a * b for a, b in zip(row, v)) == 0
+                       for row in rows), (rows, v)
