@@ -28,17 +28,6 @@ class ChartError(ValueError):
     pass
 
 
-class ValidationReport:
-    __slots__ = ("ok", "problems")
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        self.ok = not self.problems
-
-    def __repr__(self):
-        return "ValidationReport(ok=%r, problems=%r)" % (self.ok, self.problems)
-
-
 def _is_identifier(name):
     if not name or name[0].isdigit():
         return False
@@ -89,8 +78,14 @@ class Chart:
         self._problems = []
         self.pairing = {}
         self._complete_pairing()
-        self._index_sectors()
-        self._problems.extend(_structural_problems(self))
+        # The sectors are read off the weight vectors, which a chart with a
+        # shape problem cannot sum; its shape problems are the answer.
+        shape = _shape_problems(self)
+        if shape:
+            self._problems.extend(shape)
+        else:
+            self._index_sectors()
+            self._problems.extend(_structural_problems(self))
         if strict and self._problems:
             raise ChartError("invalid chart %r: %s"
                              % (self.name, "; ".join(self._problems)))
@@ -238,17 +233,23 @@ def _pairing_blocks(chart):
     return list(blocks.values())
 
 
+def _shape_problems(chart):
+    """A missing axis, a symplectic axis out of range, or a weight vector
+    of the wrong length: the problems that leave weights unreadable."""
+    if chart.axes < 1:
+        return ["a chart needs at least one weight axis"]
+    problems = ["symplectic axis %d out of range" % a
+                for a in chart.symplectic_axes if not 0 <= a < chart.axes]
+    problems.extend("generator %s has %d weight entries, chart has %d axes"
+                    % (g.name, len(g.weight), chart.axes)
+                    for g in chart.generators if len(g.weight) != chart.axes)
+    return problems
+
+
 def _structural_problems(chart):
     problems = []
-    if chart.axes < 1:
-        problems.append("a chart needs at least one weight axis")
-        return problems
     if not chart.symplectic_axes:
         problems.append("symplectic_axes must be non-empty")
-    for a in chart.symplectic_axes:
-        if not (0 <= a < chart.axes):
-            problems.append("symplectic axis %d out of range" % a)
-            return problems
 
     seen = set()
     for g in chart.generators:
@@ -257,9 +258,6 @@ def _structural_problems(chart):
         if g.name in seen:
             problems.append("duplicate generator name %r" % g.name)
         seen.add(g.name)
-        if len(g.weight) != chart.axes:
-            problems.append("generator %s has %d weight entries, chart has "
-                            "%d axes" % (g.name, len(g.weight), chart.axes))
         if any(w < 0 for w in g.weight):
             problems.append("generator %s has a negative weight" % g.name)
 
@@ -271,14 +269,13 @@ def _structural_problems(chart):
             problems.append(
                 "pairing {%s,%s} joins different parities (a nonzero "
                 "constant bracket is even)" % (g.name, h.name))
-        if len(g.weight) == len(h.weight) == chart.axes:
-            w = tuple(a + b for a, b in zip(g.weight, h.weight))
-            if pair_weight is None:
-                pair_weight = w
-            elif w != pair_weight:
-                problems.append(
-                    "pairing {%s,%s} has weight %r, other pairs have %r"
-                    % (g.name, h.name, w, pair_weight))
+        w = tuple(a + b for a, b in zip(g.weight, h.weight))
+        if pair_weight is None:
+            pair_weight = w
+        elif w != pair_weight:
+            problems.append(
+                "pairing {%s,%s} has weight %r, other pairs have %r"
+                % (g.name, h.name, w, pair_weight))
     if pair_weight is None:
         problems.append("chart has an empty pairing")
     elif chart.symplectic_weight(pair_weight) != 2:
@@ -359,12 +356,12 @@ def _structural_problems(chart):
 
 
 def validate_chart(chart):
-    """Every structural problem of the chart, as a ValidationReport.
+    """Every structural problem of the chart, as a list of messages.
 
     A chart is never changed after construction, so the problems its
     constructor found are the whole answer; nothing is checked again.
     """
-    return ValidationReport(chart._problems)
+    return list(chart._problems)
 
 
 # -- constructors -------------------------------------------------------

@@ -7,9 +7,11 @@ lift       tangent lift an instance and classify the result
 gallery    list or check the built-in catalogue
 
 Instances are referred to by catalogue name or by a path to a serialized
-instance file.  Exit codes: 0 all checks passed, 1 a check ran and failed,
-2 the request was malformed (unknown name, parse error, bad lift degree,
-a section argument of mixed parity or of symplectic weight other than 1).
+instance file.  Exit codes: 0 all checks passed, 1 a check ran and failed
+(bracket, jacobiator and lift refuse an instance whose chart or potential
+fails validation this way, with the lines check lists for it), 2 the
+request was malformed (unknown name, parse error, bad lift degree, a
+section argument of mixed parity or of symplectic weight other than 1).
 """
 
 import argparse
@@ -35,9 +37,9 @@ class UsageError(Exception):
     pass
 
 
-class ChartFailure(Exception):
-    """The instance's chart failed validation; the message lists every
-    problem, one per line."""
+class InvalidInstance(Exception):
+    """The instance's chart or default potential failed validation; the
+    message holds the lines that check lists for it, one per line."""
 
 
 def _load_instance(ref):
@@ -52,17 +54,23 @@ def _load_instance(ref):
             "unknown instance %r: not a catalogue name and not a file; "
             "catalogue names are %s" % (ref, ", ".join(gallery.names())))
     try:
-        return gallery.load_instance(path, strict=False)
+        return gallery.load_instance(path)
     except OSError as e:
         raise UsageError("cannot read %s: %s" % (path, e.strerror))
 
 
 def _load_valid_instance(ref):
-    """_load_instance, refusing a chart that fails validation."""
+    """_load_instance, refusing an instance whose chart or default
+    potential fails validation with the failures check lists for it."""
     inst = _load_instance(ref)
-    problems = validate_chart(inst.chart).problems
+    problems = ["chart: " + p for p in validate_chart(inst.chart)]
+    if not problems:
+        try:
+            courant.validate_potential(inst.default_potential)
+        except PotentialError as e:
+            problems = ["potential: %s" % e]
     if problems:
-        raise ChartFailure("\n".join("chart: " + p for p in problems))
+        raise InvalidInstance("\n".join(problems))
     return inst
 
 
@@ -163,13 +171,8 @@ def cmd_check(args):
     # problems that check_instance reported are the answer.
     identities = []
     if sc is not None:
-        try:
-            identities = identity_sweep(inst, sc.sigma,
-                                        random.Random(args.seed),
-                                        args.samples)
-        except sampling.SamplingError as e:
-            raise UsageError("cannot run the identity sweeps on %s: %s"
-                             % (inst.name, e))
+        identities = identity_sweep(inst, sc.sigma, random.Random(args.seed),
+                                    args.samples)
     ok = not failures and all(row["ok"] for row in identities)
     payload = {
         "instance": inst.name,
@@ -249,12 +252,7 @@ def cmd_lift(args):
         raise UsageError("lift degree must be at least 2, got %d"
                          % args.degree)
     inst = _load_valid_instance(args.instance)
-    try:
-        flat = lifts.flatten_chart(inst.chart)
-        low = lifts.flatten_poly(inst.default_potential, flat)
-        lifted = lifts.complete_lift(low, args.degree)
-    except lifts.LiftError as e:
-        raise UsageError(str(e))
+    lifted = lifts.complete_lift(inst.default_potential, args.degree)
     verdict = courant.classify(lifted)
     out_name = "%s_lift%d" % (inst.name, args.degree)
     out_path = args.out or (out_name + ".json")
@@ -283,11 +281,7 @@ def cmd_gallery(args):
         _emit(args, {"names": gallery.names()}, gallery.names())
         return EXIT_OK
     if args.name is not None:
-        try:
-            inst = gallery.build(args.name)
-        except gallery.GalleryError as e:
-            raise UsageError(str(e))
-        row = gallery.check_row(inst)
+        row = gallery.check_row(gallery.build(args.name))
         lines = ["%s: %s" % (row["name"], "ok" if row["ok"] else "FAILED")]
         lines.extend("  " + f for f in row["failures"])
         _emit(args, {"instances": [row], "ok": row["ok"]}, lines)
@@ -375,10 +369,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, gallery.GalleryError, lifts.LiftError,
+            sampling.SamplingError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except ChartFailure as e:
+    except InvalidInstance as e:
         print(e, file=sys.stderr)
         return EXIT_FAILED
     except ParseError as e:
@@ -387,9 +382,6 @@ def main(argv=None):
     except json.JSONDecodeError as e:
         print("parse error: line %d column %d: %s"
               % (e.lineno, e.colno, e.msg), file=sys.stderr)
-        return EXIT_USAGE
-    except gallery.GalleryError as e:
-        print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except PotentialError as e:
         print("potential check failed: %s" % e, file=sys.stderr)

@@ -19,6 +19,8 @@ naive_commutator_defect takes {theta, alpha}, and
 naive_cohomology_condition takes {theta, theta}.
 """
 
+import itertools
+
 from .superpoly import to_text
 from .poisson import bracket
 from .courant import (AnchorVectors, PotentialError, anchor_vector,
@@ -165,7 +167,7 @@ def classical_naive_differential(theta, psi, basis, dual):
 
     out = chart.zero()
     n = len(basis)
-    for combo in _ascending_tuples(n, k + 1):
+    for combo in itertools.combinations(range(n), k + 1):
         value = chart.zero()
         for i in range(k + 1 if chart.base_indices else 0):
             rest = tuple(combo[m] for m in range(k + 1) if m != i)
@@ -185,21 +187,6 @@ def classical_naive_differential(theta, psi, basis, dual):
             monomial = monomial * dual[m]
         out = out - value * monomial
     return out * ck
-
-
-def _ascending_tuples(n, k):
-    if k == 0:
-        yield ()
-        return
-    def rec(start, prefix):
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        for i in range(start, n):
-            prefix.append(i)
-            yield from rec(i + 1, prefix)
-            prefix.pop()
-    yield from rec(0, [])
 
 
 def point_cohomology(anchors):

@@ -140,8 +140,7 @@ def check_instance(inst):
     failures = []
     chart = inst.chart
     expected = inst.expected
-    report = validate_chart(chart)
-    failures.extend("chart: " + p for p in report.problems)
+    failures.extend("chart: " + p for p in validate_chart(chart))
     if failures:
         return failures, None
 
@@ -258,11 +257,9 @@ def check_instance(inst):
 
     if inst.lift_k is not None and "lift_verdict" in expected:
         try:
-            flat = lifts.flatten_chart(chart)
+            Tc = lifts.complete_lift(inst.default_potential, inst.lift_k)
         except lifts.LiftError as e:
             _malformed((None, "lift"), str(e))
-        Tf = lifts.flatten_poly(inst.default_potential, flat)
-        Tc = lifts.complete_lift(Tf, inst.lift_k)
         got = courant.classify(Tc)
         if got.verdict != expected["lift_verdict"]:
             failures.append("lift verdict %s, expected %s"
@@ -494,13 +491,15 @@ def instance_to_json(inst):
     return d
 
 
-def instance_from_json(d, *, strict=True):
+def instance_from_json(d):
+    """The Instance a file's document describes.  Its chart is built with
+    its problems recorded; check_instance and the command line read them."""
     _check(d, dict, None)
     if d.get("schema_version") != SCHEMA_VERSION:
         raise GalleryError("unsupported schema version %r"
                            % (d.get("schema_version"),))
     _check(d, INSTANCE_SPEC, None)
-    chart = chart_from_json(d["chart"], strict=strict)
+    chart = chart_from_json(d["chart"], strict=False)
     theta = parse_expr(chart, d["potential"])
     twist = None
     lambdas = ()
@@ -510,7 +509,7 @@ def instance_from_json(d, *, strict=True):
     graph = None
     # A graph's weight rules assume a valid chart; on an invalid one the
     # chart's problems are the answer, so the graph is not built.
-    if "dirac" in d and not validate_chart(chart).problems:
+    if "dirac" in d and not validate_chart(chart):
         try:
             graph = dirac.graph_from_json(chart, d["dirac"])
         except dirac.GraphError as e:
@@ -535,6 +534,6 @@ def data_path(name):
     return os.path.join(data_dir(), name + ".json")
 
 
-def load_instance(path, *, strict=True):
+def load_instance(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh), strict=strict)
+        return instance_from_json(json.load(fh))

@@ -20,8 +20,11 @@ complete_lift(P, k) returns an element of a new lifted chart, read as
 ``.chart``.  Lifts on one chart come from lift_identity_check, or from
 ``superpoly.substitute`` transport by name onto a chart already built.
 
-Charts with two axes must be flattened to total weight before lifting;
-``flatten_chart`` and ``flatten_poly`` do this by preserving names.
+Lifting reads one axis.  complete_lift flattens a chart whose axes are
+all symplectic to total weight itself (``flatten_chart``); flattening
+keeps every generator's name and index, so P's term dict is read on the
+flat chart as it is.  ``flatten_poly`` transports an element there by
+name.
 
 Weights on a lifted chart are checked once, where an object is made:
 ``courant.validate_potential`` wants a potential of lift weight k - 1, and
@@ -176,8 +179,11 @@ def _total_derivative(terms, up, base):
 
 def complete_lift(P, k):
     """P^c = D^(k-1)(P_0) / (k-1)! of a homogeneous P, on a new
-    tangent_lift_chart(P.chart, k); see the module docstring."""
-    return _lift(P, k, tangent_lift_chart(P.chart, k))
+    tangent_lift_chart(flatten_chart(P.chart), k); see the module
+    docstring."""
+    flat = flatten_chart(P.chart)
+    return _lift(SuperPoly.from_clean_terms(flat, P.terms), k,
+                 tangent_lift_chart(flat, k))
 
 
 def _lift(P, k, target):

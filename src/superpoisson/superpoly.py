@@ -233,12 +233,6 @@ class SuperPoly:
                 return NotImplemented
         return self.chart is other.chart and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     __hash__ = None
 
     # -- arithmetic -----------------------------------------------------

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from superpoisson.charts import (ChartError, chart_from_json, chart_to_json,
+from superpoisson.charts import (Chart, ChartError, chart_from_json,
+                                 chart_to_json,
                                  hyperbolic_metric, identity_metric,
                                  make_cotangent_antivb_chart,
                                  make_darboux_chart, validate_chart)
@@ -19,8 +20,8 @@ def test_factories_validate():
                make_cotangent_antivb_chart(1, 3),
                make_cotangent_antivb_chart(0, 7),
                vb_chart()):
-        report = validate_chart(ch)
-        assert report.problems == [], (ch.name, report.problems)
+        problems = validate_chart(ch)
+        assert problems == [], (ch.name, problems)
 
 
 def test_pairing_mirror_completion():
@@ -74,7 +75,7 @@ def test_json_round_trip():
         doc = chart_to_json(ch)
         again = chart_from_json(doc)
         assert chart_to_json(again) == doc
-        assert validate_chart(again).problems == []
+        assert validate_chart(again) == []
 
 
 def test_json_detects_pairing_conflict():
@@ -83,7 +84,7 @@ def test_json_detects_pairing_conflict():
     with pytest.raises(ChartError):
         chart_from_json(doc)
     lax = chart_from_json(doc, strict=False)
-    problems = validate_chart(lax).problems
+    problems = validate_chart(lax)
     assert any("conflict" in p for p in problems)
 
 
@@ -91,7 +92,7 @@ def test_validate_reports_parity_weight_mismatch():
     doc = chart_to_json(make_darboux_chart(1, 1))
     doc["generators"][0]["weight"] = [1]
     lax = chart_from_json(doc, strict=False)
-    assert validate_chart(lax).problems != []
+    assert validate_chart(lax) != []
 
 
 def test_vb_plain_chart_shape():
@@ -101,3 +102,19 @@ def test_vb_plain_chart_shape():
     dq = ch.generators[ch.name_to_index["dq1"]]
     assert dq.weight == (1, 1)
     assert ch.pairing[(ch.name_to_index["y1"], ch.name_to_index["q1"])] == 1
+
+
+@pytest.mark.parametrize("axes, symplectic_axes, problems", [
+    (2, None, ["generator a has 1 weight entries, chart has 2 axes",
+               "generator p has 1 weight entries, chart has 2 axes"]),
+    (1, (3,), ["symplectic axis 3 out of range"]),
+])
+def test_unreadable_weights_are_problems_not_tracebacks(axes, symplectic_axes,
+                                                        problems):
+    # The sectors sum weight vectors over the symplectic axes; these shapes
+    # are reported before any sum is taken.
+    args = ("x", axes, [("a", 0, (0,)), ("p", 0, (2,))], [("p", "a", 1)])
+    chart = Chart(*args, symplectic_axes=symplectic_axes, strict=False)
+    assert validate_chart(chart) == problems
+    with pytest.raises(ChartError, match=problems[0]):
+        Chart(*args, symplectic_axes=symplectic_axes)

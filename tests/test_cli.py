@@ -195,7 +195,7 @@ def test_unreadable_instance_file_is_a_usage_error(tmp_path, capsys,
     path.write_text(gallery.canonical_json(
         gallery.instance_to_json(gallery.build("cross3"))))
 
-    def refuse(ref, strict=True):
+    def refuse(ref):
         raise PermissionError(13, "Permission denied", ref)
 
     monkeypatch.setattr(gallery, "load_instance", refuse)
@@ -480,13 +480,16 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("potential, failure", [
+INVALID_POTENTIALS = [
     ("xi1*xi2*pi1*pi2",
      "potential: potential must be odd; even term xi1*xi2*pi1*pi2"),
     ("xi1*xi2*xi3*pi1*pi2",
      "potential: potential must have symplectic weight 3; term "
      "xi1*xi2*xi3*pi1*pi2 has 5"),
-])
+]
+
+
+@pytest.mark.parametrize("potential, failure", INVALID_POTENTIALS)
 def test_check_on_an_invalid_potential_reports_it(tmp_path, capsys,
                                                   potential, failure):
     # The chart is valid; the potential is not, so the checks that read it
@@ -499,3 +502,25 @@ def test_check_on_an_invalid_potential_reports_it(tmp_path, capsys,
     assert payload["ok"] is False
     assert payload["identities"] == []
     assert payload["failures"] == [failure]
+
+
+@pytest.mark.parametrize("potential, failure", INVALID_POTENTIALS)
+@pytest.mark.parametrize("argv", [
+    ["bracket", "--pre", "pi1", "pi2"],
+    ["bracket", "--poisson", "pi1", "xi2"],
+    ["jacobiator", "pi1", "pi2", "pi3"],
+    ["lift", "-k", "2", "--out", "F"],
+], ids=["pre", "poisson", "jacobiator", "lift"])
+def test_commands_refuse_an_invalid_potential_as_check_does(
+        tmp_path, capsys, argv, potential, failure):
+    # Each of these printed a value with exit 0, or named a lifted term,
+    # when only check validated the potential.
+    path = write_instance(tmp_path, "cross3",
+                          lambda d: d.update(potential=potential))
+    argv = [argv[0], path] + [str(tmp_path / a) if a == "F" else a
+                              for a in argv[1:]]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == failure + "\n"
+    assert not (tmp_path / "F").exists()

@@ -303,3 +303,23 @@ def test_complete_lift_equals_substitution_route_on_draws_with_symbols():
             assert got == routes.substitution_lift(P, k, got.chart), \
                 (k, r, to_text(P))
     assert with_symbols >= 10
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_complete_lift_flattens_the_chart_itself(k):
+    # Flattening keeps every generator's index, so lifting the two-axis
+    # potential gives what the explicit flatten_chart, flatten_poly route
+    # gives, on a lifted chart of the same name.
+    lifted = 0
+    for name in gallery.INSTANCE_NAMES:
+        inst = gallery.build(name)
+        if inst.lift_k is None:
+            continue
+        flat = lifts.flatten_chart(inst.chart)
+        want = lifts.complete_lift(
+            lifts.flatten_poly(inst.default_potential, flat), k)
+        got = lifts.complete_lift(inst.default_potential, k)
+        assert to_text(got) == to_text(want), name
+        assert got.chart.name == want.chart.name, name
+        lifted += inst.chart.axes == 2
+    assert lifted == 10

@@ -17,7 +17,7 @@ DEGENERATE = "pairing matrix is degenerate over the rationals"
 
 
 def degenerate(chart):
-    return DEGENERATE in validate_chart(chart).problems
+    return DEGENERATE in validate_chart(chart)
 
 
 def flat_charts():
@@ -94,7 +94,7 @@ def test_negative_controls_report_the_degenerate_pairing(build):
     chart = build()
     assert oracles.dense_pairing_det(chart) == 0
     assert chart._problems == [DEGENERATE]
-    assert validate_chart(chart).problems == [DEGENERATE]
+    assert validate_chart(chart) == [DEGENERATE]
 
 
 def test_random_sparse_pairings_match_the_dense_determinant():
