@@ -1,9 +1,11 @@
 """Small exact linear algebra over the rationals.
 
 Everything here takes lists of lists of exact rationals (int, or Fraction
-when not integral, as SuperPoly stores its coefficients), computes in
-Fraction (det in int), and is sized for chart-scale matrices (tens of
-rows), where exact elimination is instant and keeps the artifact float-free.
+when not integral, as SuperPoly stores its coefficients) and is sized for
+chart-scale matrices (tens of rows), where exact elimination is instant
+and keeps the artifact float-free.  det and rank scale each row by the lcm
+of its denominators and compute in int; rref, and nullspace and invert on
+top of it, compute in Fraction.
 """
 
 import math
@@ -40,8 +42,42 @@ def rref(rows):
     return m, pivots
 
 
+def _scaled(row):
+    """(s, row times s) with s the lcm of the row's denominators, so the
+    scaled row is a list of ints."""
+    s = math.lcm(*(x.denominator for x in row))
+    return s, [x.numerator * (s // x.denominator) for x in row]
+
+
 def rank(rows):
-    _, pivots = rref(rows)
+    """Rank by fraction-free elimination in int on sparse rows.
+
+    Each row, scaled to int and stored as {column: nonzero entry}, is
+    reduced against the pivot rows found so far, keyed by their leading
+    column: a row whose leading column has a pivot row p becomes
+    p[c] * row - row[c] * p, divided by the gcd of its entries.  A row
+    that reduces to nothing depends on the rows before it; each row that
+    does not becomes a pivot row, so the rank is their number.
+    """
+    pivots = {}
+    for row in rows:
+        v = {c: x for c, x in enumerate(_scaled(row)[1]) if x}
+        while v:
+            c = min(v)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = v
+                break
+            a, b = v[c], p[c]
+            w = {k: b * x for k, x in v.items()}
+            for k, y in p.items():
+                x = w.get(k, 0) - a * y
+                if x:
+                    w[k] = x
+                else:
+                    del w[k]
+            g = math.gcd(*w.values())
+            v = {k: x // g for k, x in w.items()} if g > 1 else w
     return len(pivots)
 
 
@@ -69,8 +105,8 @@ def det(rows):
     m = []
     scale = 1
     for row in rows:
-        s = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (s // x.denominator) for x in row])
+        s, ints = _scaled(row)
+        m.append(ints)
         scale *= s
     sign = 1
     prev = 1

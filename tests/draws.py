@@ -3,7 +3,8 @@
 Every helper takes an explicit random.Random, so a seed fixes the inputs
 a test sees.  The library's own draws (sections and base functions, which
 ``superpoisson check`` samples) stay in ``superpoisson.sampling``; the
-draws here only the tests need.
+draws here only the tests need, and the SuperPoly-product construction
+of the library's draws that tests/test_sampling.py holds them to.
 """
 
 import random
@@ -13,6 +14,40 @@ from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
 from superpoisson.sampling import (SYMBOL_NAMES, random_base_function,
                                    random_coeff, random_section)
 from superpoisson.superpoly import ODD, SuperPoly
+
+
+def reference_base_function(chart, rng):
+    """sampling.random_base_function as a chain of SuperPoly products: the
+    construction the sampler's term dicts must reproduce, rng call for rng
+    call."""
+    poly = chart.one()
+    base = chart.true_base_indices
+    if base:
+        for _ in range(rng.randint(0, 2)):
+            idx = rng.choice(base)
+            poly = poly * SuperPoly.generator_monomial(
+                chart, chart.generators[idx])
+    if rng.random() < 0.5:
+        poly = poly * SuperPoly.symbol(chart, rng.choice(SYMBOL_NAMES))
+    out = poly * random_coeff(rng)
+    if rng.random() < 0.3:
+        out = out + random_coeff(rng)
+    return out
+
+
+def reference_section(chart, rng):
+    """sampling.random_section as a sum of SuperPoly products, drawing its
+    coefficients with reference_base_function."""
+    ones = [chart.generators[idx] for idx in chart.section_indices]
+    total = chart.zero()
+    for _ in range(rng.randint(1, 3)):
+        g = rng.choice(ones)
+        coeff = reference_base_function(chart, rng)
+        total = total + coeff * SuperPoly.generator_monomial(chart, g)
+    if total.is_zero:
+        g = rng.choice(ones)
+        total = SuperPoly.generator_monomial(chart, g)
+    return total
 
 
 def random_monomial(chart, rng, *, max_factors=3, allow_symbols=True):

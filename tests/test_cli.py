@@ -9,7 +9,7 @@ import pytest
 import oracles
 from superpoisson import cli, complexes, courant, gallery
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import to_text
+from superpoisson.superpoly import parse_expr, to_text
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -420,6 +420,33 @@ def test_identity_sweep_shares_each_sample_s_brackets(bracket_calls,
     rows = cli.identity_sweep(inst, tt, random.Random(1), samples)
     assert [row["ok"] for row in rows] == [True] * 4
     assert len(bracket_calls) == calls
+
+
+def test_a_failing_row_s_witness_is_its_value_on_integer_inputs(
+        capsys, monkeypatch):
+    # A doubled pairing is a planted error that stays linear in each
+    # section, so the symmetry row on the integer multiples of the draws
+    # is a positive multiple of the row on the draws.  The witness lists
+    # the multiples, and the row recomputed on them, with the pairing still
+    # doubled, is the witness value.
+    original = courant.pairing
+    monkeypatch.setattr(courant, "pairing",
+                        lambda s, p: original(s, p) * 2)
+    code, out, _err = run(capsys, ["check", "twisted_pencil", "--json",
+                                   "--seed", "1"])
+    assert code == 1
+    row = json.loads(out)["identities"][0]
+    assert (row["name"], row["ok"]) == ("bracket_symmetry", False)
+    witness = row["witness"]
+    assert witness["inputs"] == ["-2*pi3 + 9*x1^2*pi3 + 3*f*x1^2*pi4",
+                                 "x1*xi1 + x1*xi4 - 9*h*x1^2*pi2"]
+    inst = gallery.build("twisted_pencil")
+    s, p = (parse_expr(inst.chart, text) for text in witness["inputs"])
+    assert all(type(c) is int for x in (s, p) for c in x.terms.values())
+    value = courant.symmetry_defect(
+        courant.section_pair(inst.default_potential, s, p))
+    assert not value.is_zero
+    assert to_text(value) == witness["value"]
 
 
 def _plus(module, name, term):

@@ -21,12 +21,16 @@ def leibniz_det(rows):
     return total
 
 
-def random_entry(rng):
+def stored(value):
     """An exact rational as SuperPoly stores one: int when integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def random_entry(rng):
     if rng.random() < 0.3:
         return 0
-    value = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 7)))
-    return value.numerator if value.denominator == 1 else value
+    return stored(Fraction(rng.randint(-6, 6),
+                           rng.choice((1, 1, 2, 3, 4, 7))))
 
 
 def test_det_matches_leibniz_expansion():
@@ -75,3 +79,35 @@ def test_nullspace_is_a_kernel_basis_of_the_right_size():
             assert len(v) == ncols
             assert all(sum(a * b for a, b in zip(row, v)) == 0
                        for row in rows), (rows, v)
+
+
+def test_rank_matches_the_pivot_count_of_rref():
+    rng = random.Random(4402)
+    cases = [[], [[0, 0, 0]], [[0, 0], [0, 0]], [[0], [Fraction(1, 2)], [3]],
+             [[Fraction(2, 3)], [0]]]
+    for _ in range(300):
+        shape = rng.choice(("square", "tall", "wide"))
+        n, extra = rng.randint(1, 5), rng.randint(1, 8)
+        nrows, ncols = {"square": (n, n), "tall": (n + extra, n),
+                        "wide": (n, n + extra)}[shape]
+        rows = [[random_entry(rng) for _ in range(ncols)]
+                for _ in range(nrows)]
+        for _ in range(rng.randint(0, 2)):
+            # a zero row, or a row that is a rational combination of two
+            # others (a multiple of one when a == b)
+            target = rng.randrange(nrows)
+            if rng.random() < 0.2:
+                rows[target] = [0] * ncols
+                continue
+            a, b = rng.randrange(nrows), rng.randrange(nrows)
+            c, d = (Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for _ in range(2))
+            rows[target] = [stored(c * x + d * y)
+                            for x, y in zip(rows[a], rows[b])]
+        cases.append(rows)
+    deficient = 0
+    for rows in cases:
+        want = len(linalg.rref(rows)[1])
+        assert linalg.rank(rows) == want, rows
+        deficient += bool(rows) and want < min(len(rows), len(rows[0]))
+    assert deficient > 50
