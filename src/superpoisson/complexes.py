@@ -21,7 +21,7 @@ naive_cohomology_condition takes {theta, theta}.
 
 import itertools
 
-from .superpoly import to_text
+from .superpoly import SuperPoly, _add_term, mul_terms_into, to_text
 from .poisson import bracket
 from .courant import (AnchorVectors, PotentialError, anchor_vector,
                       apply_anchor_vector, pairing, pre_bracket)
@@ -89,8 +89,12 @@ def identification_constant(k):
     return -1 if (k * (k - 1) // 2) % 2 else 1
 
 
-def _check_dual(basis, dual):
-    chart = basis[0].chart
+def _check_dual(chart, basis, dual):
+    if not len(basis) == len(dual) == len(chart.section_indices):
+        raise PotentialError(
+            "a frame needs one section and one dual per weight-1 generator: "
+            "got %d sections and %d duals for %d generators"
+            % (len(basis), len(dual), len(chart.section_indices)))
     for i, b in enumerate(basis):
         for j, d in enumerate(dual):
             want = chart.one() if i == j else chart.zero()
@@ -104,7 +108,8 @@ def classical_naive_differential(theta, psi, basis, dual):
     """Differential of a small-complex element via the alternating sum.
 
     psi is a weight-k element built on the weight-1 sector, basis a list of
-    sections spanning it and dual a list with <basis[i], dual[j]> = delta.
+    sections, one per weight-1 generator, and dual a list with
+    <basis[i], dual[j]> = delta, so that the frame spans the sector.
     Evaluates Psi(t) = eval(psi; t) / c_k on every ascending basis tuple of
     length k+1 through
 
@@ -118,20 +123,24 @@ def classical_naive_differential(theta, psi, basis, dual):
     families).  The result equals q_theta(theta, psi) exactly; that
     equality is a checked identity.
 
-    The constant c_k is applied once, to the assembled sum, not to each
-    evaluation.  This is exact: the anchor terms, the bracket terms and
-    the reassembly on dual monomials are all linear in the values Psi(t),
-    and c_k = +-1 is its own inverse, so dividing every value by c_k and
-    multiplying the sum by c_k give the same element, coefficient for
-    coefficient (an int scalar builds no Fraction).
+    Only evaluations that can be nonzero are made.  The left-nested
+    evaluations {...{psi, s_1}..., s_m} are walked depth first over
+    ascending basis indices, from psi for the anchor terms and from
+    {psi, [[b_i, b_j]]} for the bracket terms; a zero prefix is bracketed
+    no further, since it is zero on every extension.  Each nonzero full
+    evaluation is scattered, with its sign, into the term dict of the
+    (k+1)-tuple it belongs to, and each nonzero tuple then takes one
+    product by its dual monomial, scaled by -c_k.  This is the same finite
+    sum in another order, so it is exact.  Applying c_k once instead of
+    dividing every value by it is exact too: everything after the
+    evaluation is linear in the values, and c_k = +-1 is its own inverse.
 
-    The basis tuples overlap heavily, so within one call every [[b_i, b_j]]
-    is computed once per index pair, every anchor vector (-1)^b_i~
-    {theta, b_i} once per basis index, and every left-nested evaluation once
-    per prefix of section labels (a basis index, or an index pair standing
-    for its derived bracket).  Over a point (no generator of symplectic
-    weight 0) the anchor terms and their anchor vectors are skipped: every
-    form value there is a constant, which every anchor vector kills.
+    Every [[b_i, b_j]] is computed once, and only for k >= 1, where the
+    bracket terms exist; every anchor vector (-1)^b_i~ {theta, b_i} once,
+    and a zero one is applied to nothing.  Over a point (no generator of
+    symplectic weight 0) the anchor terms and their anchor vectors are
+    skipped: every form value there is a constant, which every anchor
+    vector kills.
     """
     if not naive_membership(AnchorVectors(theta), psi):
         raise PotentialError("element is not in the small complex: %s"
@@ -141,52 +150,50 @@ def classical_naive_differential(theta, psi, basis, dual):
         raise PotentialError("element must be homogeneous: %s" % to_text(psi))
     chart = psi.chart
     k = chart.symplectic_weight(weight)
-    _check_dual(basis, dual)
-    ck = identification_constant(k)
-    brackets = {}
-    anchors = ([anchor_vector(theta, b) for b in basis]
-               if chart.base_indices else [])
-    evaluations = {(): psi}
-
-    def section(label):
-        if isinstance(label, int):
-            return basis[label]
-        if label not in brackets:
-            brackets[label] = pre_bracket(theta, basis[label[0]],
-                                          basis[label[1]])
-        return brackets[label]
-
-    def form_value(labels):
-        start = len(labels)
-        while labels[:start] not in evaluations:
-            start -= 1
-        for end in range(start + 1, len(labels) + 1):
-            evaluations[labels[:end]] = bracket(evaluations[labels[:end - 1]],
-                                                section(labels[end - 1]))
-        return evaluations[labels]
-
-    out = chart.zero()
+    _check_dual(chart, basis, dual)
     n = len(basis)
-    for combo in itertools.combinations(range(n), k + 1):
-        value = chart.zero()
-        for i in range(k + 1 if chart.base_indices else 0):
-            rest = tuple(combo[m] for m in range(k + 1) if m != i)
-            sign = -1 if i % 2 else 1
-            value = value + apply_anchor_vector(anchors[combo[i]],
-                                               form_value(rest)) * sign
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                rest = ((combo[i], combo[j]),) + tuple(
-                    combo[m] for m in range(k + 1) if m != i and m != j)
-                sign = -1 if (i + j) % 2 else 1
-                value = value + form_value(rest) * sign
+    values = {}
+
+    def walk(value, free, depth, labels=()):
         if value.is_zero:
-            continue
-        monomial = chart.one()
-        for m in combo:
-            monomial = monomial * dual[m]
-        out = out - value * monomial
-    return out * ck
+            return
+        if not depth:
+            yield labels, value
+            return
+        for pos in range(len(free) - depth + 1):
+            yield from walk(bracket(value, basis[free[pos]]), free[pos + 1:],
+                            depth - 1, labels + (free[pos],))
+
+    def scatter(combo, value, power):
+        """Add (-1)^power value into the term dict of combo."""
+        terms = values.setdefault(combo, {})
+        for key, c in value.terms.items():
+            _add_term(terms, key, -c if power % 2 else c)
+
+    if chart.base_indices and k < n:
+        anchors = [anchor_vector(theta, b) for b in basis]
+        for rest, value in walk(psi, range(n), k):
+            for a in range(n):
+                if a not in rest and not anchors[a].is_zero:
+                    combo = tuple(sorted(rest + (a,)))
+                    scatter(combo, apply_anchor_vector(anchors[a], value),
+                            combo.index(a))
+    if 1 <= k < n:
+        for p, q in itertools.combinations(range(n), 2):
+            first = bracket(psi, pre_bracket(theta, basis[p], basis[q]))
+            free = [m for m in range(n) if m != p and m != q]
+            for rest, value in walk(first, free, k - 1):
+                combo = tuple(sorted(rest + (p, q)))
+                scatter(combo, value, combo.index(p) + combo.index(q))
+    out = {}
+    scale = -identification_constant(k)
+    for combo, terms in values.items():
+        if terms:
+            monomial = chart.one()
+            for m in combo:
+                monomial = monomial * dual[m]
+            mul_terms_into(out, terms, monomial.terms, scale)
+    return SuperPoly.from_clean_terms(chart, out)
 
 
 def point_cohomology(anchors):

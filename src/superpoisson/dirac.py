@@ -43,12 +43,6 @@ def _require_roles(chart):
             "chart %s carries no sector roles; graphs need them" % chart.name)
 
 
-def position_indices(chart):
-    _require_roles(chart)
-    return sorted(i for role in POSITION_ROLES
-                  for i in chart.role_indices(role))
-
-
 def momentum_indices(chart):
     _require_roles(chart)
     return sorted(i for role in MOMENTUM_ROLES
@@ -145,11 +139,6 @@ class BivectorGraph:
                 sub[g.name] = bracket(self.field, chart.gen(g.name))
         return sub
 
-    def survivor_indices(self):
-        chart = self.chart
-        return [idx for idx, g in enumerate(chart.generators)
-                if chart.roles.get(g.name) in ("base", "cofibre")]
-
 
 class TwoFormGraph:
     """Graph of an even weight-2 fibre-sector function."""
@@ -181,9 +170,6 @@ class TwoFormGraph:
                     "coordinate" % (chart.generators[idx].name, zname))
             sub[chart.generators[idx].name] = left_partial(self.form, zname) * c
         return sub
-
-    def survivor_indices(self):
-        return position_indices(self.chart)
 
 
 def pullback(graph, P):

@@ -23,8 +23,9 @@ from superpoisson.courant import (PotentialError, anchor_apply, anchor_vector,
                                   metric_frame, pairing, pre_bracket,
                                   section_pair, symmetry_defect,
                                   validate_potential)
-from superpoisson.dirac import (CoordinateSubbundle, GraphError, is_isotropic,
-                                momentum_indices, tangency_residual)
+from superpoisson.dirac import (POSITION_ROLES, CoordinateSubbundle,
+                                GraphError, is_isotropic, momentum_indices,
+                                tangency_residual)
 from superpoisson.lifts import (LiftError, lift_component, lifted_name,
                                 tangent_lift_chart)
 from superpoisson.poisson import bracket
@@ -187,6 +188,18 @@ class InducedAlmostLie(types.SimpleNamespace):
         return not self.problems()
 
 
+def survivor_indices(graph):
+    """Indices of the generators that the graph keeps as coordinates: the
+    unvanished ones of a coordinate subbundle, the base and cofibre sectors
+    along a bivector graph, the position sector along a two-form graph."""
+    if graph.kind == "coords":
+        return graph.survivor_indices()
+    roles = (("base", "cofibre") if graph.kind == "bivector"
+             else POSITION_ROLES)
+    return [idx for idx, g in enumerate(graph.chart.generators)
+            if graph.chart.roles.get(g.name) in roles]
+
+
 def induced_almost_lie(theta, graph):
     """Restrict the derived bracket and anchor to the sections along the
     graph.  Requires a vanishing tangency residual and, for coordinate
@@ -202,7 +215,7 @@ def induced_almost_lie(theta, graph):
     def pb(P):
         return substitute(P, sub)
 
-    alive = graph.survivor_indices()
+    alive = survivor_indices(graph)
     sections = [chart.generators[i].name for i in alive
                 if i in chart.section_indices]
     base_names = [chart.generators[i].name for i in alive
