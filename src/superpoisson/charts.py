@@ -6,8 +6,7 @@ charts, the odd metric block).  The pairing is stored completed to graded
 antisymmetry P^gh = -(-1)^(g~ h~) P^hg, and every structural invariant the
 bracket engine relies on (weight compatibility, parity compatibility,
 nondegeneracy over the rationals) is checked here, not in the engine.
-Nondegeneracy is checked by an exact determinant per connected block of
-the pairing (a conjugate pair, a metric block), not of the whole matrix.
+Nondegeneracy is checked by one exact rank of the sparse pairing rows.
 
 The grading is decided here and nowhere else: Chart.symplectic_weight and
 Chart.lift_weight sum a weight vector over the symplectic axes and over
@@ -210,29 +209,6 @@ class Chart:
         return "Chart(%r, %d generators)" % (self.name, len(self.generators))
 
 
-def _pairing_blocks(chart):
-    """The generator indices split into the connected blocks of the
-    pairing, each ascending; an unpaired generator is a block of its own.
-
-    The pairing matrix is block diagonal up to this permutation, so it is
-    nondegenerate exactly when every block's determinant is nonzero.
-    """
-    root = list(range(len(chart.generators)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for gi, hj in chart.pairing:
-        root[find(gi)] = find(hj)
-    blocks = {}
-    for i in range(len(root)):
-        blocks.setdefault(find(i), []).append(i)
-    return list(blocks.values())
-
-
 def _shape_problems(chart):
     """A missing axis, a symplectic axis out of range, or a weight vector
     of the wrong length: the problems that leave weights unreadable."""
@@ -289,10 +265,8 @@ def _structural_problems(chart):
             "symplectic form must have lift weight %d"
             % (pair_weight, chart.lift_degree, chart.lift_degree - 1))
 
-    if pair_weight is not None and any(
-            linalg.det([[chart.pairing.get((i, j), 0) for j in block]
-                        for i in block]) == 0
-            for block in _pairing_blocks(chart)):
+    if pair_weight is not None and (linalg.rank(chart.pairing_rows.values())
+                                    < len(chart.generators)):
         problems.append("pairing matrix is degenerate over the rationals")
 
     if chart.n_manifold:
@@ -314,13 +288,14 @@ def _structural_problems(chart):
                     problems.append("metric names unknown generator %r" % name)
             if all(name in chart.name_to_index for name in mnames):
                 idxs = [chart.name_to_index[m] for m in mnames]
+                if any(rows[a][b] != rows[b][a]
+                       for a in range(r) for b in range(a)):
+                    problems.append("metric block is not symmetric")
                 for a in range(r):
                     if chart.generators[idxs[a]].parity != ODD:
                         problems.append(
                             "metric generator %s is not odd" % mnames[a])
                     for b in range(r):
-                        if rows[a][b] != rows[b][a]:
-                            problems.append("metric block is not symmetric")
                         got = chart.pairing.get((idxs[a], idxs[b]),
                                                 Fraction(0))
                         if got != rows[a][b]:
@@ -328,7 +303,7 @@ def _structural_problems(chart):
                                 "pairing {%s,%s} = %s disagrees with the "
                                 "metric entry %s"
                                 % (mnames[a], mnames[b], got, rows[a][b]))
-                if linalg.det([list(row) for row in rows]) == 0:
+                if linalg.rank([enumerate(row) for row in rows]) < r:
                     problems.append("metric block is singular")
 
     if chart.roles is not None:

@@ -227,9 +227,7 @@ def point_cohomology(anchors):
         groups.setdefault(weight, []).append(anchors[g.name])
     h1 = {}
     for weight, images in sorted(groups.items()):
-        keys = sorted({key for v in images for key in v.terms})
-        h1[weight] = len(images) - linalg.rank(
-            [[v.coefficient(key) for key in keys] for v in images])
+        h1[weight] = len(images) - linalg.rank([v.terms for v in images])
     return {0: 1}, h1
 
 
@@ -246,23 +244,18 @@ def constant_l1_basis(theta):
     chart = theta.chart
     sections = [chart.gen(chart.generators[idx].name)
                 for idx in chart.section_indices]
-    if not sections:
-        return []
-    contractions = []
+    rows = []
     for idx in chart.base_indices:
         tf = anchor_vector(theta, chart.gen(chart.generators[idx].name))
-        if not tf.is_zero:
-            contractions.append([bracket(tf, s) for s in sections])
-    keys = sorted({key
-                   for pieces in contractions
-                   for p in pieces
-                   for key in p.terms})
-    rows = []
-    for pieces in contractions:
-        for key in keys:
-            row = [p.coefficient(key) for p in pieces]
-            if any(row):
-                rows.append(row)
+        if tf.is_zero:
+            continue
+        # one row per term key of the brackets {tf, s}: its coefficient
+        # in each, by section
+        by_key = {}
+        for a, s in enumerate(sections):
+            for key, c in bracket(tf, s).terms.items():
+                by_key.setdefault(key, {})[a] = c
+        rows.extend(by_key.values())
     kernel = linalg.nullspace(rows, ncols=len(sections))
     out = []
     for coeffs in kernel:

@@ -298,7 +298,7 @@ def metric_frame(chart):
     if chart.metric is None:
         raise PotentialError("chart %s carries no metric block" % chart.name)
     names, rows = chart.metric
-    ginv = linalg.invert([list(row) for row in rows])
+    ginv = linalg.invert([enumerate(row) for row in rows])
     if ginv is None:
         raise PotentialError("metric block of chart %s is singular" % chart.name)
     frame = []

@@ -136,7 +136,8 @@ def check_instance(inst):
     {T, T}, or None when the chart or that potential failed validation.
     A default potential that fails validation is one failure, and the
     checks that read it are skipped.  A lift request that the chart cannot
-    take is a malformed instance (GalleryError)."""
+    take, and a spot argument that its op refuses, make a malformed
+    instance (GalleryError)."""
     failures = []
     chart = inst.chart
     expected = inst.expected
@@ -209,8 +210,11 @@ def check_instance(inst):
     # One table of anchor vectors serves the spots, the point cohomology
     # and every membership test below, so each {T, x} is computed once.
     anchors = courant.AnchorVectors(inst.default_potential)
-    for spot in expected.get("spots", ()):
-        got = _spot_result(anchors, spot)
+    for i, spot in enumerate(expected.get("spots", ())):
+        try:
+            got = _spot_result(anchors, spot)
+        except courant.PotentialError as e:
+            _malformed((((None, "expected"), "spots"), i), str(e))
         want = parse_expr(chart, spot["value"])
         if got != want:
             failures.append("%s: got %s, expected %s"

@@ -5,9 +5,10 @@ shares as little code as possible with the implementation under test:
 derivatives are taken by direct term-key manipulation, bracket values come
 from the literal Darboux formula, Jacobiators from structure-constant
 arithmetic, point cohomology from structure-constant ranks, pairing
-nondegeneracy from one dense determinant, lifts from a formal curve
-substitution, and the obstruction polynomial of the quasi-Poisson
-instance is assembled index by index.
+nondegeneracy from one dense determinant rather than one rank of the
+sparse pairing rows, lifts from a formal curve substitution, and the
+obstruction polynomial of the quasi-Poisson instance is assembled index
+by index.
 """
 
 import itertools
@@ -150,8 +151,8 @@ def jacobi_holds(c, rank):
                                                 repeat=3))
 
 
-def _rank(rows):
-    """Rank of a matrix by forward elimination over Fraction."""
+def dense_rank(rows):
+    """Rank of a dense matrix by forward elimination over Fraction."""
     m = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     for col in range(len(m[0]) if m else 0):
@@ -178,7 +179,7 @@ def point_h1(c, rank):
     pairs = [(i, j) for i in idx for j in idx if i < j]
     derived = [[c.get((i, j, k), 0) for i, j in pairs] for k in idx]
     centre = [[c.get((k, j, l), 0) for k in idx] for j in idx for l in idx]
-    return (rank - _rank(derived)) + (rank - _rank(centre))
+    return (rank - dense_rank(derived)) + (rank - dense_rank(centre))
 
 
 def cross_theta(chart, triples):
@@ -222,7 +223,7 @@ def quasi_obstruction(chart, dim=3):
 def dense_pairing_det(chart):
     """Determinant of the chart's whole n x n pairing matrix {g_i, g_j}, by
     Gaussian elimination over Fraction on the dense matrix; the chart
-    itself checks nondegeneracy one connected block at a time."""
+    itself checks nondegeneracy by one rank of its sparse pairing rows."""
     n = len(chart.generators)
     m = [[Fraction(chart.pairing.get((i, j), 0)) for j in range(n)]
          for i in range(n)]

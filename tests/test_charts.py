@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superpoisson.charts import (Chart, ChartError, chart_from_json,
+from superpoisson.charts import (ODD, Chart, ChartError, chart_from_json,
                                  chart_to_json,
                                  hyperbolic_metric, identity_metric,
                                  make_cotangent_antivb_chart,
@@ -93,6 +93,17 @@ def test_validate_reports_parity_weight_mismatch():
     doc["generators"][0]["weight"] = [1]
     lax = chart_from_json(doc, strict=False)
     assert validate_chart(lax) != []
+
+
+def test_an_asymmetric_metric_is_reported_once():
+    # {a, b} = {b, a} = 2, so the metric entry 0 at (b, a) also disagrees
+    # with the pairing; the asymmetry is one problem of the whole block.
+    chart = Chart("asym", 1, [("a", ODD, (1,)), ("b", ODD, (1,))],
+                  [("a", "a", 1), ("b", "b", 1), ("a", "b", 2)],
+                  metric=(["a", "b"], [[1, 2], [0, 1]]), strict=False)
+    assert validate_chart(chart) == [
+        "metric block is not symmetric",
+        "pairing {b,a} = 2 disagrees with the metric entry 0"]
 
 
 def test_vb_plain_chart_shape():

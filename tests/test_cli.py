@@ -247,6 +247,26 @@ def test_text_lift_degree_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "F").exists()
 
 
+@pytest.mark.parametrize("spot, message", [
+    ({"op": "pre_bracket", "args": ["pi1 + 1", "pi2"], "value": "pi3"},
+     "section must have homogeneous parity"),
+    ({"op": "anchor", "args": ["pi1", "pi2"], "value": "0"},
+     "anchor argument must have symplectic weight 0: pi2"),
+])
+def test_a_spot_argument_its_op_refuses_is_a_usage_error(tmp_path, capsys,
+                                                         spot, message):
+    # The potential is valid; the file asks an op for a value it has none
+    # of, which is a malformed file rather than a failed check.
+    def edit(d):
+        d["expected"]["spots"][0] = spot
+
+    path = write_instance(tmp_path, "cross3", edit)
+    code, out, err = run(capsys, ["check", path, "--json"])
+    assert code == 2
+    assert out == ""
+    assert "malformed instance: expected.spots[0]: " + message in err
+
+
 def test_deeply_nested_expression_is_a_parse_error(capsys):
     deep = "(" * 3000 + "xi1" + ")" * 3000
     code, out, err = run(capsys, ["bracket", "cross3", "--poisson",

@@ -1,9 +1,11 @@
-"""Exact linear algebra against textbook formulas written out here."""
+"""Exact linear algebra against textbook formulas written out here and the
+dense Fraction rank of tests/oracles.py."""
 
 import itertools
 import random
 from fractions import Fraction
 
+import oracles
 from superpoisson import linalg
 
 
@@ -33,25 +35,9 @@ def random_entry(rng):
                            rng.choice((1, 1, 2, 3, 4, 7))))
 
 
-def test_det_matches_leibniz_expansion():
-    rng = random.Random(4401)
-    singular = 0
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        rows = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
-        if n > 1 and rng.random() < 0.25:
-            # a row that is a rational combination of two others, or a copy
-            a, b = rng.randrange(n), rng.randrange(n)
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            target = rng.choice([i for i in range(n) if i != a])
-            rows[target] = [x + c * y if b != target else x
-                            for x, y in zip(rows[a], rows[b])]
-        want = leibniz_det(rows)
-        got = linalg.det(rows)
-        assert got == want, rows
-        assert type(got) is Fraction
-        singular += want == 0
-    assert singular > 25
+def sparse(rows):
+    """Dense rows as the sparse rows linalg takes: {column: nonzero}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def test_nullspace_of_no_rows_is_the_identity_basis():
@@ -72,9 +58,16 @@ def test_nullspace_is_a_kernel_basis_of_the_right_size():
     ]
     for rows, rank in cases:
         ncols = len(rows[0])
-        basis = linalg.nullspace(rows, ncols)
+        basis = linalg.nullspace(sparse(rows), ncols)
         assert len(basis) == ncols - rank, rows
-        assert linalg.rank(basis) == len(basis)
+        # A column is free when it adds nothing to the rank of the columns
+        # before it; the reduced-echelon kernel basis has one vector per
+        # free column, 1 there and 0 on the other free columns.
+        free = [c for c in range(ncols)
+                if oracles.dense_rank([row[:c + 1] for row in rows])
+                == oracles.dense_rank([row[:c] for row in rows])]
+        assert [[v[f] for f in free] for v in basis] == [
+            [int(f == g) for f in free] for g in free], rows
         for v in basis:
             assert len(v) == ncols
             assert all(sum(a * b for a, b in zip(row, v)) == 0
@@ -107,7 +100,30 @@ def test_rank_matches_the_pivot_count_of_rref():
         cases.append(rows)
     deficient = 0
     for rows in cases:
-        want = len(linalg.rref(rows)[1])
-        assert linalg.rank(rows) == want, rows
+        want = oracles.dense_rank(rows)
+        assert linalg.rank(sparse(rows)) == want, rows
         deficient += bool(rows) and want < min(len(rows), len(rows[0]))
     assert deficient > 50
+
+
+def test_invert_gives_the_inverse_or_none_when_the_determinant_is_zero():
+    rng = random.Random(4403)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            # a row that is a rational combination of two others
+            a, b = rng.randrange(n), rng.randrange(n)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[rng.randrange(n)] = [stored(x + c * y)
+                                      for x, y in zip(rows[a], rows[b])]
+        inverse = linalg.invert(sparse(rows))
+        if leibniz_det(rows) == 0:
+            assert inverse is None, rows
+            singular += 1
+            continue
+        assert [[sum(rows[i][k] * inverse[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)] == [
+            [int(i == j) for j in range(n)] for i in range(n)], rows
+    assert singular > 25

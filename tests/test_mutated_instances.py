@@ -77,6 +77,22 @@ def broken_spot(d, rng):
                                    "value": "0"}]
 
 
+def spot_of_wrong_kind(d, rng):
+    """A first spot whose op refuses its arguments: a derived bracket of a
+    section of mixed parity, or an anchor applied to a function of nonzero
+    symplectic weight."""
+    chart = d["chart"]
+    gens = chart["generators"]
+    axes = chart.get("symplectic_axes") or range(chart["axes"])
+    odd = rng.choice([g["name"] for g in gens if g["parity"] == "odd"])
+    weighty = rng.choice([g["name"] for g in gens
+                          if sum(g["weight"][a] for a in axes)])
+    spot = rng.choice((
+        {"op": "pre_bracket", "args": [odd + " + 1", odd], "value": "0"},
+        {"op": "anchor", "args": [odd, weighty], "value": "0"}))
+    d["expected"].setdefault("spots", []).insert(0, spot)
+
+
 def lift_degree(d, rng):
     d["lift"] = {"k": rng.choice((2, 3, 6))}
     d["expected"].setdefault("lift_verdict", "Courant")
@@ -105,7 +121,7 @@ def chart_lift_degree(d, rng):
 
 MUTATIONS = (swap_names_in_potential, append_cubic_term, wrong_parity,
              wrong_weight, degenerate_pairing, broken_l_element, broken_spot,
-             lift_degree)
+             spot_of_wrong_kind, lift_degree)
 
 
 def check_mutated(tmp_path, capsys, name, mutate, rng, n):
@@ -128,6 +144,8 @@ def test_mutated_instance_files_exit_0_1_or_2(tmp_path, capsys):
             for mutate in MUTATIONS:
                 code, _out, d = check_mutated(tmp_path, capsys, name, mutate,
                                               rng, n)
+                if mutate is spot_of_wrong_kind:
+                    assert code == 2, (name, d["expected"]["spots"][0])
                 assert code in (0, 1, 2), (name, mutate.__name__, d)
                 codes.add(code)
     assert codes == {0, 1, 2}
@@ -146,6 +164,8 @@ def test_mutated_lifted_instance_files_exit_0_1_or_2(tmp_path, capsys):
                                              rng, n)
                 if mutate is graph_weight:
                     assert code == 2, (name, d["dirac"])
+                if mutate is spot_of_wrong_kind:
+                    assert code == 2, (name, d["expected"]["spots"][0])
                 if mutate is chart_lift_degree:
                     assert code == 1, name
                     failures = json.loads(out)["failures"]

@@ -1,10 +1,10 @@
 """The chart's nondegeneracy verdict against a dense-determinant oracle.
 
-Charts check their pairing one connected block at a time; the oracle takes
-the determinant of the whole n x n matrix.  They must agree on every
-catalogue chart, its flattening and its tangent lifts, on hand-made
-degenerate pairings, and on random small sparse pairings.  Lifted charts
-take no determinant of more than two rows.
+Charts check their pairing by one rank of its sparse pairing rows; the
+oracle takes the determinant of the whole n x n matrix.  They must agree
+on every catalogue chart, its flattening and its tangent lifts, on
+hand-made degenerate pairings, and on random small sparse pairings.  A
+lifted chart passes the rank only its nonzero pairing entries.
 """
 
 import pytest
@@ -49,21 +49,26 @@ def test_catalogue_verdicts_match_the_dense_determinant():
     assert seen > 3 * len(gallery.names())
 
 
-def test_lifted_charts_take_no_determinant_above_two_rows(monkeypatch):
-    # One dense determinant of the whole pairing takes 48-80 rows here.
-    flats = list(flat_charts())
-    rows = []
-    original = linalg.det
+def test_lifted_charts_pass_rank_only_their_pairing_entries(monkeypatch):
+    # A dense pairing matrix of one of these lifts has up to 80 rows, each
+    # as long; the sparse rows hold only the nonzero entries.
+    totals = []
+    original = linalg.rank
 
-    def recording(matrix):
-        rows.append(len(matrix))
-        return original(matrix)
+    def recording(rows):
+        rows = [dict(row) for row in rows]
+        totals.append(sum(map(len, rows)))
+        return original(rows)
 
-    monkeypatch.setattr(linalg, "det", recording)
-    for flat in flats:
+    monkeypatch.setattr(linalg, "rank", recording)
+    seen = 0
+    for flat in flat_charts():
         for k in range(2, 6):
-            lifts.tangent_lift_chart(flat, k)
-    assert rows and max(rows) <= 2
+            totals.clear()
+            lifted = lifts.tangent_lift_chart(flat, k)
+            assert totals == [len(lifted.pairing)], (lifted.name, totals)
+            seen += 1
+    assert seen > 40
 
 
 def odd_pair_all_ones():
