@@ -136,8 +136,9 @@ def check_instance(inst):
     {T, T}, or None when the chart or that potential failed validation.
     A default potential that fails validation is one failure, and the
     checks that read it are skipped.  A lift request that the chart cannot
-    take, and a spot argument that its op refuses, make a malformed
-    instance (GalleryError)."""
+    take, a spot argument that its op refuses, and a point-cohomology
+    request on a chart with base coordinates make a malformed instance
+    (GalleryError)."""
     failures = []
     chart = inst.chart
     expected = inst.expected
@@ -237,8 +238,11 @@ def check_instance(inst):
                                 % (residual.is_zero, want["residual_zero"]))
 
     if "cohomology_point" in expected:
-        got = [sum(h.values()) for h in
-               complexes.point_cohomology(anchors)]
+        try:
+            got = [sum(h.values()) for h in
+                   complexes.point_cohomology(anchors)]
+        except courant.PotentialError as e:
+            _malformed(((None, "expected"), "cohomology_point"), str(e))
         if got != list(expected["cohomology_point"]):
             failures.append("point cohomology %s, expected %s"
                             % (got, expected["cohomology_point"]))

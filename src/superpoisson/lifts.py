@@ -18,13 +18,13 @@ identity {P^c, Q^c} = ({P, Q})^c, checked by the tests and exposed as
 
 complete_lift(P, k) returns an element of a new lifted chart, read as
 ``.chart``.  Lifts on one chart come from lift_identity_check, or from
-``superpoly.substitute`` transport by name onto a chart already built.
+``superpoly.substitute`` by name onto a chart already built.
 
-Lifting reads one axis.  complete_lift flattens a chart whose axes are
-all symplectic to total weight itself (``flatten_chart``); flattening
-keeps every generator's name and index, so P's term dict is read on the
-flat chart as it is.  ``flatten_poly`` transports an element there by
-name.
+Lifting reads one axis.  complete_lift and lift_identity_check flatten a
+chart whose axes are all symplectic to total weight (``flatten_chart``).
+Flattening keeps every generator's name and index, so ``flatten_poly``
+reads P's term dict on the flat chart as it is; it is the one transport
+onto a flattened chart.
 
 Weights on a lifted chart are checked once, where an object is made:
 ``courant.validate_potential`` wants a potential of lift weight k - 1, and
@@ -48,8 +48,8 @@ class LiftError(ValueError):
 
 def flatten_chart(chart):
     """Collapse a multi-axis chart to a single axis of total symplectic
-    weight.  Names, parities, pairing, roles and the N-flag survive; the
-    metric block does too since it is keyed by names."""
+    weight.  Names, parities, roles and the N-flag survive, and so do the
+    pairing seeds and the metric block, which are keyed by names."""
     if chart.axes == 1:
         return chart
     if tuple(chart.symplectic_axes) != tuple(range(chart.axes)):
@@ -58,18 +58,18 @@ def flatten_chart(chart):
             "grading" % chart.name)
     gens = [(g.name, g.parity, (chart.symplectic_weight(g.weight),))
             for g in chart.generators]
-    pairing_spec = [(chart.generators[gi].name, chart.generators[hj].name, c)
-                    for gi, hj, c in chart.pairing_entries()
-                    if gi < hj or (gi == hj)]
-    return Chart("%s|flat" % chart.name, 1, gens, pairing_spec,
+    return Chart("%s|flat" % chart.name, 1, gens, chart.pairing_given,
                  metric=chart.metric, n_manifold=chart.n_manifold,
                  symplectic_axes=(0,), roles=chart.roles)
 
 
 def flatten_poly(P, flat):
-    """Transport P to the flattened chart by name."""
-    from .superpoly import substitute
-    return substitute(P, {}, target=flat)
+    """P on flat = flatten_chart(P.chart), which lists P's generators by
+    name and index, so P's term dict is read there as it is."""
+    if flat.name_to_index != P.chart.name_to_index:
+        raise LiftError("chart %s does not flatten %s: its generators "
+                        "differ" % (flat.name, P.chart.name))
+    return SuperPoly.from_clean_terms(flat, P.terms)
 
 
 def lifted_name(name, eps):
@@ -91,18 +91,13 @@ def tangent_lift_chart(chart, k):
         for g in chart.generators:
             gens.append((lifted_name(g.name, eps), g.parity,
                          (eps, g.weight[0])))
-    pairing_spec = []
-    seen = set()
-    for gi, hj, c in chart.pairing_entries():
-        for eps in range(k):
-            delta = k - 1 - eps
-            key = (lifted_name(chart.generators[gi].name, eps),
-                   lifted_name(chart.generators[hj].name, delta))
-            back = (key[1], key[0])
-            if back in seen:
-                continue
-            seen.add(key)
-            pairing_spec.append((key[0], key[1], c))
+    # One seed per unordered pair of copies: gi < hj at every eps, and a
+    # self-pair at the eps with eps <= k - 1 - eps.
+    names = [g.name for g in chart.generators]
+    pairing_spec = [(lifted_name(names[gi], eps),
+                     lifted_name(names[hj], k - 1 - eps), c)
+                    for gi, hj, c in chart.pairing_entries() if gi <= hj
+                    for eps in range(k) if gi < hj or 2 * eps < k]
     roles = None
     if chart.roles is not None:
         roles = {}
@@ -182,8 +177,7 @@ def complete_lift(P, k):
     tangent_lift_chart(flatten_chart(P.chart), k); see the module
     docstring."""
     flat = flatten_chart(P.chart)
-    return _lift(SuperPoly.from_clean_terms(flat, P.terms), k,
-                 tangent_lift_chart(flat, k))
+    return _lift(flatten_poly(P, flat), k, tangent_lift_chart(flat, k))
 
 
 def _lift(P, k, target):
@@ -212,10 +206,12 @@ def _lift(P, k, target):
 
 
 def lift_identity_check(P, Q, k):
-    """{P^c, Q^c} minus ({P, Q})^c, on one lifted chart; identically zero
-    when the lift conventions are consistent."""
+    """{P^c, Q^c} minus ({P, Q})^c on one lift of flatten_chart(P.chart);
+    identically zero when the lift conventions are consistent."""
     if P.chart is not Q.chart:
         raise LiftError("inputs live on different charts")
-    target = tangent_lift_chart(P.chart, k)
-    lhs = bracket(_lift(P, k, target), _lift(Q, k, target))
-    return lhs - _lift(bracket(P, Q), k, target)
+    flat = flatten_chart(P.chart)
+    target = tangent_lift_chart(flat, k)
+    Pc, Qc, PQc = (_lift(flatten_poly(X, flat), k, target)
+                   for X in (P, Q, bracket(P, Q)))
+    return bracket(Pc, Qc) - PQc

@@ -51,18 +51,20 @@ def random_base_function(chart, rng):
 
 def random_section(chart, rng):
     """Random symplectic-weight-1 element: one to three generator terms
-    with base-function coefficients."""
-    ones = chart.section_indices
-    if not ones:
+    with base-function coefficients, each of the first one's parity."""
+    gens = chart.generators
+    choices = chart.section_indices
+    if not choices:
         raise SamplingError("chart %s has no weight-1 sector" % chart.name)
     total = {}
-    for _ in range(rng.randint(1, 3)):
-        g = SuperPoly.generator_monomial(chart,
-                                         chart.generators[rng.choice(ones)])
-        mul_terms_into(total, random_base_function(chart, rng).terms, g.terms)
+    for n in range(rng.randint(1, 3)):
+        g = gens[rng.choice(choices)]
+        if n == 0:
+            choices = [i for i in choices if gens[i].parity == g.parity]
+        mul_terms_into(total, random_base_function(chart, rng).terms,
+                       SuperPoly.generator_monomial(chart, g).terms)
     if not total:
-        return SuperPoly.generator_monomial(
-            chart, chart.generators[rng.choice(ones)])
+        return SuperPoly.generator_monomial(chart, gens[rng.choice(choices)])
     return SuperPoly.from_clean_terms(chart, total)
 
 

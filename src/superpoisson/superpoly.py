@@ -223,9 +223,6 @@ class SuperPoly:
         """Deterministically ordered (key, coefficient) pairs."""
         return [(k, self.terms[k]) for k in sorted(self.terms)]
 
-    def coefficient(self, key):
-        return self.terms.get(key, 0)
-
     def __eq__(self, other):
         if type(other) is not SuperPoly:
             other = self._coerce(other)
@@ -440,8 +437,11 @@ def substitute(P, genmap, target=None):
     name.  Scalar symbols are carried along; each of their jet indices must
     land on a weight-zero even target generator (i.e. the base sector must
     map to the base sector by renaming), otherwise the chain rule would be
-    unsound and a ValueError is raised.  Koszul signs come out automatically
-    because each term is rebuilt as an ordered product of factor images.
+    unsound and a ValueError is raised.  Each term's image is the ordered
+    product of its factors' images, multiplied on term dicts with
+    mul_terms_into, so the Koszul signs come out of the products.  This is
+    the transport between charts that are not a flattening of one another;
+    ``lifts.flatten_poly`` moves an element onto its flattened chart.
     """
     chart = P.chart
     if target is None:
@@ -454,55 +454,42 @@ def substitute(P, genmap, target=None):
             img = SuperPoly.constant(target, img)
         if img.chart is not target:
             raise ValueError("image of %s lives on the wrong chart" % g.name)
-        images[g.index] = img
-
-    image_cache = {}
+        images[g.index] = img.terms
 
     def gen_image(idx):
-        if idx in image_cache:
-            return image_cache[idx]
-        if idx in images:
-            img = images[idx]
-        else:
+        if idx not in images:
             name = chart.generators[idx].name
-            img = SuperPoly.generator_monomial(target, target.generator(name))
-        image_cache[idx] = img
-        return img
+            images[idx] = SuperPoly.generator_monomial(
+                target, target.generator(name)).terms
+        return images[idx]
 
     def jet_target(idx):
         img = gen_image(idx)
-        if len(img.terms) != 1:
+        keys = list(img)
+        tidx = keys[0][1][0][0] if len(keys) == 1 and keys[0][1] else None
+        if tidx is None or img != {((), ((tidx, 1),), ()): 1}:
             raise ValueError(
                 "jet index %s must map to a single base generator"
                 % chart.generators[idx].name)
-        (scal, even, odd), c = next(iter(img.terms.items()))
-        if scal or odd or len(even) != 1 or even[0][1] != 1 or c != 1:
-            raise ValueError(
-                "jet index %s must map to a single base generator"
-                % chart.generators[idx].name)
-        tidx = even[0][0]
         if not target.generators[tidx].is_true_base:
             raise ValueError(
                 "jet index %s must land in the weight-zero even sector"
                 % chart.generators[idx].name)
         return tidx
 
-    total = SuperPoly(target, {})
+    total = {}
     for (scal, even, odd), c in P.terms.items():
-        part = SuperPoly.constant(target, c)
         if scal:
-            new_scal = tuple(sorted(
+            scal = tuple(sorted(
                 (name, tuple(sorted(jet_target(j) for j in jets)))
                 for name, jets in scal))
-            part = part * SuperPoly(target, {(new_scal, (), ()): 1})
-        for idx, e in even:
-            img = gen_image(idx)
-            for _ in range(e):
-                part = part * img
-        for idx in odd:
-            part = part * gen_image(idx)
-        total = total + part
-    return total
+        part = {(scal, (), ()): c}
+        for idx in [gi for gi, e in even for _ in range(e)] + list(odd):
+            part, left = {}, part
+            mul_terms_into(part, left, gen_image(idx))
+        for key, v in part.items():
+            _add_term(total, key, v)
+    return SuperPoly.from_clean_terms(target, total)
 
 
 # -- printing ----------------------------------------------------------
@@ -566,9 +553,9 @@ def _tokenize(text):
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("NUM", text[i:j], i))
             i = j

@@ -37,11 +37,14 @@ def reference_base_function(chart, rng):
 
 def reference_section(chart, rng):
     """sampling.random_section as a sum of SuperPoly products, drawing its
-    coefficients with reference_base_function."""
+    coefficients with reference_base_function.  The first generator drawn
+    fixes the parity of the later ones."""
     ones = [chart.generators[idx] for idx in chart.section_indices]
     total = chart.zero()
-    for _ in range(rng.randint(1, 3)):
+    for n in range(rng.randint(1, 3)):
         g = rng.choice(ones)
+        if n == 0:
+            ones = [h for h in ones if h.parity == g.parity]
         coeff = reference_base_function(chart, rng)
         total = total + coeff * SuperPoly.generator_monomial(chart, g)
     if total.is_zero:

@@ -7,10 +7,11 @@ Lie structure induced along a Dirac graph, the lift of a coordinate
 subbundle, left-nested evaluation of a form on sections, the contraction by
 a formal function symbol, the weight table of a lifted potential (the lift
 weights of its brackets, pairings and anchors, which validate_potential
-already forces), and the substitute-and-truncate complete lift (every
+already forces), the substitute-and-truncate complete lift (every
 generator replaced by the sum of its copies, every symbol Taylor-expanded,
-every product cut at lift weight k - 1).  Tests compare them with the
-library; the library does not use them.
+every product cut at lift weight k - 1), and an algebra map as a sum of
+ordered SuperPoly products of the factor images.  Tests compare them with
+the library; the library does not use them.
 """
 
 import itertools
@@ -448,3 +449,34 @@ def substitution_lift(P, k, target=None):
             piece = _product_below(piece, gen_cache[idx], k - 1)
         total = total + piece
     return lift_component(total, k - 1)
+
+
+# -- algebra map by SuperPoly products -------------------------------------
+
+
+def substitute_by_products(P, genmap, target):
+    """superpoly.substitute(P, genmap, target) for a genmap keyed by name,
+    each term rebuilt as the ordered SuperPoly product of its factors'
+    images; a jet index moves to the one generator of its image."""
+    chart = P.chart
+    images = {chart.generator(name).index: img for name, img in genmap.items()}
+
+    def image(idx):
+        if idx in images:
+            return images[idx]
+        return target.gen(chart.generators[idx].name)
+
+    def moved(jets):
+        return tuple(sorted(next(iter(image(j).terms))[1][0][0]
+                            for j in jets))
+
+    total = target.zero()
+    for (scal, even, odd), c in P.terms.items():
+        scal = tuple(sorted((name, moved(jets)) for name, jets in scal))
+        part = SuperPoly(target, {(scal, (), ()): c})
+        for idx, e in even:
+            part = part * image(idx) ** e
+        for idx in odd:
+            part = part * image(idx)
+        total = total + part
+    return total

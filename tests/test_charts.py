@@ -129,3 +129,53 @@ def test_unreadable_weights_are_problems_not_tracebacks(axes, symplectic_axes,
     assert validate_chart(chart) == problems
     with pytest.raises(ChartError, match=problems[0]):
         Chart(*args, symplectic_axes=symplectic_axes)
+
+
+BASE = [("a", 0, (0,)), ("p", 0, (2,))]
+ODDS = [("xi", ODD, (1,)), ("eta", ODD, (1,))]
+ODD_PAIRS = [("xi", "xi", 1), ("eta", "eta", 1)]
+
+
+@pytest.mark.parametrize("axes, generators, pairing, options, problems", [
+    (1, BASE, [("p", "a", 1), ("p", "zz", 1)], {},
+     ["pairing entry (p, zz) names an unknown generator"]),
+    (1, ODDS, ODD_PAIRS + [("xi", "xi", 2)], {},
+     ["conflicting self-pairing for xi"]),
+    # {p, a} = 1 stores {a, p} = -1, so a seed {a, p} = 1 breaks graded
+    # antisymmetry and meets the stored mirror.
+    (1, BASE, [("p", "a", 1), ("a", "p", 1)], {},
+     ["pairing entries for (a, p) conflict: -1 vs 1"]),
+    (0, BASE, [("p", "a", 1)], {},
+     ["a chart needs at least one weight axis"]),
+    (1, BASE, [("p", "a", 1)], {"symplectic_axes": ()},
+     ["symplectic_axes must be non-empty",
+      "conjugate weights sum to (2,); the symplectic form must have "
+      "symplectic weight 2"]),
+    (1, [("1a", 0, (0,)), ("p", 0, (2,))], [("p", "1a", 1)], {},
+     ["generator name '1a' is not an identifier"]),
+    # The second a cannot be named in a pairing, so it pairs with nothing.
+    (1, BASE + [("a", 0, (0,))], [("p", "a", 1)], {},
+     ["duplicate generator name 'a'",
+      "pairing matrix is degenerate over the rationals"]),
+    (1, ODDS, ODD_PAIRS, {"metric": (["xi", "eta"], [[1, 0]])},
+     ["metric block is not square"]),
+    (1, ODDS, ODD_PAIRS, {"metric": (["xi", "zeta"], [[1, 0], [0, 1]])},
+     ["metric names unknown generator 'zeta'"]),
+    (1, ODDS + [("zeta", ODD, (1,)), ("theta", ODD, (1,))],
+     [("xi", "zeta", 1), ("eta", "theta", 1)],
+     {"metric": (["xi", "eta"], [[0, 0], [0, 0]])},
+     ["metric block is singular"]),
+    (1, BASE, [("p", "a", 1)], {"roles": {"b": "base"}},
+     ["role for unknown generator 'b'"]),
+    (1, BASE, [("p", "a", 1)], {"roles": {"a": "anchor"}},
+     ["unknown role 'anchor' for a"]),
+], ids=["unknown-pairing-name", "self-pairing-conflict", "antisymmetry",
+        "no-axis", "no-symplectic-axis", "not-identifier", "duplicate-name",
+        "metric-not-square", "metric-unknown-name", "metric-singular",
+        "role-unknown-name", "unknown-role"])
+def test_each_chart_problem_is_reported(axes, generators, pairing, options,
+                                        problems):
+    chart = Chart("c", axes, generators, pairing, strict=False, **options)
+    assert validate_chart(chart) == problems
+    with pytest.raises(ChartError):
+        Chart("c", axes, generators, pairing, **options)

@@ -571,3 +571,109 @@ def test_commands_refuse_an_invalid_potential_as_check_does(
     assert out == ""
     assert err == failure + "\n"
     assert not (tmp_path / "F").exists()
+
+
+def test_point_cohomology_on_a_chart_with_base_coordinates_is_a_usage_error(
+        tmp_path, capsys):
+    # The potential is valid; the file asks for a quantity that is only
+    # defined over a point, like a spot its op refuses.
+    def edit(d):
+        d["expected"]["cohomology_point"] = [1, 0]
+
+    path = write_instance(tmp_path, "bialgebroid", edit)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 2
+    assert out == ""
+    assert ("malformed instance: expected.cohomology_point: point "
+            "cohomology needs a chart over a point") in err
+
+
+def mixed_parity_sections(d):
+    """cross3 with an even conjugate pair e1, e2 in the weight-1 sector."""
+    chart = d["chart"]
+    chart["n_manifold"] = False
+    chart["generators"] += [
+        {"name": "e1", "parity": "even", "weight": [1, 0]},
+        {"name": "e2", "parity": "even", "weight": [0, 1]}]
+    chart["pairing"].append(["e1", "e2", "1"])
+    chart["roles"].update(e1="fibre", e2="cofibre")
+    del d["expected"]["cohomology_point"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_check_draws_sections_of_one_parity(tmp_path, capsys, seed):
+    # The weight-1 sector has odd and even generators; each drawn section
+    # takes the parity of its first generator.
+    path = write_instance(tmp_path, "cross3", mixed_parity_sections)
+    code, out, err = run(capsys, ["check", path, "--seed", str(seed),
+                                  "--json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert [row["ok"] for row in payload["identities"]] == [True] * 4
+
+
+@pytest.mark.parametrize("text", ["pi1*²", "²", "pi1^²", "1/²"])
+def test_a_superscript_digit_is_a_parse_error(capsys, text):
+    code, out, err = run(capsys, ["bracket", "cross3", "--poisson",
+                                  text, "pi2"])
+    assert code == 2
+    assert out == ""
+    assert "parse error: unexpected character '²'" in err
+
+
+def test_a_superscript_digit_in_an_instance_file_is_a_parse_error(
+        tmp_path, capsys):
+    def edit(d):
+        d["potential"] += " + xi1*xi2*pi3^²"
+
+    path = write_instance(tmp_path, "cross3", edit)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 2
+    assert out == ""
+    assert "parse error: unexpected character '²'" in err
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(d):
+        for step in path:
+            d = d[step]
+        d[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("chart", "pairing", 0, 2, "x"),
+     'chart.pairing[0][2]: expected a rational like "3/2", got "x"'),
+    (_set("chart", "pairing", 0, ["xi1", "pi1"]),
+     'chart.pairing[0]: expected a list of 3 entries, got ["xi1", "pi1"]'),
+    (_set("chart", "generators", 0, "parity", "neutral"),
+     'chart.generators[0].parity: expected one of "even", "odd", 0, 1, '
+     'got "neutral"'),
+    (_set("lift", "k", 1),
+     "lift.k: expected an integer of at least 2, got 1"),
+    (_set("expected", "spots", 0, "args", ["pi1"]),
+     "expected.spots[0].args: pre_bracket takes 2 arguments, got 1"),
+    (_set("chart", "generators", 0, "weight", [1]),
+     "chart.generators[0].weight: expected 2 entries, one per axis, got 1"),
+    (_set("chart", "symplectic_axes", [0, 2]),
+     "chart.symplectic_axes[1]: axis 2 out of range for 2 axes"),
+], ids=["rational", "pairing-length", "parity", "lift-k", "spot-arity",
+        "weight-length", "symplectic-axis"])
+def test_each_malformed_field_is_refused_with_its_path(tmp_path, capsys, edit,
+                                                       message):
+    path = write_instance(tmp_path, "cross3", edit)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 2
+    assert out == ""
+    assert "malformed instance: " + message in err
+
+
+def test_an_unsupported_schema_version_is_refused(tmp_path, capsys):
+    path = write_instance(tmp_path, "cross3", _set("schema_version", 99))
+    code, out, err = run(capsys, ["check", path])
+    assert code == 2
+    assert out == ""
+    assert "unsupported schema version 99" in err

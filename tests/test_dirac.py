@@ -9,7 +9,8 @@ from superpoisson.charts import make_cotangent_antivb_chart
 from superpoisson.dirac import (BivectorGraph, CoordinateSubbundle, GraphError,
                                 TwoFormGraph)
 from superpoisson.lifts import LiftError
-from superpoisson.superpoly import parse_expr, substitute, to_text
+from superpoisson.superpoly import (SuperPoly, parse_expr, substitute,
+                                    to_text)
 
 
 def test_cross7_coordinate_graph_is_tangent_and_isotropic():
@@ -18,6 +19,34 @@ def test_cross7_coordinate_graph_is_tangent_and_isotropic():
     assert inst.graph.kind == "coords"
     assert dirac.is_isotropic(inst.graph)
     assert dirac.tangency_residual(inst.theta, inst.graph).is_zero
+
+
+@pytest.mark.parametrize("name", [
+    name for name in gallery.names() if gallery.build(name).graph is not None])
+def test_pullback_multiplies_term_dicts(monkeypatch, name):
+    # substitute builds each term's image with mul_terms_into; the graph's
+    # substitution table may use products, but substitute itself makes none.
+    inst = gallery.build(name)
+    events = []
+    real_substitute, real_mul = dirac.substitute, SuperPoly.__mul__
+
+    def substitute_traced(*args):
+        events.append("substitute")
+        out = real_substitute(*args)
+        events.append("done")
+        return out
+
+    def mul_traced(self, other):
+        events.append("mul")
+        return real_mul(self, other)
+
+    monkeypatch.setattr(dirac, "substitute", substitute_traced)
+    monkeypatch.setattr(SuperPoly, "__mul__", mul_traced)
+    residual = dirac.tangency_residual(inst.default_potential, inst.graph)
+    assert events[events.index("substitute"):] == ["substitute", "done"]
+    monkeypatch.undo()
+    assert residual == routes.substitute_by_products(
+        inst.default_potential, inst.graph.substitution(), inst.chart)
 
 
 def test_metric_chart_survivors_fail_isotropy():

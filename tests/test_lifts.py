@@ -143,6 +143,45 @@ def test_lift_identity_on_random_pairs():
             assert defect.is_zero, (k, r, to_text(defect))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_lift_identity_check_flattens_a_two_axis_chart(k):
+    # cross3 has two symplectic axes; the check flattens it, as
+    # complete_lift does, before lifting.
+    inst = gallery.build("cross3")
+    rng = random.Random(54 + k)
+    pairs = [(inst.theta, inst.theta)] + [
+        (draws.random_homogeneous(inst.chart, rng),
+         draws.random_homogeneous(inst.chart, rng)) for _ in range(4)]
+    for r, (P, Q) in enumerate(pairs):
+        defect = lifts.lift_identity_check(P, Q, k)
+        assert defect.is_zero, (k, r, to_text(defect))
+        assert defect.chart.name == "cotangent_antivb(0|3)|flat|T%d" % (k - 1)
+
+
+def _reversed_generators(chart):
+    doc = chart_to_json(chart)
+    doc["generators"].reverse()
+    return lifts.flatten_chart(chart_from_json(doc))
+
+
+@pytest.mark.parametrize("other", [
+    lambda chart: make_darboux_chart(0, 6),
+    _reversed_generators,
+], ids=["other-names", "other-order"])
+def test_flatten_poly_refuses_a_chart_with_other_generators(other):
+    P = gallery.build("cross3").theta
+    with pytest.raises(LiftError, match="generators differ"):
+        lifts.flatten_poly(P, other(P.chart))
+
+
+def test_flatten_poly_reads_the_term_dict_as_it_is():
+    P = gallery.build("cross7_full").theta
+    flat = lifts.flatten_chart(P.chart)
+    low = lifts.flatten_poly(P, flat)
+    assert low.chart is flat
+    assert low.terms == P.terms
+
+
 def test_complete_lift_matches_curve_oracle():
     rng = random.Random(53)
     charts = [make_darboux_chart(1, 2), flat_antivb(1, 1)]

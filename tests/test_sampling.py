@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import draws
 from superpoisson import courant, gallery, sampling
+from superpoisson.charts import chart_from_json, chart_to_json
 from superpoisson.poisson import bracket
 
 SEEDS = range(10)
@@ -31,6 +32,27 @@ def test_draws_equal_the_superpoly_reference():
                 assert got.chart is want.chart
                 assert typed_terms(got) == typed_terms(want), (name, seed)
                 assert ours.random() == theirs.random(), (name, seed)
+
+
+def test_sections_take_the_parity_of_their_first_generator():
+    # cross3's chart with an even conjugate pair beside the odd weight-1
+    # generators: a section mixing the two would have no parity.
+    doc = chart_to_json(gallery.build("cross3").chart)
+    doc["n_manifold"] = False
+    doc["generators"] += [{"name": "e1", "parity": "even", "weight": [1, 0]},
+                          {"name": "e2", "parity": "even", "weight": [0, 1]}]
+    doc["pairing"].append(["e1", "e2", "1"])
+    chart = chart_from_json(doc)
+    parities = set()
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = sampling.random_section(chart, ours)
+        assert got.parity() is not None, seed
+        parities.add(got.parity())
+        want = draws.reference_section(chart, theirs)
+        assert typed_terms(got) == typed_terms(want), seed
+        assert ours.random() == theirs.random(), seed
+    assert parities == {0, 1}
 
 
 def multiplier(P):

@@ -6,6 +6,7 @@ import pytest
 import draws
 import identities
 import oracles
+import routes
 from superpoisson import complexes, courant, gallery, lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.poisson import bracket
@@ -146,6 +147,45 @@ def test_substitute_identity_and_scaling():
     assert same == P
     doubled = substitute(P, {"xi1": ch.gen("xi1") * Fraction(2)})
     assert doubled == parse_expr(ch, "2*x1*xi1*p1 + 2*xi1*xi2")
+
+
+def _same_parity_draw(chart, rng, parity):
+    while True:
+        P = draws.random_homogeneous(chart, rng)
+        if P.parity() == parity:
+            return P
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_substitute_agrees_with_ordered_products(name):
+    # Up to three generators outside the true base go to same-parity
+    # draws; the rest, and every jet index, go to themselves.
+    chart = gallery.build(name).chart
+    rng = random.Random(name)
+    movable = [g for g in chart.generators if not g.is_true_base]
+    for r in range(12):
+        P = draws.random_homogeneous(chart, rng)
+        genmap = {g.name: _same_parity_draw(chart, rng, g.parity)
+                  for g in rng.sample(movable, rng.randint(1, 3))}
+        got = substitute(P, genmap)
+        assert got == routes.substitute_by_products(P, genmap, chart), (
+            r, to_text(P), {k: to_text(v) for k, v in genmap.items()})
+
+
+def test_substitute_refuses_a_jet_index_off_the_base():
+    ch = make_cotangent_antivb_chart(1, 2)
+    P = ch.symbol("f", ("x1",)) * ch.gen("xi1")
+    for image, message in ((ch.gen("x1") * 2, "single base generator"),
+                           (ch.gen("p1"), "weight-zero even sector")):
+        with pytest.raises(ValueError, match=message):
+            substitute(P, {"x1": image})
+
+
+@pytest.mark.parametrize("text", ["pi1*²", "²", "pi1^²", "1/²"])
+def test_a_superscript_digit_is_not_a_number(text):
+    chart = gallery.build("cross3").chart
+    with pytest.raises(ParseError, match="unexpected character '²'"):
+        parse_expr(chart, text)
 
 
 def assert_int_first(P):
