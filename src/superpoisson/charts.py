@@ -17,7 +17,8 @@ section_indices (weight 1) and momentum_indices (conjugate to the base).
 
 from fractions import Fraction
 
-from .superpoly import EVEN, ODD, Generator, SuperPoly, _norm, parse_expr
+from .superpoly import (EVEN, ODD, Generator, SuperPoly, _name_end, _norm,
+                        parse_expr)
 from . import linalg
 
 ROLES = ("base", "fibre", "momentum", "cofibre")
@@ -25,12 +26,6 @@ ROLES = ("base", "fibre", "momentum", "cofibre")
 
 class ChartError(ValueError):
     pass
-
-
-def _is_identifier(name):
-    if not name or name[0].isdigit():
-        return False
-    return all(ch.isalnum() or ch == "_" for ch in name)
 
 
 class Chart:
@@ -223,7 +218,7 @@ def _structural_problems(chart):
 
     seen = set()
     for g in chart.generators:
-        if not _is_identifier(g.name):
+        if not g.name or _name_end(g.name, 0) < len(g.name):
             problems.append("generator name %r is not an identifier" % g.name)
         if g.name in seen:
             problems.append("duplicate generator name %r" % g.name)

@@ -6,14 +6,12 @@ A graded subbundle is described here by a substitution that expresses some
 of the coordinates through the surviving ones:
 
 * CoordinateSubbundle(chart, vanish): the named coordinates are set to 0.
-* BivectorGraph(chart, field): the even weight-2 function ``field`` is
-  built from the cofibre sector over the base; every fibre and momentum
-  coordinate z is replaced by {field, z}.  The zero field gives the
-  restriction that kills the fibre and momentum sectors.
-* TwoFormGraph(chart, form): the even weight-2 function ``form`` is built
-  from the fibre sector over the base; every momentum coordinate m with
-  conjugate position z and pairing constant c = {m, z} is replaced by
-  c times the left partial of the form by z.
+* BivectorGraph(chart, F) and TwoFormGraph(chart, F): F is an even
+  weight-2 function built over the base from the cofibre sector (a
+  bivector field) or the fibre sector (a two-form).  Each fibre and
+  momentum coordinate z goes to {F, z} along a bivector field, each
+  momentum and cofibre coordinate z to -{F, z} along a two-form; the
+  zero F gives the restriction that kills those sectors.
 
 ``pullback`` applies the substitution to any polynomial and
 ``tangency_residual`` applies it to a potential; the residual is zero
@@ -25,67 +23,13 @@ lift weight k - 1, so that the substitution keeps every coordinate's
 bi-weight; a graph that breaks this is refused when it is built.
 """
 
-from .superpoly import left_partial, substitute, to_text
+from .superpoly import substitute, to_text
 from .poisson import bracket
 from .courant import validate_potential
-
-POSITION_ROLES = ("base", "fibre")
-MOMENTUM_ROLES = ("momentum", "cofibre")
 
 
 class GraphError(ValueError):
     pass
-
-
-def _require_roles(chart):
-    if chart.roles is None:
-        raise GraphError(
-            "chart %s carries no sector roles; graphs need them" % chart.name)
-
-
-def momentum_indices(chart):
-    _require_roles(chart)
-    return sorted(i for role in MOMENTUM_ROLES
-                  for i in chart.role_indices(role))
-
-
-def _check_sector_function(chart, value, odd_role, what):
-    """value must be even, of symplectic weight 2, and use only odd
-    generators of the given role plus even base-sector generators.
-
-    On a chart with a lift degree k, value must also have lift weight
-    k - 1.  That is the whole weight rule for the graph: the pairing joins
-    lift weights adding up to k - 1, so every image of the substitution has
-    the bi-weight of the coordinate it replaces exactly when value has
-    lift weight k - 1."""
-    if value.is_zero:
-        return
-    weight, parity = value.weight(), value.parity()
-    if weight is None or parity is None:
-        raise GraphError("%s must be homogeneous: %s" % (what, to_text(value)))
-    if parity != 0:
-        raise GraphError("%s must be even: %s" % (what, to_text(value)))
-    if chart.symplectic_weight(weight) != 2:
-        raise GraphError(
-            "%s must have symplectic weight 2, got %d"
-            % (what, chart.symplectic_weight(weight)))
-    lift = chart.lift_weight(weight)
-    if chart.lift_degree is not None and lift != chart.lift_degree - 1:
-        raise GraphError(
-            "%s on a degree-%d lifted chart must have lift weight %d, got %d"
-            % (what, chart.lift_degree, chart.lift_degree - 1, lift))
-    for key, _c in value.items():
-        _scal, even, odd = key
-        for idx, _e in even:
-            if chart.roles.get(chart.generators[idx].name) != "base":
-                raise GraphError(
-                    "%s uses %s outside the base sector"
-                    % (what, chart.generators[idx].name))
-        for idx in odd:
-            if chart.roles.get(chart.generators[idx].name) != odd_role:
-                raise GraphError(
-                    "%s uses %s outside the %s sector"
-                    % (what, chart.generators[idx].name, odd_role))
 
 
 class CoordinateSubbundle:
@@ -118,58 +62,79 @@ class CoordinateSubbundle:
         return [i for i in range(len(self.chart.generators)) if i not in dead]
 
 
-class BivectorGraph:
+class _FunctionGraph:
+    """Graph of an even weight-2 function F built from the odd_role sector
+    over the base: each generator z of a replaced role goes to sign*{F, z}.
+
+    F may use only odd generators of the odd_role sector and even base
+    generators, and on a chart with a lift degree k it must have lift
+    weight k - 1.  That is the whole weight rule for the graph: the pairing
+    joins lift weights adding up to k - 1, so every image of the
+    substitution has the bi-weight of the coordinate it replaces exactly
+    when F has lift weight k - 1."""
+
+    def __init__(self, chart, function):
+        if chart.roles is None:
+            raise GraphError(
+                "chart %s carries no sector roles; graphs need them"
+                % chart.name)
+        what = self.what
+        if function.chart is not chart:
+            raise GraphError("%s lives on the wrong chart" % what)
+        self.chart = chart
+        self.function = function
+        if function.is_zero:
+            return
+        weight, parity = function.weight(), function.parity()
+        if weight is None or parity is None:
+            raise GraphError(
+                "%s must be homogeneous: %s" % (what, to_text(function)))
+        if parity != 0:
+            raise GraphError("%s must be even: %s" % (what, to_text(function)))
+        if chart.symplectic_weight(weight) != 2:
+            raise GraphError(
+                "%s must have symplectic weight 2, got %d"
+                % (what, chart.symplectic_weight(weight)))
+        lift = chart.lift_weight(weight)
+        if chart.lift_degree is not None and lift != chart.lift_degree - 1:
+            raise GraphError(
+                "%s on a degree-%d lifted chart must have lift weight %d, "
+                "got %d" % (what, chart.lift_degree, chart.lift_degree - 1,
+                            lift))
+        for (_scal, even, odd), _c in function.items():
+            for idx in [i for i, _e in even] + list(odd):
+                g = chart.generators[idx]
+                role = self.odd_role if g.parity else "base"
+                if chart.roles.get(g.name) != role:
+                    raise GraphError("%s uses %s outside the %s sector"
+                                     % (what, g.name, role))
+
+    def substitution(self):
+        chart = self.chart
+        return {g.name: bracket(self.function, chart.gen(g.name)) * self.sign
+                for g in chart.generators
+                if chart.roles.get(g.name) in self.replaced}
+
+
+class BivectorGraph(_FunctionGraph):
     """Graph of an even weight-2 cofibre-sector function."""
 
     kind = "bivector"
-
-    def __init__(self, chart, field):
-        _require_roles(chart)
-        self.chart = chart
-        if field.chart is not chart:
-            raise GraphError("field lives on the wrong chart")
-        _check_sector_function(chart, field, "cofibre", "bivector field")
-        self.field = field
-
-    def substitution(self):
-        chart = self.chart
-        sub = {}
-        for idx, g in enumerate(chart.generators):
-            if chart.roles.get(g.name) in ("fibre", "momentum"):
-                sub[g.name] = bracket(self.field, chart.gen(g.name))
-        return sub
+    what = "bivector field"
+    odd_role = "cofibre"
+    replaced = ("fibre", "momentum")
+    sign = 1
 
 
-class TwoFormGraph:
-    """Graph of an even weight-2 fibre-sector function."""
+class TwoFormGraph(_FunctionGraph):
+    """Graph of an even weight-2 fibre-sector function; -{form, m} is
+    c times the left partial of the form by z when {m, z} = c."""
 
     kind = "twoform"
-
-    def __init__(self, chart, form):
-        _require_roles(chart)
-        self.chart = chart
-        if form.chart is not chart:
-            raise GraphError("form lives on the wrong chart")
-        _check_sector_function(chart, form, "fibre", "two-form")
-        self.form = form
-
-    def substitution(self):
-        chart = self.chart
-        sub = {}
-        for idx in momentum_indices(chart):
-            conj = chart.conjugates(idx)
-            if len(conj) != 1:
-                raise GraphError(
-                    "momentum coordinate %s has %d conjugates, need exactly 1"
-                    % (chart.generators[idx].name, len(conj)))
-            zidx, c = conj[0]
-            zname = chart.generators[zidx].name
-            if chart.roles.get(zname) not in POSITION_ROLES:
-                raise GraphError(
-                    "conjugate of %s is %s, which is not a position "
-                    "coordinate" % (chart.generators[idx].name, zname))
-            sub[chart.generators[idx].name] = left_partial(self.form, zname) * c
-        return sub
+    what = "two-form"
+    odd_role = "fibre"
+    replaced = ("momentum", "cofibre")
+    sign = -1
 
 
 def pullback(graph, P):
@@ -208,16 +173,13 @@ def graph_from_json(chart, data):
     kind = data.get("kind")
     if kind == "coords":
         return CoordinateSubbundle(chart, list(data.get("vanish", ())))
-    if kind == "bivector":
-        return BivectorGraph(chart, chart.parse(data["expr"]))
-    if kind == "twoform":
-        return TwoFormGraph(chart, chart.parse(data["expr"]))
+    for cls in (BivectorGraph, TwoFormGraph):
+        if kind == cls.kind:
+            return cls(chart, chart.parse(data["expr"]))
     raise GraphError("unknown graph kind %r" % kind)
 
 
 def graph_to_json(graph):
     if graph.kind == "coords":
         return {"kind": "coords", "vanish": list(graph.vanish)}
-    if graph.kind == "bivector":
-        return {"kind": "bivector", "expr": to_text(graph.field)}
-    return {"kind": "twoform", "expr": to_text(graph.form)}
+    return {"kind": graph.kind, "expr": to_text(graph.function)}

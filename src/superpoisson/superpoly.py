@@ -545,6 +545,16 @@ class ParseError(ValueError):
 _OPCHARS = set("+-*/^()[];,")
 
 
+def _name_end(text, i):
+    """End of the identifier that starts at text[i], or i if none does: a
+    letter or '_', then letters, decimal digits or '_'."""
+    j = i
+    while j < len(text) and (text[j].isalpha() or text[j] == "_"
+                             or (j > i and text[j].isdecimal())):
+        j += 1
+    return j
+
+
 def _tokenize(text):
     toks = []
     i, n = 0, len(text)
@@ -560,10 +570,8 @@ def _tokenize(text):
             toks.append(("NUM", text[i:j], i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        j = _name_end(text, i)
+        if j > i:
             toks.append(("IDENT", text[i:j], i))
             i = j
             continue
@@ -637,6 +645,13 @@ class _Parser:
             value = value * self.factor()
         return value
 
+    def factor(self):
+        value = self.atom()
+        if self.at_op("^"):
+            raise ParseError("only a generator takes an exponent",
+                             self.peek()[2])
+        return value
+
     def base_name(self, what):
         kind, val, pos = self.next()
         if kind != "IDENT":
@@ -651,7 +666,7 @@ class _Parser:
                 pos)
         return g
 
-    def factor(self):
+    def atom(self):
         kind, val, pos = self.peek()
         if kind == "NUM":
             self.next()
@@ -744,12 +759,13 @@ def parse_expr(chart, text):
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
-    factor := rational | ident | ident '^' nat | ident '(' args ')'
-            | 'D' '[' ident (';' ident (',' ident)*)? ']' | '(' expr ')'
+    factor := rational | generator ['^' nat] | symbol ['(' args ')']
+            | 'D' '[' symbol (';' ident (',' ident)*)? ']' | '(' expr ')'
 
-    Identifiers that name chart generators are generators; any other
-    identifier is a formal scalar symbol (a smooth function of the
-    weight-zero even generators; a declared argument list is validated
-    against that sector and otherwise carries no extra meaning).
+    An identifier (a letter or '_', then letters, decimal digits or '_')
+    that names a chart generator is a generator; any other identifier is a
+    formal scalar symbol (a smooth function of the weight-zero even
+    generators; a declared argument list is validated against that sector
+    and otherwise carries no extra meaning).
     """
     return _Parser(chart, text).parse()

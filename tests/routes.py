@@ -24,8 +24,7 @@ from superpoisson.courant import (PotentialError, anchor_apply, anchor_vector,
                                   metric_frame, pairing, pre_bracket,
                                   section_pair, symmetry_defect,
                                   validate_potential)
-from superpoisson.dirac import (POSITION_ROLES, CoordinateSubbundle,
-                                GraphError, is_isotropic, momentum_indices,
+from superpoisson.dirac import (CoordinateSubbundle, GraphError, is_isotropic,
                                 tangency_residual)
 from superpoisson.lifts import (LiftError, lift_component, lifted_name,
                                 tangent_lift_chart)
@@ -144,7 +143,7 @@ def momentum_split(P):
     anchor-plus-fibre-bracket part and the pure cubic part.
     """
     chart = P.chart
-    mom = set(momentum_indices(chart))
+    mom = set(chart.role_indices("momentum") + chart.role_indices("cofibre"))
     hi = {}
     lo = {}
     for key, c in P.items():
@@ -159,7 +158,7 @@ def bivector_closed_formula(theta, graph):
     brackets: (1/2){L,{L,theta_m}} + (1/3!){L,{L,{L,theta_p}}} with theta
     split into momentum and position parts and L the field.  Exact for
     projectable potentials."""
-    lam = graph.field
+    lam = graph.function
     hi, lo = momentum_split(theta)
     quad = bracket(lam, bracket(lam, hi)) * Fraction(1, 2)
     cub = bracket(lam, bracket(lam, bracket(lam, lo))) * Fraction(1, 6)
@@ -170,7 +169,21 @@ def twoform_residual_route(theta, graph):
     """The tangency residual of a two-form graph through the differential:
     {theta, form} + (position part of theta).  Exact for projectable
     potentials."""
-    return bracket(theta, graph.form) + momentum_split(theta)[1]
+    return bracket(theta, graph.function) + momentum_split(theta)[1]
+
+
+def twoform_substitution_by_conjugates(graph):
+    """The substitution of a two-form graph by Hamilton's equations: each
+    momentum or cofibre coordinate m, with its single conjugate z and
+    c = {m, z}, goes to c times the left partial of the form by z."""
+    chart = graph.chart
+    sub = {}
+    for idx in chart.role_indices("momentum") + chart.role_indices("cofibre"):
+        (zidx, c), = chart.conjugates(idx)
+        zname = chart.generators[zidx].name
+        sub[chart.generators[idx].name] = left_partial(graph.function,
+                                                       zname) * c
+    return sub
 
 
 class InducedAlmostLie(types.SimpleNamespace):
@@ -196,7 +209,7 @@ def survivor_indices(graph):
     if graph.kind == "coords":
         return graph.survivor_indices()
     roles = (("base", "cofibre") if graph.kind == "bivector"
-             else POSITION_ROLES)
+             else ("base", "fibre"))
     return [idx for idx, g in enumerate(graph.chart.generators)
             if graph.chart.roles.get(g.name) in roles]
 

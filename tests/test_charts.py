@@ -153,6 +153,8 @@ ODD_PAIRS = [("xi", "xi", 1), ("eta", "eta", 1)]
       "symplectic weight 2"]),
     (1, [("1a", 0, (0,)), ("p", 0, (2,))], [("p", "1a", 1)], {},
      ["generator name '1a' is not an identifier"]),
+    (1, [("x²", 0, (0,)), ("p", 0, (2,))], [("p", "x²", 1)], {},
+     ["generator name 'x²' is not an identifier"]),
     # The second a cannot be named in a pairing, so it pairs with nothing.
     (1, BASE + [("a", 0, (0,))], [("p", "a", 1)], {},
      ["duplicate generator name 'a'",
@@ -170,7 +172,8 @@ ODD_PAIRS = [("xi", "xi", 1), ("eta", "eta", 1)]
     (1, BASE, [("p", "a", 1)], {"roles": {"a": "anchor"}},
      ["unknown role 'anchor' for a"]),
 ], ids=["unknown-pairing-name", "self-pairing-conflict", "antisymmetry",
-        "no-axis", "no-symplectic-axis", "not-identifier", "duplicate-name",
+        "no-axis", "no-symplectic-axis", "not-identifier",
+        "superscript-digit", "duplicate-name",
         "metric-not-square", "metric-unknown-name", "metric-singular",
         "role-unknown-name", "unknown-role"])
 def test_each_chart_problem_is_reported(axes, generators, pairing, options,

@@ -613,13 +613,22 @@ def test_check_draws_sections_of_one_parity(tmp_path, capsys, seed):
     assert [row["ok"] for row in payload["identities"]] == [True] * 4
 
 
-@pytest.mark.parametrize("text", ["pi1*²", "²", "pi1^²", "1/²"])
+@pytest.mark.parametrize("text", ["pi1*²", "²", "pi1^²", "1/²", "pi1²"])
 def test_a_superscript_digit_is_a_parse_error(capsys, text):
     code, out, err = run(capsys, ["bracket", "cross3", "--poisson",
                                   text, "pi2"])
     assert code == 2
     assert out == ""
     assert "parse error: unexpected character '²'" in err
+
+
+def test_a_symbol_power_is_a_parse_error(capsys):
+    code, out, err = run(capsys, ["bracket", "rflux", "--poisson",
+                                  "R^2", "p1"])
+    assert code == 2
+    assert out == ""
+    assert "parse error: only a generator takes an exponent (at offset 1)" \
+        in err
 
 
 def test_a_superscript_digit_in_an_instance_file_is_a_parse_error(

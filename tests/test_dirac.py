@@ -99,11 +99,27 @@ def test_twoform_residual_route_matches_pullback():
         assert got == want, r
 
 
+def test_twoform_substitution_is_hamiltons_equations():
+    # -{form, m} for each momentum or cofibre m against c times the left
+    # partial of the form by the conjugate z of m, {m, z} = c.
+    graphs = [gallery.build(name).graph for name in ("vb_dirac", "vb_twist")]
+    rng = random.Random(64)
+    for n in (2, 3):
+        ch = make_cotangent_antivb_chart(n, 3)
+        graphs += [TwoFormGraph(ch, draws.random_graph_field(ch, rng, "xi"))
+                   for _ in range(20)]
+    for graph in graphs:
+        assert graph.kind == "twoform"
+        want = routes.twoform_substitution_by_conjugates(graph)
+        assert graph.substitution() == want, to_text(graph.function)
+
+
 def test_momentum_split_recomposes():
     rng = random.Random(63)
     ch = make_cotangent_antivb_chart(2, 2)
     kill = {ch.generators[i].name: ch.zero()
-            for i in dirac.momentum_indices(ch)}
+            for role in ("momentum", "cofibre")
+            for i in ch.role_indices(role)}
     for r in range(10):
         P = draws.random_potential(ch, rng)
         hi, lo = routes.momentum_split(P)

@@ -63,7 +63,7 @@ def test_data_file_potentials_match_oracles():
     fixed = gallery.build("vb_dirac")
     assert chart_to_json(plain.chart) == chart_to_json(fixed.chart)
     theta0 = parse_expr(fixed.chart, to_text(plain.theta))
-    alpha = fixed.graph.form
+    alpha = fixed.graph.function
     assert fixed.theta == theta0 - bracket(theta0, alpha)
 
 
@@ -119,7 +119,7 @@ def test_quasi_obstruction_against_independent_oracle():
 
 def test_vb_twist_residual_recomputed_from_parts():
     inst = gallery.build("vb_twist")
-    alpha = inst.graph.form
+    alpha = inst.graph.function
     beta = inst.twist
     res = dirac.tangency_residual(inst.default_potential, inst.graph)
     assert res == bracket(inst.theta, alpha) + beta

@@ -181,11 +181,21 @@ def test_substitute_refuses_a_jet_index_off_the_base():
             substitute(P, {"x1": image})
 
 
-@pytest.mark.parametrize("text", ["pi1*²", "²", "pi1^²", "1/²"])
+@pytest.mark.parametrize("text", ["pi1*²", "²", "pi1^²", "1/²", "pi1²"])
 def test_a_superscript_digit_is_not_a_number(text):
     chart = gallery.build("cross3").chart
     with pytest.raises(ParseError, match="unexpected character '²'"):
         parse_expr(chart, text)
+
+
+@pytest.mark.parametrize("text, pos", [("R^2", 1), ("D[R; x1]^2", 8),
+                                       ("f(x1)^2", 5), ("x1^2^3", 4)])
+def test_only_a_generator_takes_an_exponent(text, pos):
+    chart = gallery.build("rflux").chart
+    with pytest.raises(ParseError) as info:
+        parse_expr(chart, text)
+    assert (info.value.message, info.value.pos) == (
+        "only a generator takes an exponent", pos)
 
 
 def assert_int_first(P):
