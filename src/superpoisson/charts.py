@@ -11,8 +11,8 @@ Nondegeneracy is checked by one exact rank of the sparse pairing rows.
 The grading is decided here and nowhere else: Chart.symplectic_weight and
 Chart.lift_weight sum a weight vector over the symplectic axes and over
 the others (the lift axis of a lifted chart), and the sectors are indexed
-once, on construction: base_indices (symplectic weight 0),
-section_indices (weight 1) and momentum_indices (conjugate to the base).
+once, on construction: base_indices (symplectic weight 0) and
+section_indices (weight 1).
 """
 
 from fractions import Fraction
@@ -130,12 +130,6 @@ class Chart:
         self.section_indices = tuple(
             g.index for g in self.generators
             if self.symplectic_weight(g.weight) == 1)
-        base = set(self.base_indices)
-        momenta = set()
-        for (gi, hj) in self.pairing:
-            if hj in base:
-                momenta.add(gi)
-        self.momentum_indices = tuple(sorted(momenta))
         self.true_base_indices = tuple(
             g.index for g in self.generators if g.is_true_base)
         # The bracket's pairing coefficients, stored integer-first like every

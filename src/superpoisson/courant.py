@@ -12,12 +12,15 @@ induces a bracket, an anchor and a pairing on the weight-1 functions
 The differential {T, f} of a function is ``complexes.q_theta``.
 
 The self-bracket {T, T} measures how far this structure is from a Courant
-algebroid; classify() sorts potentials into three classes by inspecting it.
-The closed forms built on it take {T, T} as an argument, so a caller that
+algebroid.  classify() sorts potentials into three classes by one rule:
+for odd T the graded Jacobi identity gives {{T, T}, x} = 2 {T, {T, x}},
+so T is Nearly when {T, {T, x}} is nonzero for some base coordinate x,
+and otherwise {T, T} decides between Courant (zero) and PreCourant.
+The closed forms built on {T, T} take it as an argument, so a caller that
 checks many samples computes it once: jacobiator_via_master, the
 right-hand side of anchor_defect, and complexes.naive_cohomology_condition,
 which asks whether the master form of the Jacobiator vanishes on the small
-complex.
+complex.  A StructureClass computes it on the first read of its sigma.
 
 The identities on two sections s, p take a SectionPair in the same way:
 it carries the anchor vectors of s and p, the derived bracket [[s, p]]
@@ -27,6 +30,7 @@ AnchorVectors table passes the anchor vectors of coordinates and named
 arguments to the checks of one instance in the same way.
 """
 
+import functools
 from fractions import Fraction
 
 from .superpoly import ODD, parse_expr, to_text
@@ -235,19 +239,25 @@ COURANT = "Courant"
 
 
 class StructureClass:
-    """Classification verdict for a potential, with witnesses.
+    """Classification verdict for a potential T, with witnesses.
 
     verdict is one of "Courant" ({T,T} = 0), "PreCourant" ({T,T} nonzero but
-    killing every weight-0 function) or "Nearly" (neither); sigma carries
-    {T,T} and, for Nearly, witness_name/witness_value give a base coordinate
-    f with {{T,T}, f} != 0.
+    killing every weight-0 function) or "Nearly" (neither).  For Nearly,
+    witness_name/witness_value give the first base coordinate x with
+    {{T,T}, x} = 2 {T, {T, x}} nonzero, and that value.  sigma is {T,T},
+    computed from theta on its first read.
     """
 
-    def __init__(self, verdict, sigma, witness_name=None, witness_value=None):
+    def __init__(self, theta, verdict, witness_name=None, witness_value=None):
+        self.theta = theta
         self.verdict = verdict
-        self.sigma = sigma
         self.witness_name = witness_name
         self.witness_value = witness_value
+
+    @functools.cached_property
+    def sigma(self):
+        """The self-bracket {T, T}."""
+        return bracket(self.theta, self.theta)
 
     @property
     def is_pre_courant(self):
@@ -258,35 +268,23 @@ class StructureClass:
         return "StructureClass(%r)" % self.verdict
 
 
-def momentum_free(poly):
-    """True when no generator conjugate to the base sector occurs in poly.
-
-    For such a polynomial S every bracket {S, f} with a symplectic-weight-0
-    function f vanishes: the only pairing partners of the base sector are
-    the momentum generators, the pairing block between them is square by
-    weight counting and invertible by nondegeneracy, so distinct momentum
-    derivatives cannot cancel.
-    """
-    chart = poly.chart
-    return not any(poly.uses_generator(i) for i in chart.momentum_indices)
-
-
 def classify(theta):
-    """Sort a potential by its self-bracket: Courant / PreCourant / Nearly."""
+    """Sort a potential into Courant / PreCourant / Nearly: Nearly at the
+    first base coordinate x with {T, {T, x}} nonzero, else by {T, T}."""
     validate_potential(theta)
     chart = theta.chart
-    sigma = bracket(theta, theta)
-    if sigma.is_zero:
-        return StructureClass(COURANT, sigma)
-    if momentum_free(sigma):
-        return StructureClass(PRE_COURANT, sigma)
     for idx in chart.base_indices:
-        gen = chart.generators[idx]
-        value = bracket(sigma, chart.gen(gen.name))
+        name = chart.generators[idx].name
+        rho = bracket(theta, chart.gen(name))
+        if rho.is_zero:
+            continue
+        value = bracket(theta, rho)
         if not value.is_zero:
-            return StructureClass(NEARLY, sigma, gen.name, value)
-    raise PotentialError("self-bracket uses a momentum generator but kills "
-                         "every base coordinate; chart pairing is inconsistent")
+            return StructureClass(theta, NEARLY, name, value * 2)
+    sc = StructureClass(theta, PRE_COURANT)
+    if sc.sigma.is_zero:
+        sc.verdict = COURANT
+    return sc
 
 
 def metric_frame(chart):

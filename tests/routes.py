@@ -1,8 +1,9 @@
 """Second routes to values the library computes, for cross-checks.
 
 Each function here reaches a quantity the engine also computes, by another
-formula: the structure functions of a potential over the metric frame and
-their closure equations, closed formulas for graph pullbacks, the almost
+formula: the classification of a potential read off its self-bracket,
+the structure functions of a potential over the metric frame and their
+closure equations, closed formulas for graph pullbacks, the almost
 Lie structure induced along a Dirac graph, the lift of a coordinate
 subbundle, left-nested evaluation of a form on sections, the contraction by
 a formal function symbol, the weight table of a lifted potential (the lift
@@ -132,6 +133,39 @@ def structure_residuals_vanish(theta):
                         res = res + gpair[i][j] * anchor[j][a] * anchor[i][b]
             residuals.append(res)
     return all(p.is_zero for p in residuals)
+
+
+def classify_by_self_bracket(theta):
+    """The verdict of courant.classify read off the self-bracket S = {T, T}.
+
+    Courant when S is zero; PreCourant when S uses no generator paired
+    with a base coordinate, since then {S, f} vanishes for every weight-0
+    f; otherwise Nearly at the first base coordinate x with {S, x}
+    nonzero, with that value as the witness.  Returns a namespace with
+    verdict, sigma, witness_name and witness_value.
+    """
+    validate_potential(theta)
+    chart = theta.chart
+    sigma = bracket(theta, theta)
+
+    def verdict(name, witness_name=None, witness_value=None):
+        return types.SimpleNamespace(verdict=name, sigma=sigma,
+                                     witness_name=witness_name,
+                                     witness_value=witness_value)
+
+    if sigma.is_zero:
+        return verdict("Courant")
+    base = set(chart.base_indices)
+    momenta = {gi for gi, hj in chart.pairing if hj in base}
+    if not any(sigma.uses_generator(i) for i in momenta):
+        return verdict("PreCourant")
+    for idx in chart.base_indices:
+        name = chart.generators[idx].name
+        value = bracket(sigma, chart.gen(name))
+        if not value.is_zero:
+            return verdict("Nearly", name, value)
+    raise PotentialError("self-bracket uses a momentum generator but kills "
+                         "every base coordinate")
 
 
 def momentum_split(P):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import draws
 import identities
 import oracles
 import routes
-from superpoisson import complexes, courant, gallery
+from superpoisson import complexes, courant, gallery, lifts
 from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.courant import PotentialError
@@ -132,10 +133,66 @@ def test_validate_potential_rejects_bad_inputs():
     courant.validate_potential(parse_expr(ch, "xi1*p1"))
 
 
-def test_momentum_free():
-    ch = make_darboux_chart(1, 2)
-    assert courant.momentum_free(parse_expr(ch, "x1*xi1*xi2"))
-    assert not courant.momentum_free(parse_expr(ch, "x1*p1"))
+@functools.lru_cache(maxsize=None)
+def catalogue_potentials(k):
+    """The 16 catalogue default potentials and every pencil member when k
+    is None, else the complete lifts to degree k of the default potential
+    of every instance that lifts (a lift degree declared and a chart not
+    already lifted)."""
+    out = []
+    for name in gallery.INSTANCE_NAMES:
+        inst = gallery.build(name)
+        if k is None:
+            out.append(inst.default_potential)
+            out.extend(inst.potential_at(lam) for lam in inst.lambdas)
+        elif inst.lift_k is not None and inst.chart.lift_degree is None:
+            out.append(lifts.complete_lift(inst.default_potential, k))
+    assert len(out) == (29 if k is None else 13)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", [None, 2, 3, 4, 5])
+def test_classify_agrees_with_the_self_bracket_route(k):
+    verdicts = set()
+    for T in catalogue_potentials(k):
+        got = courant.classify(T)
+        want = routes.classify_by_self_bracket(T)
+        assert got.verdict == want.verdict, to_text(T)
+        assert got.witness_name == want.witness_name, to_text(T)
+        assert got.witness_value == want.witness_value, to_text(T)
+        # The reference route's sigma is bracket(T, T).
+        assert got.sigma == want.sigma, to_text(T)
+        verdicts.add(got.verdict)
+    assert verdicts == {"Courant", "PreCourant", "Nearly"}
+
+
+@pytest.mark.parametrize("k", [None, 2, 3, 4, 5])
+def test_self_bracket_on_a_base_coordinate_is_twice_the_double_bracket(k):
+    for T in catalogue_potentials(k):
+        tt = bracket(T, T)
+        for idx in T.chart.base_indices:
+            x = T.chart.gen(T.chart.generators[idx].name)
+            assert bracket(tt, x) == bracket(T, bracket(T, x)) * 2, \
+                (to_text(T), to_text(x))
+
+
+def test_classify_computes_the_self_bracket_on_first_read(bracket_calls):
+    for name in ("quasi_poisson", "nearly_witness"):
+        T = gallery.build(name).default_potential
+        del bracket_calls[:]
+        sc = courant.classify(T)
+        assert sc.verdict == "Nearly"
+        assert len(bracket_calls) == 2
+        assert (T, T) not in bracket_calls
+        sigma = sc.sigma
+        assert sc.sigma is sigma
+        assert bracket_calls[2:] == [(T, T)]
+        assert sigma == bracket(T, T)
+    TL = lifts.complete_lift(gallery.build("quasi_poisson").default_potential,
+                             5)
+    del bracket_calls[:]
+    assert courant.classify(TL).verdict == "Nearly"
+    assert len(bracket_calls) == 2
 
 
 def test_metric_frame_reproduces_metric():
