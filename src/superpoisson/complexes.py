@@ -95,13 +95,14 @@ def _check_dual(chart, basis, dual):
             "a frame needs one section and one dual per weight-1 generator: "
             "got %d sections and %d duals for %d generators"
             % (len(basis), len(dual), len(chart.section_indices)))
+    one, zero = chart.one(), chart.zero()
     for i, b in enumerate(basis):
         for j, d in enumerate(dual):
-            want = chart.one() if i == j else chart.zero()
-            if pairing(b, d) != want:
+            value = pairing(b, d)
+            if value != (one if i == j else zero):
                 raise PotentialError(
                     "basis/dual mismatch: <basis[%d], dual[%d]> = %s"
-                    % (i, j, to_text(pairing(b, d))))
+                    % (i, j, to_text(value)))
 
 
 def classical_naive_differential(theta, psi, basis, dual):
@@ -135,12 +136,16 @@ def classical_naive_differential(theta, psi, basis, dual):
     dividing every value by it is exact too: everything after the
     evaluation is linear in the values, and c_k = +-1 is its own inverse.
 
-    Every [[b_i, b_j]] is computed once, and only for k >= 1, where the
-    bracket terms exist; every anchor vector (-1)^b_i~ {theta, b_i} once,
-    and a zero one is applied to nothing.  Over a point (no generator of
-    symplectic weight 0) the anchor terms and their anchor vectors are
+    Every anchor vector rho(b_i) = (-1)^b_i~ {theta, b_i} is computed
+    once, whenever the anchor terms or the bracket terms need it.  Every
+    [[b_i, b_j]] is computed once, by pre_bracket given rho(b_i), as the
+    derived bracket {rho(b_i), b_j}, and only for k >= 1, where the
+    bracket terms exist; so theta is bracketed with each section once, not
+    once per pair.  A zero anchor vector is applied to nothing.  Over a
+    point (no generator of symplectic weight 0) the anchor terms are
     skipped: every form value there is a constant, which every anchor
-    vector kills.
+    vector kills.  The anchor vectors are still made there for the bracket
+    terms, but never applied.
     """
     if not naive_membership(AnchorVectors(theta), psi):
         raise PotentialError("element is not in the small complex: %s"
@@ -170,17 +175,21 @@ def classical_naive_differential(theta, psi, basis, dual):
         for key, c in value.terms.items():
             _add_term(terms, key, -c if power % 2 else c)
 
-    if chart.base_indices and k < n:
+    anchor_terms = bool(chart.base_indices) and k < n
+    bracket_terms = 1 <= k < n
+    if anchor_terms or bracket_terms:
         anchors = [anchor_vector(theta, b) for b in basis]
+    if anchor_terms:
         for rest, value in walk(psi, range(n), k):
             for a in range(n):
                 if a not in rest and not anchors[a].is_zero:
                     combo = tuple(sorted(rest + (a,)))
                     scatter(combo, apply_anchor_vector(anchors[a], value),
                             combo.index(a))
-    if 1 <= k < n:
+    if bracket_terms:
         for p, q in itertools.combinations(range(n), 2):
-            first = bracket(psi, pre_bracket(theta, basis[p], basis[q]))
+            first = bracket(psi, pre_bracket(theta, basis[p], basis[q],
+                                             anchor=anchors[p]))
             free = [m for m in range(n) if m != p and m != q]
             for rest, value in walk(first, free, k - 1):
                 combo = tuple(sorted(rest + (p, q)))

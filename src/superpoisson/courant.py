@@ -88,10 +88,14 @@ def validate_potential(theta):
             type(theta)(chart, {key: theta.terms[key]})))
 
 
-def pre_bracket(theta, sigma, psi):
-    """Derived bracket on sections: (-1)^sigma~ {{theta, sigma}, psi}."""
-    sign = -1 if _parity(sigma, "left bracket argument") else 1
-    return bracket(bracket(theta, sigma), psi) * sign
+def pre_bracket(theta, sigma, psi, anchor=None):
+    """Derived bracket on sections: (-1)^sigma~ {{theta, sigma}, psi}, that
+    is {rho(sigma), psi} for the anchor vector rho(sigma).  A caller that
+    brackets one sigma with many psi makes anchor_vector(theta, sigma) once
+    and passes it as anchor."""
+    if anchor is None:
+        anchor = anchor_vector(theta, sigma)
+    return bracket(anchor, psi)
 
 
 def anchor_vector(theta, sigma):

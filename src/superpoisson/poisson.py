@@ -16,9 +16,17 @@ affine Darboux chart this is the familiar
 which the test suite checks term by term against an independent
 transcription of that display.
 
-Each argument is differentiated once, by superpoly.left_gradient: Y by
-every generator, then X only by the pairing partners of Y's derivative
-indices, since no other d_g X meets a nonzero d_h Y.
+Each argument is differentiated at most once, through SuperPoly.gradient,
+which alone decides what an element keeps.  Y is always differentiated by
+every generator, so its full gradient is taken and kept with Y: the frame
+sections and coordinates that stand on the right of many brackets are
+differentiated once.  X is asked only for the pairing partners of Y's
+derivative indices, since no other d_g X meets a nonzero d_h Y; it answers
+with its kept full gradient when it has one and otherwise takes those
+derivatives alone and keeps nothing.  X's full gradient is not taken and
+kept on first use: a large X bracketed once (a potential with formal
+symbols, hundreds of terms) would pay the chain rule on every base
+coordinate for derivatives that no d_h Y meets.
 
 For odd X the entries (g, h) and (h, g) add the same term to {X, X}, so
 {X, X} = sum over g < h of 2 (d_g X) P^gh (d_h X) plus the diagonal once,
@@ -28,15 +36,16 @@ two sign flips cancel; for odd g and h, the metric is symmetric and the
 derivatives are even, so no per-term sign applies either.
 """
 
-from .superpoly import ODD, SuperPoly, left_gradient, mul_terms_into
+from .superpoly import ODD, SuperPoly, mul_terms_into
 
 
 def bracket(X, Y):
     """Graded Poisson bracket of two elements of one chart.
 
-    Takes the gradient of Y once, and the gradient of X once over the
-    pairing partners of Y's derivative indices; each derivative of X by an
-    odd generator carries the sign (-1)^(X~+1) term by term.
+    Takes the full gradient of Y through Y.gradient(), which keeps it with
+    Y, and asks X.gradient only for the pairing partners of Y's derivative
+    indices, which X answers from a kept full gradient when it has one.  Each derivative of X by an odd generator that meets some
+    d_h Y carries the sign (-1)^(X~+1) term by term.
 
     When Y is X and X is odd, the one gradient of X serves both sides:
     each entry (g, h) with g < h is folded onto (h, g) with coefficient
@@ -53,17 +62,14 @@ def bracket(X, Y):
     gens = chart.generators
     rows = chart.pairing_rows
     fold = X is Y and X.parity() == ODD
-    dY = left_gradient(Y)
-    if fold:
-        dX = dY
-    else:
-        dX = left_gradient(X, {gi for hj in dY for gi, _ in rows.get(hj, ())})
+    dY = Y.gradient()
+    # dY itself when X is Y
+    dX = X.gradient({gi for hj in dY for gi, _ in rows.get(hj, ())})
     acc = {}
     for gi in sorted(dX):
         dXg = dX[gi]
         odd_g = gens[gi].parity == ODD
-        if odd_g and not fold:
-            dXg = {k: -c if len(k[2]) & 1 else c for k, c in dXg.items()}
+        signed = fold or not odd_g
         for hj, coeff in rows.get(gi, ()):
             dYh = dY.get(hj)
             if dYh is None:
@@ -73,5 +79,8 @@ def bracket(X, Y):
                     continue
                 if hj < gi:
                     coeff = 2 * coeff
+            if not signed:
+                dXg = {k: -c if len(k[2]) & 1 else c for k, c in dXg.items()}
+                signed = True
             mul_terms_into(acc, dXg, dYh, coeff)
     return SuperPoly.from_clean_terms(chart, acc)

@@ -12,14 +12,20 @@ fractions.Fraction when it is not integral, so "equals zero" is a
 decidable, exact statement.  Left derivatives have one rule, in
 left_gradient, which takes all of an element's derivatives in one pass over
 its terms; the Poisson bracket differentiates each argument once with it.
+SuperPoly.gradient takes that full gradient on its first call and keeps it
+with the element, so an element bracketed many times is differentiated once.
 
 Scalars have one rule too, in _scalar, which products, sums, comparisons,
 constants and the Poisson bracket all follow: a SuperPoly operand is
 recognised first, by its exact type; an int (a bool included) stays an int
 and never builds a Fraction; a Fraction goes through _norm, so an integral
-one is stored as its int numerator.  A product by 1 is the element itself,
-which is safe because elements are immutable by convention: no code writes
-to an element's terms after building it.
+one is stored as its int numerator.  A product by 1 is the element itself.
+
+Elements are immutable by convention: no code writes to an element's terms
+after building it.  The convention is load-bearing: a product by 1 shares
+the element, and a kept gradient holds the derivatives of the terms as they
+were, so a write to an element's terms would make every later bracket with
+that element wrong.
 """
 
 from collections import defaultdict
@@ -167,7 +173,7 @@ def mul_terms_into(acc, left, right, scale=None):
 class SuperPoly:
     """Immutable-by-convention element of a chart's function algebra."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_gradient")
 
     def __init__(self, chart, terms=None):
         self.chart = chart
@@ -179,6 +185,7 @@ class SuperPoly:
                 if c:
                     clean[key] = c
         self.terms = clean
+        self._gradient = None
 
     # -- constructors ---------------------------------------------------
 
@@ -189,6 +196,7 @@ class SuperPoly:
         P = SuperPoly.__new__(SuperPoly)
         P.chart = chart
         P.terms = terms
+        P._gradient = None
         return P
 
     @staticmethod
@@ -222,6 +230,21 @@ class SuperPoly:
     def items(self):
         """Deterministically ordered (key, coefficient) pairs."""
         return [(k, self.terms[k]) for k in sorted(self.terms)]
+
+    def gradient(self, wanted=None):
+        """left_gradient(self, wanted), as far as the element keeps it.
+
+        The full gradient (wanted None) is taken on the first call and kept
+        with the element.  A call with a wanted set of indices returns the
+        kept full gradient when there is one, and otherwise takes only the
+        wanted derivatives and keeps nothing.  Callers read the returned
+        dicts and never write to them."""
+        if self._gradient is not None:
+            return self._gradient
+        if wanted is not None:
+            return left_gradient(self, wanted)
+        self._gradient = left_gradient(self)
+        return self._gradient
 
     def __eq__(self, other):
         if type(other) is not SuperPoly:

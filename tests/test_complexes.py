@@ -268,53 +268,68 @@ def test_squared_differential_on_gallery_functions():
     assert to_text(val) == "p1"
 
 
-def test_classical_differential_brackets_each_basis_pair_once(monkeypatch):
+def test_classical_differential_brackets_each_basis_pair_once(
+        monkeypatch, bracket_calls):
+    # Each [[b_p, b_q]] goes through pre_bracket once, given the anchor
+    # vector rho(b_p) that the differential makes anyway, so pre_bracket
+    # brackets rho(b_p) with b_q and never theta with b_p again.
     inst = gallery.build("cross7")
     T = inst.default_potential
     basis, dual = identities.weight_one_frame(inst.chart)
+    anchors = []
+    original_anchor_vector = complexes.anchor_vector
+
+    def recording(theta, s):
+        anchors.append(original_anchor_vector(theta, s))
+        return anchors[-1]
+
     calls = []
-    original = complexes.pre_bracket
+    original_pre_bracket = complexes.pre_bracket
 
-    def counting(theta, s, p):
-        calls.append((to_text(s), to_text(p)))
-        return original(theta, s, p)
+    def counting(theta, s, p, anchor=None):
+        calls.append((s, p, anchor))
+        return original_pre_bracket(theta, s, p, anchor=anchor)
 
+    monkeypatch.setattr(complexes, "anchor_vector", recording)
     monkeypatch.setattr(complexes, "pre_bracket", counting)
     el = inst.l_elements[1]
+    del bracket_calls[:]
     got = complexes.classical_naive_differential(T, el, basis, dual)
+    # 196 of them are the pairings _check_dual makes; with theta bracketed
+    # with b_p again for every q the differential took 541.
+    assert len(bracket_calls) <= 464
     assert got == complexes.q_theta(T, el)
-    assert len(basis) == 14
-    assert len(calls) == len(set(calls)) == 91
+    assert len(basis) == len(anchors) == 14
+    pairs = [(basis.index(s), basis.index(p)) for s, p, _ in calls]
+    assert len(pairs) == len(set(pairs)) == 91
+    assert all(p < q for p, q in pairs)
+    assert all(anchor is anchors[p] for (p, _), (_, _, anchor)
+               in zip(pairs, calls))
+    derived = [(X, Y) for X, Y in bracket_calls
+               if any(X is a for a in anchors)
+               and any(Y is b for b in basis)]
+    assert len(derived) == 91
 
 
 def theta_section_brackets(name):
     """The {theta, b} with b a frame section that one classical
-    differential of l_elements[1] makes outside pre_bracket, and the
-    frame; the differential must equal q_theta."""
+    differential of l_elements[1] makes, and the frame; the differential
+    must equal q_theta."""
     inst = gallery.build(name)
     T = inst.default_potential
     basis, dual = identities.weight_one_frame(inst.chart)
     sections = {to_text(b) for b in basis}
     calls = []
-    in_pre_bracket = []
     original_bracket = courant.bracket
-    original_pre_bracket = complexes.pre_bracket
 
     def counting_bracket(X, Y):
-        if not in_pre_bracket and X == T and to_text(Y) in sections:
+        if X == T and to_text(Y) in sections:
             calls.append(to_text(Y))
         return original_bracket(X, Y)
 
-    def flagged_pre_bracket(theta, s, p):
-        in_pre_bracket.append(True)
-        try:
-            return original_pre_bracket(theta, s, p)
-        finally:
-            in_pre_bracket.pop()
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(courant, "bracket", counting_bracket)
-        mp.setattr(complexes, "pre_bracket", flagged_pre_bracket)
+        mp.setattr(complexes, "bracket", counting_bracket)
         el = inst.l_elements[1]
         got = complexes.classical_naive_differential(T, el, basis, dual)
     assert got == complexes.q_theta(T, el)
@@ -322,12 +337,12 @@ def theta_section_brackets(name):
 
 
 def test_classical_differential_brackets_theta_with_each_section_once():
-    # Outside the derived brackets (pinned above), the anchor terms need
-    # {theta, b_i} once per section, not once per basis tuple; over a point
-    # no anchor term is formed, so no anchor vector either.
+    # The anchor terms and the derived brackets [[b_p, b_q]] share one
+    # {theta, b_i} per section.  Over a point (cross7) there are no anchor
+    # terms, and the anchor vectors serve the derived brackets only.
     calls, basis = theta_section_brackets("cross7")
     assert len(basis) == 14
-    assert calls == []
+    assert len(calls) == len(set(calls)) == 14
     calls, basis = theta_section_brackets("action_algebra")
     assert len(calls) == len(set(calls)) == len(basis)
 

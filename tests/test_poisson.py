@@ -3,7 +3,7 @@ import random
 import draws
 import oracles
 from axioms import check_poisson_axioms, poisson_families
-from superpoisson import gallery, lifts, poisson
+from superpoisson import gallery, lifts, superpoly
 from superpoisson.charts import hyperbolic_metric, make_darboux_chart
 from superpoisson.poisson import bracket
 from superpoisson.superpoly import (SuperPoly, left_gradient, parse_expr,
@@ -42,11 +42,13 @@ def test_literal_darboux_formula_hyperbolic_metric():
         assert oracles.darboux_literal_bracket(X, X) == bracket(X, X)
 
 
-def test_left_gradient_equals_oracle_derivatives():
-    # Random sums mix parities and symbols; the fixed ones make chain-rule
-    # terms meet exponent terms and each other, and cancel.
+def gradient_elements(rng):
+    """(chart, element) pairs on which left derivatives are checked.
+
+    Random sums mix parities and symbols; the fixed ones make chain-rule
+    terms meet exponent terms and each other, and cancel.
+    """
     charts = poisson_families() + [make_darboux_chart(2, 2)]
-    rng = random.Random(23)
     fixed = ["g*D[h; x1] + D[g; x1]*h", "g*D[h; x1] - D[g; x1]*h",
              "x1*D[g; x1] - g", "g - x1*D[g; x1]",
              "2*g*xi1 + x1*D[g; x1]*xi1", "x1^2*g*xi1 + 2*x1*h*xi1"]
@@ -58,7 +60,12 @@ def test_left_gradient_equals_oracle_derivatives():
                      for _ in range(rng.randint(1, 4))]
             elements.append((ch, sum((m for m in terms if m is not None),
                                      ch.zero())))
-    for ch, P in elements:
+    return elements
+
+
+def test_left_gradient_equals_oracle_derivatives():
+    rng = random.Random(23)
+    for ch, P in gradient_elements(rng):
         grad = left_gradient(P)
         for g in ch.generators:
             want = oracles.left_derivative(P, g.index)
@@ -101,18 +108,22 @@ def test_literal_darboux_formula_on_symbol_carriers():
         == parse_expr(ch, "-D[g; x1]*xi1*xi2")
 
 
-def record_gradients(monkeypatch):
-    """Names of the derivative indices of each left_gradient pass the
-    bracket takes, one sorted list per pass."""
+def record_gradients(monkeypatch, elements=None):
+    """Names of the derivative indices of each left_gradient pass, one
+    sorted list per pass: SuperPoly.gradient takes every pass the bracket
+    makes, of X and of Y.  The element of each pass is appended to
+    elements when that list is given."""
     passes = []
-    original = poisson.left_gradient
+    original = superpoly.left_gradient
 
     def counting(P, wanted=None):
         grad = original(P, wanted)
         passes.append(sorted(P.chart.generators[gi].name for gi in grad))
+        if elements is not None:
+            elements.append(P)
         return grad
 
-    monkeypatch.setattr(poisson, "left_gradient", counting)
+    monkeypatch.setattr(superpoly, "left_gradient", counting)
     return passes
 
 
@@ -149,3 +160,25 @@ def test_self_bracket_takes_each_left_derivative_once(monkeypatch):
     assert not bracket(T, T).is_zero
     assert len(passes) == 1
     assert len(passes[0]) == len(set(passes[0])) == 14
+
+
+def test_bracket_reuses_a_kept_gradient(monkeypatch):
+    differentiated = []
+    record_gradients(monkeypatch, differentiated)
+    inst = gallery.build("cross7")
+    T = inst.default_potential
+    pi1, xi1 = inst.chart.gen("pi1"), inst.chart.gen("xi1")
+    assert not bracket(T, T).is_zero
+    assert [P is T for P in differentiated] == [True]
+    # T keeps its gradient from {T, T}: only pi1 is differentiated
+    del differentiated[:]
+    assert not bracket(T, pi1).is_zero
+    assert [P is pi1 for P in differentiated] == [True]
+    # pi1 keeps its gradient: only xi1 is differentiated, by pi1's partner
+    del differentiated[:]
+    assert bracket(xi1, pi1) == 1
+    assert [P is xi1 for P in differentiated] == [True]
+    for _ch, P in gradient_elements(random.Random(23)):
+        kept = P.gradient()
+        assert kept == left_gradient(P), to_text(P)
+        assert P.gradient() is kept

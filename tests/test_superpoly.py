@@ -7,11 +7,12 @@ import draws
 import identities
 import oracles
 import routes
-from superpoisson import complexes, courant, gallery, lifts
+from superpoisson import cli, complexes, courant, gallery, lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import (ParseError, SuperPoly, left_partial,
-                                    parse_expr, substitute, to_text)
+from superpoisson.superpoly import (ParseError, SuperPoly, left_gradient,
+                                    left_partial, parse_expr, substitute,
+                                    to_text)
 
 
 def chart():
@@ -326,3 +327,37 @@ def test_products_and_comparisons_across_charts():
             P + Q
         assert (P == Q) is False
         assert (P != Q) is True
+
+
+def test_no_kept_gradient_goes_stale(monkeypatch, capsys):
+    # A kept gradient is right only while its element's terms stay as they
+    # were when it was taken.  Run the check path, the complete lifts and
+    # the classical differential, then compare every element that kept a
+    # gradient with its terms at that time and with a fresh gradient.
+    kept = []
+    original = SuperPoly.gradient
+
+    def recording(self, wanted=None):
+        if self._gradient is None and wanted is None:
+            kept.append((self, dict(self.terms)))
+        return original(self, wanted)
+
+    monkeypatch.setattr(SuperPoly, "gradient", recording)
+    for name in gallery.INSTANCE_NAMES:
+        assert cli.main(["check", name, "--seed", "0"]) == 0, name
+    capsys.readouterr()
+    for name in gallery.INSTANCE_NAMES:
+        inst = gallery.build(name)
+        T = inst.default_potential
+        if inst.l_elements:
+            basis, dual = identities.weight_one_frame(inst.chart)
+            for el in inst.l_elements:
+                complexes.classical_naive_differential(T, el, basis, dual)
+        if inst.lift_k is not None and inst.chart.lift_degree is None:
+            low = lifts.flatten_poly(T, lifts.flatten_chart(inst.chart))
+            for k in (2, 3):
+                courant.classify(lifts.complete_lift(low, k))
+    assert kept
+    for P, terms in kept:
+        assert P.terms == terms, to_text(P)
+        assert P.gradient() == left_gradient(P), to_text(P)
