@@ -259,9 +259,6 @@ def cmd_jacobiator(args):
 
 
 def cmd_lift(args):
-    if args.degree < 2:
-        raise UsageError("lift degree must be at least 2, got %d"
-                         % args.degree)
     inst = _load_valid_instance(args.instance)
     lifted = lifts.complete_lift(inst.default_potential, args.degree)
     verdict = courant.classify(lifted)

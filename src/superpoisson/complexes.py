@@ -89,6 +89,22 @@ def identification_constant(k):
     return -1 if (k * (k - 1) // 2) % 2 else 1
 
 
+def section_frame(chart):
+    """(basis, dual): the weight-1 generators in section_indices order and
+    dual[b] = sum_a (P^-1)_ab basis[a], P their pairing block, so that
+    <basis[i], dual[j]> = delta.  Weights add up to 2 under the pairing,
+    so the sector pairs only with itself and P is invertible."""
+    idx = chart.section_indices
+    pos = {g: a for a, g in enumerate(idx)}
+    inverse = linalg.invert([[(pos[hj], c) for hj, c in chart.pairing_rows
+                              .get(g, ())] for g in idx])
+    if inverse is None:
+        raise PotentialError("singular weight-1 pairing on %s" % chart.name)
+    basis = [chart.gen(chart.generators[g].name) for g in idx]
+    return basis, [sum((e * inverse[a][b] for a, e in enumerate(basis)),
+                       chart.zero()) for b in range(len(idx))]
+
+
 def _check_dual(chart, basis, dual):
     if not len(basis) == len(dual) == len(chart.section_indices):
         raise PotentialError(
@@ -110,9 +126,10 @@ def classical_naive_differential(theta, psi, basis, dual):
 
     psi is a weight-k element built on the weight-1 sector, basis a list of
     sections, one per weight-1 generator, and dual a list with
-    <basis[i], dual[j]> = delta, so that the frame spans the sector.
-    Evaluates Psi(t) = eval(psi; t) / c_k on every ascending basis tuple of
-    length k+1 through
+    <basis[i], dual[j]> = delta.  Every caller passes section_frame(chart);
+    the frame stays an argument, checked by _check_dual, because the
+    benchmark's differential workload passes one.  Evaluates Psi(t) =
+    eval(psi; t) / c_k on every ascending basis tuple of length k+1 through
 
         sum_i (-1)^i rho(b_i) Psi(..b_i dropped..)
           + sum_{i<j} (-1)^(i+j) Psi([[b_i, b_j]], ..both dropped..),

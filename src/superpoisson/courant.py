@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from .superpoly import ODD, parse_expr, to_text
 from .poisson import bracket
-from . import linalg
 
 
 class PotentialError(ValueError):
@@ -290,23 +289,3 @@ def classify(theta):
         sc.verdict = COURANT
     return sc
 
-
-def metric_frame(chart):
-    """Sections e_i = sum_j xi^j gbar_ji for the chart's metric block.
-
-    gbar is the inverse of the stored metric; with this frame the pairing
-    satisfies <e_i, e_j> = g_ij.
-    """
-    if chart.metric is None:
-        raise PotentialError("chart %s carries no metric block" % chart.name)
-    names, rows = chart.metric
-    ginv = linalg.invert([enumerate(row) for row in rows])
-    if ginv is None:
-        raise PotentialError("metric block of chart %s is singular" % chart.name)
-    frame = []
-    for i in range(len(names)):
-        e = chart.zero()
-        for j in range(len(names)):
-            e = e + chart.gen(names[j]) * ginv[j][i]
-        frame.append(e)
-    return frame

@@ -544,4 +544,10 @@ def data_path(name):
 
 def load_instance(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as e:
+            if isinstance(e, json.JSONDecodeError):
+                raise
+            raise GalleryError("cannot read %s: %s" % (path, e)) from None
+    return instance_from_json(doc)

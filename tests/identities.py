@@ -47,24 +47,5 @@ def d_squared_on_function(T, f):
 
 
 def weight_one_frame(chart):
-    """Basis of the full weight-1 sector with <basis[i], dual[j]> = delta.
-
-    On metric charts the sector is the odd frame and the dual comes from
-    the inverse metric; otherwise every weight-1 generator enters together
-    with its scaled conjugate, so elements mixing the two halves of the
-    sector still evaluate correctly.
-    """
-    if chart.metric is not None:
-        names_, _ = chart.metric
-        return ([chart.gen(n) for n in names_], courant.metric_frame(chart))
-    basis = []
-    dual = []
-    for idx in chart.section_indices:
-        g = chart.generators[idx]
-        conj = chart.conjugates(g.index)
-        if len(conj) != 1:
-            raise ValueError("no single conjugate for %s" % g.name)
-        hj, c = conj[0]
-        basis.append(chart.gen(g.name))
-        dual.append(chart.gen(chart.generators[hj].name) * (1 / c))
-    return basis, dual
+    """complexes.section_frame, under the name perfbench/workloads.py loads."""
+    return complexes.section_frame(chart)

@@ -21,10 +21,10 @@ import types
 from fractions import Fraction
 
 import identities
+from superpoisson.complexes import section_frame
 from superpoisson.courant import (PotentialError, anchor_apply, anchor_vector,
-                                  metric_frame, pairing, pre_bracket,
-                                  section_pair, symmetry_defect,
-                                  validate_potential)
+                                  pairing, pre_bracket, section_pair,
+                                  symmetry_defect, validate_potential)
 from superpoisson.dirac import (CoordinateSubbundle, GraphError, is_isotropic,
                                 tangency_residual)
 from superpoisson.lifts import (LiftError, lift_component, lifted_name,
@@ -53,13 +53,14 @@ def extract_structure_functions(theta):
     """Read the anchor and cubic coefficient tables of a potential.
 
     Returns (anchor, cubic) where anchor[i][a] = rho(e_i) x^a and
-    cubic[i][j][k] = <[[e_i, e_j]], e_k>, both over the metric frame e_i.
+    cubic[i][j][k] = <[[e_i, e_j]], e_k>, both over the dual frame e_i of
+    complexes.section_frame, the inverse-metric frame on a metric chart.
     reassemble_structure_functions() inverts this exactly.
     """
     validate_potential(theta)
     chart = theta.chart
     base, _ = _darboux_sectors(chart)
-    frame = metric_frame(chart)
+    frame = section_frame(chart)[1]
     anchor = [[anchor_apply(theta, e, chart.gen(name)) for name in base]
               for e in frame]
     cubic = [[[pairing(pre_bracket(theta, ei, ej), ek) for ek in frame]

@@ -179,7 +179,7 @@ def test_criterion_5_classical_differential_on_all_list_elements():
         if not inst.l_elements:
             continue
         T = inst.default_potential
-        basis, dual = identities.weight_one_frame(inst.chart)
+        basis, dual = complexes.section_frame(inst.chart)
         for el in inst.l_elements:
             assert inst.chart.symplectic_weight(el.weight()) <= 3
             got = complexes.classical_naive_differential(T, el, basis, dual)

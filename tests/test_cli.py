@@ -205,6 +205,29 @@ def test_unreadable_instance_file_is_a_usage_error(tmp_path, capsys,
     assert "Permission denied" in err
 
 
+@pytest.mark.parametrize("command", ["check", "lift"])
+@pytest.mark.parametrize("name", ["bad.json", "deep.json", "long.json"])
+def test_undecodable_instance_file_is_a_usage_error(tmp_path, capsys,
+                                                    command, name):
+    path = tmp_path / name
+    if name == "long.json" and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    path.write_bytes({"bad.json": b"\xff\xfe",
+                      "deep.json": b"[" * 100000 + b"]" * 100000,
+                      "long.json": b'{"schema_version": ' + b"1" * 5000
+                      + b"}"}[name])
+    out_path = tmp_path / "lifted.json"
+    argv = [command, str(path)]
+    if command == "lift":
+        argv += ["-k", "2", "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read %s: " % path)
+    assert err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def write_instance(tmp_path, name, edit):
     d = json.loads(gallery.canonical_json(
         gallery.instance_to_json(gallery.build(name))))

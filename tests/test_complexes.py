@@ -7,8 +7,9 @@ import draws
 import identities
 import oracles
 import routes
-from superpoisson import complexes, courant, gallery, sampling
-from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
+from superpoisson import complexes, courant, gallery, lifts, sampling
+from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
+                                 make_darboux_chart)
 from superpoisson.courant import PotentialError
 from superpoisson.poisson import bracket
 from superpoisson.superpoly import parse_expr, to_text
@@ -58,16 +59,54 @@ def test_commutator_defect_vanishes_on_random_inputs():
         assert defect.is_zero, (r, to_text(defect))
 
 
+def test_section_frame_is_dual():
+    # Two Darboux metric charts, then the 55 catalogue charts, their
+    # flattenings and the lifts of those at k = 2 and 3.
+    charts = [make_darboux_chart(1, 3),
+              make_darboux_chart(1, 4, metric=hyperbolic_metric(2))]
+    for name in gallery.names():
+        chart = gallery.build(name).chart
+        charts.append(chart)
+        try:
+            flat = lifts.flatten_chart(chart)
+        except lifts.LiftError:
+            continue
+        charts += [flat] + [lifts.tangent_lift_chart(flat, k) for k in (2, 3)]
+    assert len(charts) == 2 + 55
+    for chart in charts:
+        basis, dual = complexes.section_frame(chart)
+        assert basis == [chart.gen(chart.generators[idx].name)
+                         for idx in chart.section_indices]
+        for i, b in enumerate(basis):
+            for j, d in enumerate(dual):
+                want = chart.one() if i == j else chart.zero()
+                assert courant.pairing(b, d) == want, (chart.name, i, j)
+
+
+@pytest.mark.parametrize("k, count", [(2, 8), (3, 11)])
+def test_classical_differential_on_a_lifted_non_diagonal_metric(k, count):
+    # Every lifted weight-1 generator pairs with several copies here, so
+    # no frame of single scaled conjugates exists.
+    ch = make_darboux_chart(0, 3, metric=[[1, 1, 0], [1, 2, 0], [0, 0, 1]])
+    T = lifts.complete_lift(parse_expr(ch, "xi1*xi2*xi3"), k)
+    basis, dual = complexes.section_frame(T.chart)
+    elements = [T.chart.one()] + basis + [basis[0] * basis[-1]]
+    assert len(elements) == count
+    for el in elements:
+        got = complexes.classical_naive_differential(T, el, basis, dual)
+        assert got == complexes.q_theta(T, el), to_text(el)
+
+
 def test_classical_differential_rejects_non_members():
     ch, T = bialgebroid()
-    basis, dual = identities.weight_one_frame(ch)
+    basis, dual = complexes.section_frame(ch)
     with pytest.raises(PotentialError):
         complexes.classical_naive_differential(T, ch.gen("p1"), basis, dual)
 
 
 def test_classical_differential_rejects_bad_dual():
     ch, T = bialgebroid()
-    basis, dual = identities.weight_one_frame(ch)
+    basis, dual = complexes.section_frame(ch)
     with pytest.raises(PotentialError):
         complexes.classical_naive_differential(T, ch.gen("xi1"), basis,
                                                list(basis))
@@ -75,7 +114,7 @@ def test_classical_differential_rejects_bad_dual():
 
 def cross3_frame():
     inst = gallery.build("cross3")
-    basis, dual = identities.weight_one_frame(inst.chart)
+    basis, dual = complexes.section_frame(inst.chart)
     return inst.default_potential, inst.chart.gen("xi1"), basis, dual
 
 
@@ -111,7 +150,7 @@ def test_classical_differential_equals_q_theta_off_the_catalogue_degrees(
     T = inst.default_potential
     psi = parse_expr(inst.chart, text)
     assert inst.chart.symplectic_weight(psi.weight()) == degree
-    basis, dual = identities.weight_one_frame(inst.chart)
+    basis, dual = complexes.section_frame(inst.chart)
     got = complexes.classical_naive_differential(T, psi, basis, dual)
     assert got == complexes.q_theta(T, psi)
 
@@ -127,7 +166,7 @@ def test_classical_differential_brackets_no_zero_prefix(
     inst = gallery.build(name)
     T = inst.default_potential
     el = inst.l_elements[index]
-    basis, dual = identities.weight_one_frame(inst.chart)
+    basis, dual = complexes.section_frame(inst.chart)
     del bracket_calls[:]
     got = complexes.classical_naive_differential(T, el, basis, dual)
     assert len(bracket_calls) <= most
@@ -275,7 +314,7 @@ def test_classical_differential_brackets_each_basis_pair_once(
     # brackets rho(b_p) with b_q and never theta with b_p again.
     inst = gallery.build("cross7")
     T = inst.default_potential
-    basis, dual = identities.weight_one_frame(inst.chart)
+    basis, dual = complexes.section_frame(inst.chart)
     anchors = []
     original_anchor_vector = complexes.anchor_vector
 
@@ -317,7 +356,7 @@ def theta_section_brackets(name):
     must equal q_theta."""
     inst = gallery.build(name)
     T = inst.default_potential
-    basis, dual = identities.weight_one_frame(inst.chart)
+    basis, dual = complexes.section_frame(inst.chart)
     sections = {to_text(b) for b in basis}
     calls = []
     original_bracket = courant.bracket

@@ -198,7 +198,7 @@ def test_classify_computes_the_self_bracket_on_first_read(bracket_calls):
 def test_metric_frame_reproduces_metric():
     for metric, rank in ((None, 3), (hyperbolic_metric(2), 4)):
         ch = make_darboux_chart(1, rank, metric=metric)
-        frame = courant.metric_frame(ch)
+        _, frame = complexes.section_frame(ch)
         names, rows = ch.metric
         for i in range(rank):
             for j in range(rank):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 import draws
-import identities
 import oracles
 import routes
 from superpoisson import cli, complexes, courant, gallery, lifts
@@ -223,7 +222,7 @@ def test_catalogue_results_store_coefficients_int_first():
         polys = [courant.classify(T).sigma]
         polys += [complexes.q_theta(T, el) for el in inst.l_elements]
         if inst.l_elements:
-            basis, dual = identities.weight_one_frame(inst.chart)
+            basis, dual = complexes.section_frame(inst.chart)
             polys += [
                 complexes.classical_naive_differential(T, el, basis, dual)
                 for el in inst.l_elements]
@@ -350,7 +349,7 @@ def test_no_kept_gradient_goes_stale(monkeypatch, capsys):
         inst = gallery.build(name)
         T = inst.default_potential
         if inst.l_elements:
-            basis, dual = identities.weight_one_frame(inst.chart)
+            basis, dual = complexes.section_frame(inst.chart)
             for el in inst.l_elements:
                 complexes.classical_naive_differential(T, el, basis, dual)
         if inst.lift_k is not None and inst.chart.lift_degree is None:
