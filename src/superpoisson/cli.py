@@ -16,7 +16,6 @@ section argument of mixed parity or of symplectic weight other than 1).
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
@@ -386,10 +385,6 @@ def main(argv=None):
         return EXIT_FAILED
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as e:
-        print("parse error: line %d column %d: %s"
-              % (e.lineno, e.colno, e.msg), file=sys.stderr)
         return EXIT_USAGE
     except PotentialError as e:
         print("potential check failed: %s" % e, file=sys.stderr)

@@ -10,7 +10,10 @@ coordinates only, cut out by the contractions
 classical_naive_differential recomputes the differential of a small-complex
 element through the classical alternating sum over a section basis (anchor
 terms plus bracket terms); its agreement with q_theta is a checked identity,
-with the degree-dependent identification constants recorded here.
+with the degree-dependent identification constants recorded here.  The
+basis and its dual are constant rational combinations of the weight-1
+generators (section_frame builds them from the pairing block), so their
+duality is one exact product of coefficient rows, not a bracket per pair.
 
 Values that several checks read are arguments, computed once by the
 caller: naive_membership and point_cohomology read the anchor vectors
@@ -21,10 +24,11 @@ naive_cohomology_condition takes {theta, theta}.
 
 import itertools
 
-from .superpoly import SuperPoly, _add_term, mul_terms_into, to_text
+from .superpoly import (ODD, SuperPoly, _add_term, _norm, mul_terms_into,
+                        to_text)
 from .poisson import bracket
 from .courant import (AnchorVectors, PotentialError, anchor_vector,
-                      apply_anchor_vector, pairing, pre_bracket)
+                      apply_anchor_vector, pre_bracket)
 from . import linalg
 
 
@@ -89,36 +93,86 @@ def identification_constant(k):
     return -1 if (k * (k - 1) // 2) % 2 else 1
 
 
+def _section_keys(chart):
+    """The term key of each weight-1 generator, in section_indices order:
+    a frame element is a constant combination of these keys."""
+    return [((), (), (g,)) if chart.generators[g].parity == ODD
+            else ((), ((g, 1),), ()) for g in chart.section_indices]
+
+
+def _pairing_block(chart):
+    """The pairing P^gh among the weight-1 generators, as one sparse row
+    [(position of h, P^gh)] per g, positions in section_indices order.
+    Two constant combinations of them pair through this block alone."""
+    pos = {g: a for a, g in enumerate(chart.section_indices)}
+    return [[(pos[hj], c) for hj, c in chart.pairing_rows.get(g, ())
+             if hj in pos] for g in chart.section_indices]
+
+
 def section_frame(chart):
     """(basis, dual): the weight-1 generators in section_indices order and
     dual[b] = sum_a (P^-1)_ab basis[a], P their pairing block, so that
     <basis[i], dual[j]> = delta.  Weights add up to 2 under the pairing,
-    so the sector pairs only with itself and P is invertible."""
-    idx = chart.section_indices
-    pos = {g: a for a, g in enumerate(idx)}
-    inverse = linalg.invert([[(pos[hj], c) for hj, c in chart.pairing_rows
-                              .get(g, ())] for g in idx])
+    so the sector pairs only with itself and P is invertible.  Each dual's
+    term dict is read off the nonzero entries of column b of P^-1."""
+    inverse = linalg.invert(_pairing_block(chart))
     if inverse is None:
         raise PotentialError("singular weight-1 pairing on %s" % chart.name)
-    basis = [chart.gen(chart.generators[g].name) for g in idx]
-    return basis, [sum((e * inverse[a][b] for a, e in enumerate(basis)),
-                       chart.zero()) for b in range(len(idx))]
+    keys = _section_keys(chart)
+    basis = [chart.gen(chart.generators[g].name)
+             for g in chart.section_indices]
+    return basis, [SuperPoly.from_clean_terms(
+        chart, {key: _norm(row[b]) for key, row in zip(keys, inverse)
+                if row[b]}) for b in range(len(keys))]
+
+
+def _frame_rows(chart, elements, label):
+    """Each element as its sparse row {position: coefficient} over
+    chart.section_indices, refusing any element that is not a constant
+    rational combination of the chart's weight-1 generators."""
+    position = {key: a for a, key in enumerate(_section_keys(chart))}
+    rows = []
+    for i, e in enumerate(elements):
+        if e.chart is not chart or not position.keys() >= e.terms.keys():
+            raise PotentialError(
+                "%s[%d] is not a constant combination of the weight-1 "
+                "generators of %s: %s" % (label, i, chart.name, to_text(e)))
+        rows.append({position[key]: c for key, c in e.terms.items()})
+    return rows
 
 
 def _check_dual(chart, basis, dual):
+    """Refuse a frame unless B P D^T = I, B and D the coefficient rows of
+    the basis and the dual, P the pairing block: for constant coefficients
+    that is <basis[i], dual[j]> = delta, since {e_g, e_h} = P^gh for
+    either parity and the bracket is bilinear.  The product is sparse;
+    values[j] holds each <basis[i], dual[j]> that can be nonzero."""
     if not len(basis) == len(dual) == len(chart.section_indices):
         raise PotentialError(
             "a frame needs one section and one dual per weight-1 generator: "
             "got %d sections and %d duals for %d generators"
             % (len(basis), len(dual), len(chart.section_indices)))
-    one, zero = chart.one(), chart.zero()
-    for i, b in enumerate(basis):
-        for j, d in enumerate(dual):
-            value = pairing(b, d)
-            if value != (one if i == j else zero):
-                raise PotentialError(
-                    "basis/dual mismatch: <basis[%d], dual[%d]> = %s"
-                    % (i, j, to_text(value)))
+    block = _pairing_block(chart)
+    rows = _frame_rows(chart, basis, "basis")
+    dual_columns = {}
+    for j, row in enumerate(_frame_rows(chart, dual, "dual")):
+        for h, y in row.items():
+            dual_columns.setdefault(h, []).append((j, y))
+    for i, row in enumerate(rows):
+        paired = {}
+        for a, x in row.items():
+            for h, c in block[a]:
+                paired[h] = paired.get(h, 0) + x * c
+        values = {i: 0}
+        for h, v in paired.items():
+            for j, y in dual_columns.get(h, ()):
+                values[j] = values.get(j, 0) + v * y
+        bad = [j for j, v in values.items() if v != (1 if i == j else 0)]
+        if bad:
+            j = min(bad)
+            raise PotentialError(
+                "basis/dual mismatch: <basis[%d], dual[%d]> = %s"
+                % (i, j, to_text(SuperPoly.constant(chart, values[j]))))
 
 
 def classical_naive_differential(theta, psi, basis, dual):
@@ -126,9 +180,13 @@ def classical_naive_differential(theta, psi, basis, dual):
 
     psi is a weight-k element built on the weight-1 sector, basis a list of
     sections, one per weight-1 generator, and dual a list with
-    <basis[i], dual[j]> = delta.  Every caller passes section_frame(chart);
-    the frame stays an argument, checked by _check_dual, because the
-    benchmark's differential workload passes one.  Evaluates Psi(t) =
+    <basis[i], dual[j]> = delta, each a constant rational combination of
+    the weight-1 generators.  Every caller passes section_frame(chart);
+    the frame stays an argument because the benchmark's differential
+    workload passes one.  It is checked on its coefficient rows, as
+    B P D^T = I with P the pairing block, which takes no bracket; a frame
+    of the wrong size, a mismatched dual or an element with a non-constant
+    coefficient is refused with PotentialError.  Evaluates Psi(t) =
     eval(psi; t) / c_k on every ascending basis tuple of length k+1 through
 
         sum_i (-1)^i rho(b_i) Psi(..b_i dropped..)

@@ -546,8 +546,9 @@ def load_instance(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise GalleryError("parse error in %s: line %d column %d: %s"
+                               % (path, e.lineno, e.colno, e.msg)) from None
         except (ValueError, RecursionError) as e:
-            if isinstance(e, json.JSONDecodeError):
-                raise
             raise GalleryError("cannot read %s: %s" % (path, e)) from None
     return instance_from_json(doc)

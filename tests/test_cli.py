@@ -143,7 +143,7 @@ def test_malformed_json_file(tmp_path, capsys):
     path.write_text("{not json")
     code, _out, err = run(capsys, ["check", str(path)])
     assert code == 2
-    assert "parse error" in err
+    assert "parse error in %s: line 1 column 2:" % path in err
 
 
 def test_corrupted_structure_constants_fail_with_witness(tmp_path, capsys):

@@ -8,7 +8,8 @@ import identities
 import oracles
 import routes
 from superpoisson import complexes, courant, gallery, lifts, sampling
-from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
+from superpoisson.charts import (chart_from_json, chart_to_json,
+                                 hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.courant import PotentialError
 from superpoisson.poisson import bracket
@@ -130,6 +131,146 @@ def test_classical_differential_rejects_a_frame_of_the_wrong_size(cut):
                    "short_frame": (basis[:5], dual[:5])}[cut]
     with pytest.raises(PotentialError, match="one section and one dual"):
         complexes.classical_naive_differential(T, psi, basis, dual)
+
+
+def changed_frame(chart, rng):
+    """(A basis, A^-T dual) with A a seeded unitriangular matrix of small
+    integers whose rows are permuted, and A^-1, on the frame of chart."""
+    basis, dual = complexes.section_frame(chart)
+    n = len(basis)
+    upper = [[1 if a == i else rng.choice((-1, 0, 0, 1, 2)) if a > i else 0
+              for a in range(n)] for i in range(n)]
+    inverse = [[0] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        inverse[i][i] = 1
+        for j in range(i + 1, n):
+            inverse[i][j] = -sum(upper[i][m] * inverse[m][j]
+                                 for m in range(i + 1, j + 1))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    # A[i] = upper[perm[i]], so (A^-1)[b][j] = inverse[b][perm[j]]
+    new_basis = [sum((b * upper[perm[i]][a] for a, b in enumerate(basis)
+                      if upper[perm[i]][a]), chart.zero()) for i in range(n)]
+    new_dual = [sum((d * inverse[b][perm[j]] for b, d in enumerate(dual)
+                     if inverse[b][perm[j]]), chart.zero()) for j in range(n)]
+    return new_basis, new_dual
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_classical_differential_accepts_a_constant_change_of_frame(name):
+    # The frame check reads coefficient rows, so any constant frame with
+    # <basis[i], dual[j]> = delta passes it, and the alternating sum does
+    # not depend on which one it is.
+    inst = gallery.build(name)
+    T = inst.default_potential
+    basis, dual = changed_frame(inst.chart, random.Random(name))
+    assert basis != complexes.section_frame(inst.chart)[0]
+    for el in inst.l_elements:
+        got = complexes.classical_naive_differential(T, el, basis, dual)
+        assert got == complexes.q_theta(T, el), to_text(el)
+
+
+def first_pairing_mismatch(basis, dual):
+    """The first (i, j, <basis[i], dual[j]>) off delta, by n^2 brackets,
+    or None."""
+    chart = basis[0].chart
+    for i, b in enumerate(basis):
+        for j, d in enumerate(dual):
+            value = courant.pairing(b, d)
+            if value != (chart.one() if i == j else chart.zero()):
+                return i, j, to_text(value)
+    return None
+
+
+def frame_chart(name):
+    """(chart, potential): a catalogue instance's, or for "even_pair"
+    cross3's potential on its chart with an even conjugate pair e1, e2
+    added to the weight-1 sector."""
+    if name != "even_pair":
+        inst = gallery.build(name)
+        return inst.chart, inst.default_potential
+    inst = gallery.build("cross3")
+    doc = chart_to_json(inst.chart)
+    doc["n_manifold"] = False
+    doc["generators"] += [{"name": "e1", "parity": "even", "weight": [1, 0]},
+                          {"name": "e2", "parity": "even", "weight": [0, 1]}]
+    doc["pairing"].append(["e1", "e2", "1"])
+    chart = chart_from_json(doc)
+    return chart, parse_expr(chart, to_text(inst.default_potential))
+
+
+@pytest.mark.parametrize("name", gallery.names() + ["even_pair"])
+def test_frame_row_check_agrees_with_the_pairings(name):
+    # The row check must give the verdict, and name the entry, that the
+    # n^2 pairing brackets give: on the chart's frame, on a seeded constant
+    # change of it, with one dual zeroed, with two duals swapped (two bad
+    # entries in one row), and with one dual coefficient changed by a
+    # nonzero rational at a seeded position (a new term or an existing
+    # one).  On "even_pair" the frame holds even sections, whose pairing
+    # block is skew.
+    rng = random.Random(name)
+    chart, T = frame_chart(name)
+    basis, dual = complexes.section_frame(chart)
+    cases = [(basis, dual), changed_frame(chart, rng)]
+    j = rng.randrange(len(dual))
+    cases.append((basis, dual[:j] + [chart.zero()] + dual[j + 1:]))
+    j, k = sorted(rng.sample(range(len(dual)), 2))
+    cases.append((basis, dual[:j] + [dual[k]] + dual[j + 1:k] + [dual[j]]
+                  + dual[k + 1:]))
+    for _ in range(3):
+        j, a = rng.randrange(len(dual)), rng.randrange(len(basis))
+        delta = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+        cases.append((basis, dual[:j] + [dual[j] + basis[a] * delta]
+                       + dual[j + 1:]))
+    verdicts = []
+    for b, d in cases:
+        want = first_pairing_mismatch(b, d)
+        verdicts.append(want is None)
+        if want is None:
+            complexes.classical_naive_differential(T, chart.one(), b, d)
+            continue
+        with pytest.raises(PotentialError) as refused:
+            complexes.classical_naive_differential(T, chart.one(), b, d)
+        assert str(refused.value) == (
+            "basis/dual mismatch: <basis[%d], dual[%d]> = %s" % want)
+    assert verdicts == [True, True] + [False] * 5
+
+
+def test_classical_differential_refuses_a_function_coefficient():
+    # basis[0] + x1*basis[1] with the dual that matches it pairs to delta
+    # exactly, but a frame is a constant combination of weight-1
+    # generators, so it is refused.
+    inst = gallery.build("action_algebra")
+    ch, T = inst.chart, inst.default_potential
+    basis, dual = complexes.section_frame(ch)
+    x1 = ch.gen("x1")
+    basis = [basis[0] + x1 * basis[1]] + basis[1:]
+    dual = [dual[0], dual[1] - x1 * dual[0]] + dual[2:]
+    assert first_pairing_mismatch(basis, dual) is None
+    with pytest.raises(PotentialError, match=r"basis\[0\] is not a constant "
+                       "combination of the weight-1 generators"):
+        complexes.classical_naive_differential(T, ch.one(), basis, dual)
+
+
+def test_classical_differential_refuses_a_frame_of_another_chart():
+    # Two builds of cross3 make two charts with the same generators.
+    T, psi, basis, dual = cross3_frame()
+    other = complexes.section_frame(gallery.build("cross3").chart)
+    with pytest.raises(PotentialError, match=r"basis\[0\] is not a constant "
+                       "combination of the weight-1 generators of "):
+        complexes.classical_naive_differential(T, psi, *other)
+
+
+def test_classical_differential_of_one_makes_no_bracket(bracket_calls):
+    # The frame check takes no bracket, and d(1) has no anchor or bracket
+    # terms to evaluate.
+    inst = gallery.build("cross7")
+    ch, T = inst.chart, inst.default_potential
+    basis, dual = complexes.section_frame(ch)
+    del bracket_calls[:]
+    got = complexes.classical_naive_differential(T, ch.one(), basis, dual)
+    assert len(bracket_calls) == 0
+    assert got.is_zero
 
 
 @pytest.mark.parametrize("name, text, degree", [
@@ -334,9 +475,9 @@ def test_classical_differential_brackets_each_basis_pair_once(
     el = inst.l_elements[1]
     del bracket_calls[:]
     got = complexes.classical_naive_differential(T, el, basis, dual)
-    # 196 of them are the pairings _check_dual makes; with theta bracketed
-    # with b_p again for every q the differential took 541.
-    assert len(bracket_calls) <= 464
+    # The frame check takes no bracket; it took 196 pairings, 464 calls in
+    # all, and with theta bracketed with b_p again for every q, 541.
+    assert len(bracket_calls) <= 268
     assert got == complexes.q_theta(T, el)
     assert len(basis) == len(anchors) == 14
     pairs = [(basis.index(s), basis.index(p)) for s, p, _ in calls]
