@@ -10,9 +10,14 @@ Nondegeneracy is checked by one exact rank of the sparse pairing rows.
 
 The grading is decided here and nowhere else: Chart.symplectic_weight and
 Chart.lift_weight sum a weight vector over the symplectic axes and over
-the others (the lift axis of a lifted chart), and the sectors are indexed
-once, on construction: base_indices (symplectic weight 0) and
-section_indices (weight 1).
+the others (the lift axis of a lifted chart).  Each generator's grading,
+the pair (symplectic weight, lift weight), is summed once, on
+construction, and stored in Chart.gradings; Chart.term_grading(key) adds
+up the stored gradings of a term's factors, so no caller sums a weight
+vector per term.  The sectors are indexed in the same pass: base_indices
+(symplectic weight 0), section_indices (weight 1) and true_base_indices
+(even, weight 0 on every axis).  The structural checks read those stored
+values and the pairing rows, whose entries are sorted once.
 """
 
 from fractions import Fraction
@@ -53,7 +58,8 @@ class Chart:
             self.generators.append(gen)
             if gname not in self.name_to_index:
                 self.name_to_index[gname] = gen.index
-        self.pairing_given = [(g, h, Fraction(c)) for g, h, c in pairing]
+        self.pairing_given = [(g, h, c if type(c) is Fraction
+                               else Fraction(c)) for g, h, c in pairing]
         self.metric = None
         if metric is not None:
             mnames, rows = metric
@@ -124,12 +130,15 @@ class Chart:
             self.pairing[(hj, gi)] = mirror
 
     def _index_sectors(self):
+        """Each generator's grading, summed once, the sectors read off
+        the gradings, and the pairing rows, from one sort of the pairing."""
+        self.gradings = tuple(
+            (self.symplectic_weight(g.weight), self.lift_weight(g.weight))
+            for g in self.generators)
         self.base_indices = tuple(
-            g.index for g in self.generators
-            if self.symplectic_weight(g.weight) == 0)
+            i for i, (sw, _) in enumerate(self.gradings) if sw == 0)
         self.section_indices = tuple(
-            g.index for g in self.generators
-            if self.symplectic_weight(g.weight) == 1)
+            i for i, (sw, _) in enumerate(self.gradings) if sw == 1)
         self.true_base_indices = tuple(
             g.index for g in self.generators if g.is_true_base)
         # The bracket's pairing coefficients, stored integer-first like every
@@ -152,6 +161,21 @@ class Chart:
         """The entries of a weight vector on the other axes, summed: the
         lift weight on a lifted chart, 0 where every axis is symplectic."""
         return sum(weight) - self.symplectic_weight(weight)
+
+    def term_grading(self, key):
+        """(symplectic weight, lift weight) of the term key of an element
+        on this chart: the stored gradings of its factors, summed."""
+        gradings = self.gradings
+        sw = lw = 0
+        for idx, e in key[1]:
+            s, l = gradings[idx]
+            sw += e * s
+            lw += e * l
+        for idx in key[2]:
+            s, l = gradings[idx]
+            sw += s
+            lw += l
+        return sw, lw
 
     def pairing_entries(self):
         """All nonzero ordered pairs (gi, hj, coefficient), deterministic."""
@@ -206,35 +230,46 @@ def _shape_problems(chart):
 
 
 def _structural_problems(chart):
+    """The problems of a chart whose weights are readable, in the order of
+    the checks.  It reads the gradings and the pairing rows _index_sectors
+    stored; the rows list the pairing in sorted order."""
     problems = []
     if not chart.symplectic_axes:
         problems.append("symplectic_axes must be non-empty")
 
+    # One pass over the generators; the N-manifold rule is reported after
+    # the pairing's problems.
     seen = set()
-    for g in chart.generators:
+    n_manifold = []
+    for g, (sw, _) in zip(chart.generators, chart.gradings):
         if not g.name or _name_end(g.name, 0) < len(g.name):
             problems.append("generator name %r is not an identifier" % g.name)
         if g.name in seen:
             problems.append("duplicate generator name %r" % g.name)
         seen.add(g.name)
-        if any(w < 0 for w in g.weight):
+        if min(g.weight) < 0:
             problems.append("generator %s has a negative weight" % g.name)
+        if chart.n_manifold and g.parity != sw % 2:
+            n_manifold.append(
+                "N-manifold rule broken: %s has parity %d but symplectic "
+                "weight %d" % (g.name, g.parity, sw))
 
     pair_weight = None
-    for (gi, hj), c in sorted(chart.pairing.items()):
+    for gi, row in chart.pairing_rows.items():
         g = chart.generators[gi]
-        h = chart.generators[hj]
-        if g.parity != h.parity:
-            problems.append(
-                "pairing {%s,%s} joins different parities (a nonzero "
-                "constant bracket is even)" % (g.name, h.name))
-        w = tuple(a + b for a, b in zip(g.weight, h.weight))
-        if pair_weight is None:
-            pair_weight = w
-        elif w != pair_weight:
-            problems.append(
-                "pairing {%s,%s} has weight %r, other pairs have %r"
-                % (g.name, h.name, w, pair_weight))
+        for hj, _ in row:
+            h = chart.generators[hj]
+            if g.parity != h.parity:
+                problems.append(
+                    "pairing {%s,%s} joins different parities (a nonzero "
+                    "constant bracket is even)" % (g.name, h.name))
+            w = tuple(a + b for a, b in zip(g.weight, h.weight))
+            if pair_weight is None:
+                pair_weight = w
+            elif w != pair_weight:
+                problems.append(
+                    "pairing {%s,%s} has weight %r, other pairs have %r"
+                    % (g.name, h.name, w, pair_weight))
     if pair_weight is None:
         problems.append("chart has an empty pairing")
     elif chart.symplectic_weight(pair_weight) != 2:
@@ -252,13 +287,7 @@ def _structural_problems(chart):
                                     < len(chart.generators)):
         problems.append("pairing matrix is degenerate over the rationals")
 
-    if chart.n_manifold:
-        for g in chart.generators:
-            if g.parity != chart.symplectic_weight(g.weight) % 2:
-                problems.append(
-                    "N-manifold rule broken: %s has parity %d but "
-                    "symplectic weight %d"
-                    % (g.name, g.parity, chart.symplectic_weight(g.weight)))
+    problems.extend(n_manifold)
 
     if chart.metric is not None:
         mnames, rows = chart.metric
@@ -298,14 +327,14 @@ def _structural_problems(chart):
                 problems.append("unknown role %r for %s" % (role, name))
                 continue
             idx = chart.name_to_index[name]
-            if role == "base" and idx not in chart.base_indices:
+            if role == "base" and chart.gradings[idx][0] != 0:
                 problems.append(
                     "generator %s has role base but nonzero symplectic "
                     "weight" % name)
             if role in ("momentum", "cofibre"):
                 want = ("base", "fibre") if role == "momentum" else ("fibre",)
                 ok = any(chart.roles.get(chart.generators[hj].name) in want
-                         for hj, _ in chart.conjugates(idx))
+                         for hj, _ in chart.pairing_rows.get(idx, ()))
                 if not ok:
                     problems.append(
                         "generator %s has role %s but no conjugate with "

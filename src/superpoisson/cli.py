@@ -94,8 +94,7 @@ def _sections(chart, texts):
         if not s.is_zero and s.parity() is None:
             raise UsageError("section %s must have homogeneous parity"
                              % text)
-        if any(chart.symplectic_weight(s.term_weight(key)) != 1
-               for key in s.terms):
+        if any(chart.term_grading(key)[0] != 1 for key in s.terms):
             raise UsageError("section %s must have symplectic weight 1"
                              % text)
     return sections

@@ -49,9 +49,12 @@ def naive_membership(anchors, alpha):
     element and a zero contraction vector need no bracket.
     """
     chart = alpha.chart
-    for g in chart.generators:
-        if (chart.symplectic_weight(g.weight) > 1
-                and alpha.uses_generator(g.index)):
+    gradings = chart.gradings
+    for scal, even, odd in alpha.terms:
+        if (any(gradings[gi][0] > 1 for gi, _ in even)
+                or any(gradings[gi][0] > 1 for gi in odd)
+                or any(gradings[gi][0] > 1
+                       for _, jets in scal for gi in jets)):
             return False
     if alpha.is_zero:
         return True
@@ -289,7 +292,7 @@ def point_cohomology(anchors):
     cochains are spanned by the weight-1 generators, H0 is the constants
     (lift weight 0) and d0 = {theta, const} = 0, so H1 is the kernel of
     {theta, .} on those generators.  They are grouped by lift weight
-    (Chart.lift_weight) on a lifted chart and form one group of lift
+    (Chart.gradings) on a lifted chart and form one group of lift
     weight 0 otherwise; dim H1 of a group is its size minus the rank of
     the images {theta, g}, by exact linear algebra.  The table's anchor
     vectors (-1)^g~ {theta, g} are those images up to a sign per row,
@@ -305,10 +308,9 @@ def point_cohomology(anchors):
                              "(no symplectic-weight-0 generators)")
     groups = {}
     for idx in chart.section_indices:
-        g = chart.generators[idx]
-        weight = (chart.lift_weight(g.weight)
-                  if chart.lift_degree is not None else 0)
-        groups.setdefault(weight, []).append(anchors[g.name])
+        weight = chart.gradings[idx][1] if chart.lift_degree is not None else 0
+        groups.setdefault(weight, []).append(
+            anchors[chart.generators[idx].name])
     h1 = {}
     for weight, images in sorted(groups.items()):
         h1[weight] = len(images) - linalg.rank([v.terms for v in images])

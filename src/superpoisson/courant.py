@@ -53,17 +53,15 @@ def _parity(value, what):
 def _term_problem(theta, key, lift):
     """What is wrong with the term key of a potential, as a message with
     one %s for the term's text; None when nothing is."""
-    chart = theta.chart
-    weight = theta.term_weight(key)
     if theta.term_parity(key) != ODD:
         return "potential must be odd; even term %s"
-    if chart.symplectic_weight(weight) != 3:
+    sw, lw = theta.chart.term_grading(key)
+    if sw != 3:
         return ("potential must have symplectic weight 3; term %%s has %d"
-                % chart.symplectic_weight(weight))
-    if lift is not None and chart.lift_weight(weight) != lift:
+                % sw)
+    if lift is not None and lw != lift:
         return ("potential on a degree-%d lifted chart must have lift "
-                "weight %d; term %%s has %d"
-                % (lift + 1, lift, chart.lift_weight(weight)))
+                "weight %d; term %%s has %d" % (lift + 1, lift, lw))
     return None
 
 
@@ -106,8 +104,7 @@ def anchor_vector(theta, sigma):
 def apply_anchor_vector(rho, f):
     """{rho, f} for an anchor vector rho and a function f of symplectic
     weight 0 in every term; the terms may differ in lift weight."""
-    if any(f.chart.symplectic_weight(f.term_weight(key)) != 0
-           for key in f.terms):
+    if any(f.chart.term_grading(key)[0] != 0 for key in f.terms):
         raise PotentialError("anchor argument must have symplectic "
                              "weight 0: %s" % to_text(f))
     return bracket(rho, f)

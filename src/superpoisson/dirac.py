@@ -91,11 +91,10 @@ class _FunctionGraph:
                 "%s must be homogeneous: %s" % (what, to_text(function)))
         if parity != 0:
             raise GraphError("%s must be even: %s" % (what, to_text(function)))
-        if chart.symplectic_weight(weight) != 2:
+        sw, lift = chart.term_grading(next(iter(function.terms)))
+        if sw != 2:
             raise GraphError(
-                "%s must have symplectic weight 2, got %d"
-                % (what, chart.symplectic_weight(weight)))
-        lift = chart.lift_weight(weight)
+                "%s must have symplectic weight 2, got %d" % (what, sw))
         if chart.lift_degree is not None and lift != chart.lift_degree - 1:
             raise GraphError(
                 "%s on a degree-%d lifted chart must have lift weight %d, "

@@ -56,8 +56,8 @@ def flatten_chart(chart):
         raise LiftError(
             "chart %s has non-symplectic axes; flattening would lose its "
             "grading" % chart.name)
-    gens = [(g.name, g.parity, (chart.symplectic_weight(g.weight),))
-            for g in chart.generators]
+    gens = [(g.name, g.parity, (sw,))
+            for g, (sw, _) in zip(chart.generators, chart.gradings)]
     return Chart("%s|flat" % chart.name, 1, gens, chart.pairing_given,
                  metric=chart.metric, n_manifold=chart.n_manifold,
                  symplectic_axes=(0,), roles=chart.roles)
@@ -86,37 +86,33 @@ def tangent_lift_chart(chart, k):
             % chart.name)
     if k < 2:
         raise LiftError("lift degree must be at least 2, got %d" % k)
-    gens = []
-    for eps in range(k):
-        for g in chart.generators:
-            gens.append((lifted_name(g.name, eps), g.parity,
-                         (eps, g.weight[0])))
+    # copies[eps][i] is the name of copy eps of generator i.
+    copies = [[lifted_name(g.name, eps) for g in chart.generators]
+              for eps in range(k)]
+    gens = [(copies[eps][g.index], g.parity, (eps, g.weight[0]))
+            for eps in range(k) for g in chart.generators]
     # One seed per unordered pair of copies: gi < hj at every eps, and a
     # self-pair at the eps with eps <= k - 1 - eps.
-    names = [g.name for g in chart.generators]
-    pairing_spec = [(lifted_name(names[gi], eps),
-                     lifted_name(names[hj], k - 1 - eps), c)
+    pairing_spec = [(copies[eps][gi], copies[k - 1 - eps][hj], c)
                     for gi, hj, c in chart.pairing_entries() if gi <= hj
                     for eps in range(k) if gi < hj or 2 * eps < k]
-    roles = None
-    if chart.roles is not None:
-        roles = {}
-        for g in chart.generators:
-            role = chart.roles.get(g.name)
-            if role is None:
-                continue
-            for eps in range(k):
-                roles[lifted_name(g.name, eps)] = role
+    roles = None if chart.roles is None else {
+        copies[eps][g.index]: chart.roles[g.name]
+        for g in chart.generators if g.name in chart.roles
+        for eps in range(k)}
     return Chart("%s|T%d" % (chart.name, k - 1), 2, gens,
                  pairing_spec, n_manifold=chart.n_manifold,
                  symplectic_axes=(1,), roles=roles, lift_degree=k)
 
 
 def lift_component(P, eps):
-    """The part of P of lift weight (first axis) eps.  complete_lift returns
-    through it only so that the benchmark's tracer can count terms kept."""
+    """The part of P of lift weight eps (Chart.term_grading, the first axis
+    of a lifted chart), read from the gradings the chart stores.
+    complete_lift returns through it only so that the benchmark's tracer
+    can count terms kept."""
+    grading = P.chart.term_grading
     picked = {key: c for key, c in P.terms.items()
-              if P.term_weight(key)[0] == eps}
+              if grading(key)[1] == eps}
     return SuperPoly.from_clean_terms(P.chart, picked)
 
 

@@ -28,6 +28,7 @@ were, so a write to an element's terms would make every later bracket with
 that element wrong.
 """
 
+import re
 from collections import defaultdict
 from fractions import Fraction
 
@@ -36,9 +37,12 @@ ODD = 1
 
 
 class Generator:
-    """One graded coordinate: a name, a parity, and a weight vector."""
+    """One graded coordinate: a name, a parity, and a weight vector.
 
-    __slots__ = ("name", "parity", "weight", "index")
+    is_true_base is stored on construction: even and weight zero on every
+    axis, the sector the chain rule sees."""
+
+    __slots__ = ("name", "parity", "weight", "index", "is_true_base")
 
     def __init__(self, name, parity, weight, index):
         assert parity in (EVEN, ODD), parity
@@ -46,11 +50,7 @@ class Generator:
         self.parity = parity
         self.weight = tuple(int(w) for w in weight)
         self.index = index
-
-    @property
-    def is_true_base(self):
-        """Even and weight zero on every axis: the sector the chain rule sees."""
-        return self.parity == EVEN and all(w == 0 for w in self.weight)
+        self.is_true_base = parity == EVEN and not any(self.weight)
 
     def __repr__(self):
         return "Generator(%r, parity=%d, weight=%r)" % (
@@ -373,16 +373,6 @@ class SuperPoly:
                 return None
         return w
 
-    def uses_generator(self, idx):
-        for scal, even, odd in self.terms:
-            if idx in odd:
-                return True
-            if any(i == idx for i, _ in even):
-                return True
-            if any(idx in jets for _, jets in scal):
-                return True
-        return False
-
     def symbol_names(self):
         names = set()
         for scal, _, _ in self.terms:
@@ -568,10 +558,16 @@ class ParseError(ValueError):
 _OPCHARS = set("+-*/^()[];,")
 
 
+# The ASCII identifiers, which are all a chart's names in practice; a
+# match only lets _name_end skip ahead in its own character rule.
+_ASCII_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def _name_end(text, i):
     """End of the identifier that starts at text[i], or i if none does: a
     letter or '_', then letters, decimal digits or '_'."""
-    j = i
+    match = _ASCII_NAME.match(text, i)
+    j = match.end() if match else i
     while j < len(text) and (text[j].isalpha() or text[j] == "_"
                              or (j > i and text[j].isdecimal())):
         j += 1

@@ -10,9 +10,10 @@ a formal function symbol, the weight table of a lifted potential (the lift
 weights of its brackets, pairings and anchors, which validate_potential
 already forces), the substitute-and-truncate complete lift (every
 generator replaced by the sum of its copies, every symbol Taylor-expanded,
-every product cut at lift weight k - 1), and an algebra map as a sum of
-ordered SuperPoly products of the factor images.  Tests compare them with
-the library; the library does not use them.
+every product cut at lift weight k - 1), an algebra map as a sum of
+ordered SuperPoly products of the factor images, and a chart's sectors and
+term gradings summed from weight vectors.  Tests compare them with the
+library; the library does not use them.
 """
 
 import itertools
@@ -30,8 +31,8 @@ from superpoisson.dirac import (CoordinateSubbundle, GraphError, is_isotropic,
 from superpoisson.lifts import (LiftError, lift_component, lifted_name,
                                 tangent_lift_chart)
 from superpoisson.poisson import bracket
-from superpoisson.superpoly import (SuperPoly, left_partial, mul_terms_into,
-                                   substitute, to_text)
+from superpoisson.superpoly import (EVEN, SuperPoly, left_partial,
+                                   mul_terms_into, substitute, to_text)
 
 
 def _darboux_sectors(chart):
@@ -158,7 +159,10 @@ def classify_by_self_bracket(theta):
         return verdict("Courant")
     base = set(chart.base_indices)
     momenta = {gi for gi, hj in chart.pairing if hj in base}
-    if not any(sigma.uses_generator(i) for i in momenta):
+    if not any(momenta.intersection(odd)
+               or momenta.intersection(gi for gi, _ in even)
+               or any(momenta.intersection(jets) for _, jets in scal)
+               for scal, even, odd in sigma.terms):
         return verdict("PreCourant")
     for idx in chart.base_indices:
         name = chart.generators[idx].name
@@ -528,3 +532,29 @@ def substitute_by_products(P, genmap, target):
             part = part * image(idx)
         total = total + part
     return total
+
+
+def sectors_by_weight_vectors(chart):
+    """(base_indices, section_indices, true_base_indices, pairing_rows)
+    read off the weight vectors, one Chart.symplectic_weight sum per
+    generator, and off the sorted pairing, with its Fractions stored
+    integer-first: the chart's sectors without its stored gradings."""
+    base = tuple(g.index for g in chart.generators
+                 if chart.symplectic_weight(g.weight) == 0)
+    sections = tuple(g.index for g in chart.generators
+                     if chart.symplectic_weight(g.weight) == 1)
+    true_base = tuple(g.index for g in chart.generators
+                      if g.parity == EVEN and all(w == 0 for w in g.weight))
+    rows = {}
+    for (gi, hj), c in sorted(chart.pairing.items()):
+        c = c.numerator if c.denominator == 1 else c
+        rows.setdefault(gi, []).append((hj, c))
+    return base, sections, true_base, {gi: tuple(row)
+                                       for gi, row in rows.items()}
+
+
+def grading_by_weight_vector(P, key):
+    """(symplectic weight, lift weight) of the term key of P, summed from
+    its weight vector P.term_weight(key)."""
+    weight = P.term_weight(key)
+    return P.chart.symplectic_weight(weight), P.chart.lift_weight(weight)

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import draws
+import routes
 from superpoisson.charts import (ODD, Chart, ChartError, chart_from_json,
                                  chart_to_json,
                                  hyperbolic_metric, identity_metric,
                                  make_cotangent_antivb_chart,
                                  make_darboux_chart, validate_chart)
-from superpoisson import gallery
+from superpoisson import gallery, lifts
 
 
 def vb_chart():
@@ -171,14 +174,127 @@ ODD_PAIRS = [("xi", "xi", 1), ("eta", "eta", 1)]
      ["role for unknown generator 'b'"]),
     (1, BASE, [("p", "a", 1)], {"roles": {"a": "anchor"}},
      ["unknown role 'anchor' for a"]),
+    (1, [("a", 0, (-1,)), ("p", 0, (3,))], [("p", "a", 1)], {},
+     ["generator a has a negative weight"]),
+    (1, BASE + [("b", 0, (0,)), ("q", 0, (1,))],
+     [("p", "a", 1), ("q", "b", 1)], {},
+     ["pairing {b,q} has weight (1,), other pairs have (2,)",
+      "pairing {q,b} has weight (1,), other pairs have (2,)"]),
+    (1, [("a", 0, (0,)), ("p", 0, (3,))], [("p", "a", 1)], {},
+     ["conjugate weights sum to (3,); the symplectic form must have "
+      "symplectic weight 2"]),
+    (2, [("a", 0, (0, 0)), ("p", 0, (0, 2))], [("p", "a", 1)],
+     {"symplectic_axes": (1,), "lift_degree": 3},
+     ["conjugate weights sum to (0, 2); on a degree-3 lifted chart the "
+      "symplectic form must have lift weight 2"]),
+    (1, BASE + [("e", 0, (1,)), ("f", 0, (1,))],
+     [("p", "a", 1), ("e", "f", 1)], {"n_manifold": True},
+     ["N-manifold rule broken: e has parity 0 but symplectic weight 1",
+      "N-manifold rule broken: f has parity 0 but symplectic weight 1"]),
+    (1, BASE, [("p", "a", 1)], {"roles": {"p": "base"}},
+     ["generator p has role base but nonzero symplectic weight"]),
+    (1, BASE, [("p", "a", 1)], {"roles": {"p": "momentum"}},
+     ["generator p has role momentum but no conjugate with role in "
+      "('base', 'fibre')"]),
+    (1, ODDS, ODD_PAIRS, {"roles": {"xi": "cofibre", "eta": "fibre"}},
+     ["generator xi has role cofibre but no conjugate with role in "
+      "('fibre',)"]),
+    # {e, f} = 1 stores {f, e} = -1 for even e and f, against the
+    # symmetric metric entry.
+    (1, [("e", 0, (1,)), ("f", 0, (1,))], [("e", "f", 1)],
+     {"metric": (["e", "f"], [[0, 1], [1, 0]])},
+     ["metric generator e is not odd", "metric generator f is not odd",
+      "pairing {f,e} = -1 disagrees with the metric entry 1"]),
+    (1, ODDS, ODD_PAIRS, {"metric": (["xi", "eta"], [[2, 0], [0, 1]])},
+     ["pairing {xi,xi} = 1 disagrees with the metric entry 2"]),
+    # Several problems at once pin the order of the checks.
+    (1, BASE + [("b", 0, (-1,)), ("q", 0, (2,)), ("xi", ODD, (2,)),
+                ("eta", ODD, (1,)), ("r", 0, (1,))],
+     [("p", "a", 1), ("q", "b", 1), ("xi", "xi", 1), ("zz", "a", 1),
+      ("eta", "r", 1)],
+     {"n_manifold": True, "metric": (["xi"], [[2]]),
+      "roles": {"a": "momentum", "q": "base", "c": "fibre"}},
+     ["pairing entry (zz, a) names an unknown generator",
+      "generator b has a negative weight",
+      "pairing {b,q} has weight (1,), other pairs have (2,)",
+      "pairing {q,b} has weight (1,), other pairs have (2,)",
+      "pairing {xi,xi} has weight (4,), other pairs have (2,)",
+      "pairing {eta,r} joins different parities (a nonzero constant "
+      "bracket is even)",
+      "pairing {r,eta} joins different parities (a nonzero constant "
+      "bracket is even)",
+      "N-manifold rule broken: b has parity 0 but symplectic weight -1",
+      "N-manifold rule broken: xi has parity 1 but symplectic weight 2",
+      "N-manifold rule broken: r has parity 0 but symplectic weight 1",
+      "pairing {xi,xi} = 1 disagrees with the metric entry 2",
+      "generator a has role momentum but no conjugate with role in "
+      "('base', 'fibre')",
+      "role for unknown generator 'c'",
+      "generator q has role base but nonzero symplectic weight"]),
 ], ids=["unknown-pairing-name", "self-pairing-conflict", "antisymmetry",
         "no-axis", "no-symplectic-axis", "not-identifier",
         "superscript-digit", "duplicate-name",
         "metric-not-square", "metric-unknown-name", "metric-singular",
-        "role-unknown-name", "unknown-role"])
+        "role-unknown-name", "unknown-role", "negative-weight",
+        "pair-weight-differs", "symplectic-weight-not-2",
+        "lift-degree-mismatch", "n-manifold-rule", "base-role-weight",
+        "momentum-without-conjugate", "cofibre-without-conjugate",
+        "metric-not-odd", "pairing-against-metric", "several-at-once"])
 def test_each_chart_problem_is_reported(axes, generators, pairing, options,
                                         problems):
     chart = Chart("c", axes, generators, pairing, strict=False, **options)
     assert validate_chart(chart) == problems
     with pytest.raises(ChartError):
         Chart("c", axes, generators, pairing, **options)
+
+
+def catalogue_charts_and_elements():
+    """(chart, elements on it) for every catalogue chart, each flattening
+    of one, and the lifts of those at k = 2..5.  The elements are the
+    catalogue potential and l_elements, moved onto the flattening, and
+    their complete lifts, each on its own copy of the lifted chart."""
+    for name in gallery.names():
+        inst = gallery.build(name)
+        own = [inst.default_potential, *inst.l_elements]
+        yield inst.chart, own
+        try:
+            flat = lifts.flatten_chart(inst.chart)
+        except lifts.LiftError:
+            continue
+        low = [lifts.flatten_poly(P, flat) for P in own]
+        yield flat, low
+        for k in range(2, 6):
+            yield (lifts.tangent_lift_chart(flat, k),
+                   [lifts.complete_lift(P, k) for P in low
+                    if P.is_zero or P.weight() is not None])
+
+
+def test_stored_sectors_equal_the_weight_vector_route():
+    seen = 0
+    for chart, _ in catalogue_charts_and_elements():
+        base, sections, true_base, rows = \
+            routes.sectors_by_weight_vectors(chart)
+        assert chart.base_indices == base, chart.name
+        assert chart.section_indices == sections, chart.name
+        assert chart.true_base_indices == true_base, chart.name
+        assert chart.pairing_rows == rows, chart.name
+        assert [[type(c) for _, c in row] for row in rows.values()] \
+            == [[type(c) for _, c in row]
+                for row in chart.pairing_rows.values()], chart.name
+        seen += 1
+    # 16 catalogue charts, 13 flattenings, 4 lifts of each flattening.
+    assert seen == 16 + 13 * 5
+
+
+def test_term_grading_equals_the_weight_vector_route():
+    rng = random.Random(30)
+    terms = 0
+    for chart, elements in catalogue_charts_and_elements():
+        drawn = [draws.random_homogeneous(chart, rng) for _ in range(6)]
+        for P in elements + drawn:
+            for key in P.terms:
+                assert P.chart.term_grading(key) \
+                    == routes.grading_by_weight_vector(P, key), \
+                    (chart.name, key)
+                terms += 1
+    assert terms > 5000, terms

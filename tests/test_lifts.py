@@ -362,3 +362,25 @@ def test_complete_lift_flattens_the_chart_itself(k):
         assert got.chart.name == want.chart.name, name
         lifted += inst.chart.axes == 2
     assert lifted == 10
+
+
+def test_lift_and_classify_sum_no_weight_vector_on_the_lifted_chart(
+        monkeypatch):
+    # The lifted chart stores each generator's grading once; the lift's
+    # component and the potential's check read those, not term weights.
+    calls = []
+    original = SuperPoly.term_weight
+
+    def counting(P, key):
+        if P.chart.lift_degree is not None:
+            calls.append(key)
+        return original(P, key)
+
+    monkeypatch.setattr(SuperPoly, "term_weight", counting)
+    for name in ("quasi_poisson", "cross7_full"):
+        T = gallery.build(name).default_potential
+        assert T.chart.lift_degree is None
+        lifted = lifts.complete_lift(T, 5)
+        assert lifted.chart.lift_degree == 5 and lifted.terms
+        courant.classify(lifted)
+        assert calls == [], name
