@@ -18,9 +18,13 @@ vector per term.  The sectors are indexed in the same pass: base_indices
 (symplectic weight 0), section_indices (weight 1) and true_base_indices
 (even, weight 0 on every axis).  The structural checks read those stored
 values and the pairing rows, whose entries are sorted once.
+
+Every lift and flattening builds a new chart, so the pairing check adds
+each pair's weight vectors with one map rather than a generator per pair.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .superpoly import (EVEN, ODD, Generator, SuperPoly, _name_end, _norm,
                         parse_expr)
@@ -182,17 +186,6 @@ class Chart:
         return [(gi, hj, self.pairing[(gi, hj)])
                 for gi, hj in sorted(self.pairing)]
 
-    def conjugates(self, idx):
-        """(hj, Fraction coefficient) for every generator idx pairs with."""
-        return [(hj, self.pairing[(idx, hj)])
-                for hj, _ in self.pairing_rows.get(idx, ())]
-
-    def role_indices(self, role):
-        if self.roles is None:
-            return ()
-        return tuple(g.index for g in self.generators
-                     if self.roles.get(g.name) == role)
-
     # -- element factories ----------------------------------------------
 
     def zero(self):
@@ -263,7 +256,7 @@ def _structural_problems(chart):
                 problems.append(
                     "pairing {%s,%s} joins different parities (a nonzero "
                     "constant bracket is even)" % (g.name, h.name))
-            w = tuple(a + b for a, b in zip(g.weight, h.weight))
+            w = tuple(map(add, g.weight, h.weight))
             if pair_weight is None:
                 pair_weight = w
             elif w != pair_weight:

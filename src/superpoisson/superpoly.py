@@ -15,8 +15,17 @@ its terms; the Poisson bracket differentiates each argument once with it.
 SuperPoly.gradient takes that full gradient on its first call and keeps it
 with the element, so an element bracketed many times is differentiated once.
 
+Products have one loop, mul_terms_into, which multiplies two term dicts
+into an accumulator; SuperPoly products, the Poisson bracket and every
+other product of term dicts go through it.  It merges the common cases
+inline: an empty symbol, even or odd part on either side, a right factor
+with one odd index, and two odd pairs.  Only an odd merge longer than
+that calls _merge_odd, only two nonempty even parts call _merge_even, and
+only two nonempty symbol parts are sorted.
+
 Scalars have one rule too, in _scalar, which products, sums, comparisons,
-constants and the Poisson bracket all follow: a SuperPoly operand is
+constants, the coefficients given to SuperPoly(chart, terms) and the
+Poisson bracket all follow: a SuperPoly operand is
 recognised first, by its exact type; an int (a bool included) stays an int
 and never builds a Fraction; a Fraction goes through _norm, so an integral
 one is stored as its int numerator.  A product by 1 is the element itself.
@@ -29,7 +38,7 @@ that element wrong.
 """
 
 import re
-from collections import defaultdict
+from bisect import bisect_left
 from fractions import Fraction
 
 EVEN = 0
@@ -89,16 +98,13 @@ def _scalar(x):
 
 
 def _merge_odd(a, b):
-    """Merge two ascending odd-index tuples; return (merged, koszul_sign).
+    """Merge two nonempty ascending odd-index tuples; return (merged,
+    koszul_sign).
 
     Returns None when an index repeats (odd square is zero).  The sign is
     (-1)**inversions where inversions counts the transpositions needed to
     sort the concatenation a + b.
     """
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
     out = []
     i = j = 0
     inv = 0
@@ -118,24 +124,11 @@ def _merge_odd(a, b):
 
 
 def _merge_even(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = {}
-    for idx, e in a:
-        acc[idx] = acc.get(idx, 0) + e
+    """Merge two nonempty (index, exponent) tuples, adding exponents."""
+    acc = dict(a)
     for idx, e in b:
         acc[idx] = acc.get(idx, 0) + e
     return tuple(sorted(acc.items()))
-
-
-def _merge_scal(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(sorted(a + b))
 
 
 def mul_terms_into(acc, left, right, scale=None):
@@ -144,20 +137,75 @@ def mul_terms_into(acc, left, right, scale=None):
     Keys whose coefficient sums to zero are dropped, so acc stays a valid
     term dict; both SuperPoly products and the Poisson bracket accumulate
     through here.
+
+    This is the engine's inner loop, so the common merges run inline: an
+    empty side of any of the three key parts is the other side as it is, a
+    right factor with one odd index is inserted by bisection, and two odd
+    pairs are merged by comparing their four indices.
     """
+    get = acc.get
     for (s1, e1, o1), c1 in left.items():
         if scale is not None:
-            c1 = _norm(c1 * scale)
+            c1 = c1 * scale
+            if type(c1) is Fraction:
+                c1 = _norm(c1)
+        n1 = len(o1)
         for (s2, e2, o2), c2 in right.items():
-            merged = _merge_odd(o1, o2)
-            if merged is None:
-                continue
-            odd, sign = merged
-            key = (_merge_scal(s1, s2), _merge_even(e1, e2), odd)
-            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            n2 = len(o2)
+            neg = False
+            if not n2:
+                odd = o1
+            elif not n1:
+                odd = o2
+            elif n2 == 1:
+                j = o2[0]
+                p = bisect_left(o1, j)
+                if p < n1 and o1[p] == j:
+                    continue
+                odd = o1[:p] + o2 + o1[p:]
+                neg = (n1 - p) & 1
+            elif n1 == 2 and n2 == 2:
+                a0, a1 = o1
+                b0, b1 = o2
+                if a1 < b0:
+                    odd = o1 + o2
+                elif b1 < a0:
+                    odd = o2 + o1
+                elif a0 == b0 or a0 == b1 or a1 == b0 or a1 == b1:
+                    continue
+                elif a0 < b0:
+                    # a0 < b0 < a1: one transposition if a1 < b1, else two
+                    if a1 < b1:
+                        odd = (a0, b0, a1, b1)
+                        neg = True
+                    else:
+                        odd = (a0, b0, b1, a1)
+                else:
+                    # b0 < a0 < b1: two transpositions if a1 < b1, else three
+                    if a1 < b1:
+                        odd = (b0, a0, a1, b1)
+                    else:
+                        odd = (b0, a0, b1, a1)
+                        neg = True
+            else:
+                merged = _merge_odd(o1, o2)
+                if merged is None:
+                    continue
+                odd, sign = merged
+                neg = sign < 0
+            if not s1 or not s2:
+                scal = s1 + s2
+            else:
+                scal = tuple(sorted(s1 + s2))
+            if not e1 or not e2:
+                even = e1 + e2
+            else:
+                even = _merge_even(e1, e2)
+            key = (scal, even, odd)
+            c = -(c1 * c2) if neg else c1 * c2
             if type(c) is Fraction:
                 c = _norm(c)
-            old = acc.get(key)
+            old = get(key)
             if old is None:
                 acc[key] = c
             else:
@@ -179,9 +227,12 @@ class SuperPoly:
         self.chart = chart
         clean = {}
         if terms:
-            for key, c in terms.items():
-                if type(c) is not int:
-                    c = _norm(Fraction(c))
+            for key, given in terms.items():
+                c = given if type(given) is int else _scalar(given)
+                if c is None:
+                    raise TypeError(
+                        "a coefficient is an int or a Fraction, not %r"
+                        % (given,))
                 if c:
                     clean[key] = c
         self.terms = clean
@@ -277,12 +328,7 @@ class SuperPoly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = _norm(out.get(key, 0) + c)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        _add_terms(out, other.terms)
         return SuperPoly.from_clean_terms(self.chart, out)
 
     __radd__ = __add__
@@ -295,7 +341,9 @@ class SuperPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        _add_terms(out, other.terms, -1)
+        return SuperPoly.from_clean_terms(self.chart, out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -390,6 +438,20 @@ def _add_term(out, key, c):
         del out[key]
 
 
+def _add_terms(out, terms, sign=1):
+    """Add sign (1 or -1) times the term dict terms into the term dict out,
+    in one pass, dropping each key whose sum is 0."""
+    get = out.get
+    for key, c in terms.items():
+        s = get(key, 0) + c if sign > 0 else get(key, 0) - c
+        if type(s) is Fraction:
+            s = _norm(s)
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+
 def left_gradient(P, wanted=None):
     """Left derivatives of P by every generator, in one pass over its terms.
 
@@ -398,7 +460,8 @@ def left_gradient(P, wanted=None):
     For odd g the derivative anticommutes past the odd factors to the left
     of g; for even g it lowers the exponent; for an even weight-zero g the
     chain rule also extends every scalar symbol by one jet index.  Each
-    term dict lists its keys in the order of P's terms.
+    term dict lists its keys in the order of P's terms.  The pass builds
+    plain dicts and multiplies by an exponent without normalising an int.
 
     Dropping g from a term, or lowering its exponent, sends distinct terms
     to distinct keys, and a chain-rule key always carries a symbol, so only
@@ -409,28 +472,43 @@ def left_gradient(P, wanted=None):
     base = P.chart.true_base_indices
     if wanted is not None:
         base = [gi for gi in base if gi in wanted]
-    grad = defaultdict(dict)
+    grad = {}
     for (scal, even, odd), c in P.terms.items():
         for pos, gi in enumerate(odd):
             if wanted is None or gi in wanted:
-                grad[gi][scal, even, odd[:pos] + odd[pos + 1:]] = (
+                out = grad.get(gi)
+                if out is None:
+                    out = grad[gi] = {}
+                out[scal, even, odd[:pos] + odd[pos + 1:]] = (
                     -c if pos & 1 else c)
         for k, (gi, e) in enumerate(even):
             if wanted is None or gi in wanted:
-                lowered = ((gi, e - 1),) if e > 1 else ()
-                key = (scal, even[:k] + lowered + even[k + 1:], odd)
-                if scal:
-                    _add_term(grad[gi], key, _norm(c * e))
+                out = grad.get(gi)
+                if out is None:
+                    out = grad[gi] = {}
+                if e > 1:
+                    key = (scal, even[:k] + ((gi, e - 1),) + even[k + 1:],
+                           odd)
+                    v = c * e
+                    if type(v) is Fraction:
+                        v = _norm(v)
                 else:
-                    grad[gi][key] = _norm(c * e)
+                    key = (scal, even[:k] + even[k + 1:], odd)
+                    v = c
+                if scal:
+                    _add_term(out, key, v)
+                else:
+                    out[key] = v
         if scal:
             for gi in base:
-                out = grad[gi]
+                out = grad.get(gi)
+                if out is None:
+                    out = grad[gi] = {}
                 for k, (name, jets) in enumerate(scal):
                     entry = (name, tuple(sorted(jets + (gi,))))
                     lifted = tuple(sorted(scal[:k] + (entry,) + scal[k + 1:]))
                     _add_term(out, (lifted, even, odd), c)
-    return dict(grad)
+    return grad
 
 
 def left_partial(P, g):

@@ -70,6 +70,34 @@ def random_monomial(chart, rng, *, max_factors=3, allow_symbols=True):
     return poly * random_coeff(rng)
 
 
+def random_term_key(chart, rng, n_odd, *, odd_pool=None):
+    """A term key of chart with n_odd odd factors drawn from odd_pool
+    (every odd generator by default), up to two even powers with exponents
+    1..3, and up to two symbols whose jets are drawn from the true base."""
+    if odd_pool is None:
+        odd_pool = [g.index for g in chart.generators if g.parity == ODD]
+    evens = [g.index for g in chart.generators if g.parity != ODD]
+    base = chart.true_base_indices
+    odd = tuple(sorted(rng.sample(odd_pool, n_odd)))
+    even = tuple(sorted((gi, rng.randint(1, 3))
+                        for gi in rng.sample(evens, rng.randint(0, 2))))
+    scal = tuple(sorted(
+        (rng.choice(SYMBOL_NAMES),
+         tuple(sorted(rng.choices(base, k=rng.randint(0, 2)))))
+        for _ in range(rng.randint(0, 2))))
+    return scal, even, odd
+
+
+def random_terms(chart, rng, n_odd, size, *, odd_pool=None):
+    """A term dict of up to size random_term_key terms with random_coeff
+    coefficients, int-first like every SuperPoly's."""
+    out = {}
+    for _ in range(size):
+        key = random_term_key(chart, rng, n_odd, odd_pool=odd_pool)
+        out[key] = out.get(key, 0) + random_coeff(rng)
+    return SuperPoly(chart, out).terms
+
+
 def random_homogeneous(chart, rng, *, max_factors=3, allow_symbols=True):
     """Nonzero sum of one or two monomials of one parity and weight vector.
 

@@ -2,13 +2,13 @@
 
 Everything here recomputes expected values through a second route that
 shares as little code as possible with the implementation under test:
-derivatives are taken by direct term-key manipulation, bracket values come
-from the literal Darboux formula, Jacobiators from structure-constant
-arithmetic, point cohomology from structure-constant ranks, pairing
-nondegeneracy from one dense determinant rather than one rank of the
-sparse pairing rows, lifts from a formal curve substitution, and the
-obstruction polynomial of the quasi-Poisson instance is assembled index
-by index.
+derivatives are taken by direct term-key manipulation, products by sorting
+words of odd factors one swap at a time, bracket values come from the
+literal Darboux formula, Jacobiators from structure-constant arithmetic,
+point cohomology from structure-constant ranks, pairing nondegeneracy from
+one dense determinant rather than one rank of the sparse pairing rows,
+lifts from a formal curve substitution, and the obstruction polynomial of
+the quasi-Poisson instance is assembled index by index.
 """
 
 import itertools
@@ -56,6 +56,36 @@ def left_derivative(P, gidx):
     return SuperPoly(chart, out)
 
 
+# -- independent term product ----------------------------------------------
+
+def ordered_product(left, right, scale=1):
+    """The product of two term dicts, times scale, as a term dict with
+    Fraction coefficients.  Each pair of terms is written as one word of
+    odd factors, the left term's then the right term's, and the word is
+    bubble-sorted into ascending order with one sign change per swap; a
+    word that repeats a factor is zero.  Symbols and even exponents are
+    collected by counting."""
+    out = {}
+    for (s1, e1, o1), c1 in left.items():
+        for (s2, e2, o2), c2 in right.items():
+            word = list(o1) + list(o2)
+            if len(set(word)) < len(word):
+                continue
+            sign = 1
+            for end in range(len(word) - 1, 0, -1):
+                for i in range(end):
+                    if word[i] > word[i + 1]:
+                        word[i], word[i + 1] = word[i + 1], word[i]
+                        sign = -sign
+            powers = {}
+            for gi, e in e1 + e2:
+                powers[gi] = powers.get(gi, 0) + e
+            key = (tuple(sorted(s1 + s2)), tuple(sorted(powers.items())),
+                   tuple(word))
+            out[key] = out.get(key, 0) + Fraction(c1) * c2 * scale * sign
+    return {key: c for key, c in out.items() if c}
+
+
 # -- literal Darboux bracket ------------------------------------------------
 
 def darboux_literal_bracket(X, Y):
@@ -65,8 +95,10 @@ def darboux_literal_bracket(X, Y):
     chart = X.chart
     names, rows = chart.metric
     midx = [chart.name_to_index[nm] for nm in names]
-    base = sorted(chart.role_indices("base"))
-    mom = sorted(chart.role_indices("momentum"))
+    roles = chart.roles or {}
+    base = [g.index for g in chart.generators if roles.get(g.name) == "base"]
+    mom = [g.index for g in chart.generators
+           if roles.get(g.name) == "momentum"]
     assert len(base) == len(mom)
     out = chart.zero()
     for px in (0, 1):

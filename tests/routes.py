@@ -35,13 +35,20 @@ from superpoisson.superpoly import (EVEN, SuperPoly, left_partial,
                                    mul_terms_into, substitute, to_text)
 
 
+def role_indices(chart, role):
+    """Indices of the chart's generators that carry the role, ascending."""
+    roles = chart.roles or {}
+    return tuple(g.index for g in chart.generators
+                 if roles.get(g.name) == role)
+
+
 def _darboux_sectors(chart):
     if chart.metric is None or chart.axes != 1:
         raise PotentialError("structure functions need a plain metric chart")
     base = [chart.generators[i].name for i in chart.base_indices]
     momentum = []
     for idx in chart.base_indices:
-        partners = chart.conjugates(idx)
+        partners = chart.pairing_rows.get(idx, ())
         if len(partners) != 1:
             raise PotentialError(
                 "base generator %s has %d conjugates, expected exactly one"
@@ -182,7 +189,7 @@ def momentum_split(P):
     anchor-plus-fibre-bracket part and the pure cubic part.
     """
     chart = P.chart
-    mom = set(chart.role_indices("momentum") + chart.role_indices("cofibre"))
+    mom = set(role_indices(chart, "momentum") + role_indices(chart, "cofibre"))
     hi = {}
     lo = {}
     for key, c in P.items():
@@ -217,8 +224,9 @@ def twoform_substitution_by_conjugates(graph):
     c = {m, z}, goes to c times the left partial of the form by z."""
     chart = graph.chart
     sub = {}
-    for idx in chart.role_indices("momentum") + chart.role_indices("cofibre"):
-        (zidx, c), = chart.conjugates(idx)
+    moving = role_indices(chart, "momentum") + role_indices(chart, "cofibre")
+    for idx in moving:
+        (zidx, c), = chart.pairing_rows[idx]
         zname = chart.generators[zidx].name
         sub[chart.generators[idx].name] = left_partial(graph.function,
                                                        zname) * c
@@ -535,22 +543,30 @@ def substitute_by_products(P, genmap, target):
 
 
 def sectors_by_weight_vectors(chart):
-    """(base_indices, section_indices, true_base_indices, pairing_rows)
-    read off the weight vectors, one Chart.symplectic_weight sum per
-    generator, and off the sorted pairing, with its Fractions stored
-    integer-first: the chart's sectors without its stored gradings."""
-    base = tuple(g.index for g in chart.generators
-                 if chart.symplectic_weight(g.weight) == 0)
-    sections = tuple(g.index for g in chart.generators
-                     if chart.symplectic_weight(g.weight) == 1)
-    true_base = tuple(g.index for g in chart.generators
-                      if g.parity == EVEN and all(w == 0 for w in g.weight))
+    """The gradings, sectors and pairing rows a chart stores, recomputed
+    from its generators' weight vectors and from pairing_entries(), as a
+    dict from attribute name to value.  A grading is the weight summed
+    over the symplectic axes and over the rest; a row lists a generator's
+    partners in order, with each Fraction stored integer-first."""
+    gradings = []
+    for g in chart.generators:
+        sw = sum(g.weight[a] for a in chart.symplectic_axes)
+        gradings.append((sw, sum(g.weight) - sw))
     rows = {}
-    for (gi, hj), c in sorted(chart.pairing.items()):
+    for gi, hj, c in chart.pairing_entries():
         c = c.numerator if c.denominator == 1 else c
         rows.setdefault(gi, []).append((hj, c))
-    return base, sections, true_base, {gi: tuple(row)
-                                       for gi, row in rows.items()}
+    return {
+        "gradings": tuple(gradings),
+        "base_indices": tuple(i for i, (sw, _) in enumerate(gradings)
+                              if sw == 0),
+        "section_indices": tuple(i for i, (sw, _) in enumerate(gradings)
+                                 if sw == 1),
+        "true_base_indices": tuple(
+            g.index for g in chart.generators
+            if g.parity == EVEN and all(w == 0 for w in g.weight)),
+        "pairing_rows": {gi: tuple(row) for gi, row in rows.items()},
+    }
 
 
 def grading_by_weight_vector(P, key):

@@ -46,22 +46,18 @@ def test_antivb_weights_and_roles():
     assert gen.parity == 1
     mom = ch.generators[ch.name_to_index["p2"]]
     assert mom.weight == (1, 1)
-    assert sorted(ch.role_indices("fibre")) == [
-        ch.name_to_index["xi1"], ch.name_to_index["xi2"]]
+    assert routes.role_indices(ch, "fibre") == (
+        ch.name_to_index["xi1"], ch.name_to_index["xi2"])
 
 
 def test_conjugates():
     ch = make_cotangent_antivb_chart(1, 2)
     xi1 = ch.name_to_index["xi1"]
-    pairs = ch.conjugates(xi1)
-    assert len(pairs) == 1
-    idx, coeff = pairs[0]
+    (idx, coeff), = ch.pairing_rows[xi1]
     assert ch.generators[idx].name == "pi1"
-    assert coeff == 1
-    # the bracket's rows store int, but 1 / coeff must stay exact
-    assert type(coeff) is Fraction
-    assert ch.pairing_rows[xi1] == ((idx, 1),)
-    assert type(ch.pairing_rows[xi1][0][1]) is int
+    # the bracket's rows store int, but the pairing keeps the exact Fraction
+    assert coeff == 1 and type(coeff) is int
+    assert type(ch.pairing[(xi1, idx)]) is Fraction
 
 
 def test_metrics():
@@ -272,15 +268,13 @@ def catalogue_charts_and_elements():
 def test_stored_sectors_equal_the_weight_vector_route():
     seen = 0
     for chart, _ in catalogue_charts_and_elements():
-        base, sections, true_base, rows = \
-            routes.sectors_by_weight_vectors(chart)
-        assert chart.base_indices == base, chart.name
-        assert chart.section_indices == sections, chart.name
-        assert chart.true_base_indices == true_base, chart.name
-        assert chart.pairing_rows == rows, chart.name
-        assert [[type(c) for _, c in row] for row in rows.values()] \
+        want = routes.sectors_by_weight_vectors(chart)
+        for name, value in want.items():
+            assert getattr(chart, name) == value, (chart.name, name)
+        assert [[type(c) for _, c in row]
+                for row in chart.pairing_rows.values()] \
             == [[type(c) for _, c in row]
-                for row in chart.pairing_rows.values()], chart.name
+                for row in want["pairing_rows"].values()], chart.name
         seen += 1
     # 16 catalogue charts, 13 flattenings, 4 lifts of each flattening.
     assert seen == 16 + 13 * 5

@@ -119,7 +119,7 @@ def test_momentum_split_recomposes():
     ch = make_cotangent_antivb_chart(2, 2)
     kill = {ch.generators[i].name: ch.zero()
             for role in ("momentum", "cofibre")
-            for i in ch.role_indices(role)}
+            for i in routes.role_indices(ch, role)}
     for r in range(10):
         P = draws.random_potential(ch, rng)
         hi, lo = routes.momentum_split(P)

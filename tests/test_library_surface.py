@@ -1,14 +1,17 @@
-"""Every top-level function and class of the package has a use outside
-the tests, and every defaulted parameter of a package function or method
-is passed by some call.
+"""Every top-level function and class of the package, and every public
+method of a package class, has a use outside the tests, and every
+defaulted parameter of a package function or method is passed by some
+call.
 
 A definition is in use when its name is in ``superpoisson.__all__`` or is
 referenced from the demos, the benchmark, the test helpers the benchmark
 loads by path, module-level package code, or the body of a package
 definition that is itself in use.  A reference is a name, an attribute,
 an import or a dotted part of a string constant (the benchmark's tracer
-names its layers by string).  Cross-checks that only the tests need live
-in ``tests/routes.py`` and ``tests/draws.py``.
+names its layers by string).  A public method (a name without a leading
+underscore) is matched by its name alone, and its class's body counts
+without the public methods in it.  Cross-checks that only the tests need
+live in ``tests/routes.py`` and ``tests/draws.py``.
 
 A defaulted parameter is set when a call in the package, the tests, the
 demos or the benchmark passes it by keyword or by position.  Calls are
@@ -48,6 +51,26 @@ def references(tree):
     return out
 
 
+def _definitions(tree):
+    """(name, reach name, nodes whose references the definition makes) of
+    each top-level function, each top-level class and each public method of
+    a top-level class.  A method is named Class.method and is reached by its
+    own name; its class's references leave its body out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node.name, [node]))
+        elif isinstance(node, ast.ClassDef):
+            public = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                      and not m.name.startswith("_")]
+            out.append((node.name, node.name,
+                        node.bases + node.keywords + node.decorator_list
+                        + [m for m in node.body if m not in public]))
+            out.extend(("%s.%s" % (node.name, m.name), m.name, [m])
+                       for m in public)
+    return out
+
+
 def unused_definitions(root, exempt):
     """(module file, name) of each package definition under root with no
     use; the names in exempt count as used."""
@@ -65,19 +88,20 @@ def unused_definitions(root, exempt):
     definitions = []
     for module, tree in _trees(os.path.join(root, "src", "superpoisson")):
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((module, node))
-            else:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 reached |= references(node)
+        for name, reach, nodes in _definitions(tree):
+            refs = set().union(*map(references, nodes))
+            definitions.append((module, name, reach, refs))
     grew = True
     while grew:
         grew = False
-        for _module, node in definitions:
-            if node.name in reached and not references(node) <= reached:
-                reached |= references(node)
+        for _module, _name, reach, refs in definitions:
+            if reach in reached and not refs <= reached:
+                reached |= refs
                 grew = True
-    return [(module, node.name) for module, node in definitions
-            if node.name not in reached]
+    return [(module, name) for module, name, reach, _refs in definitions
+            if reach not in reached]
 
 
 def test_every_package_definition_is_used_outside_the_tests():
@@ -92,8 +116,16 @@ def test_definitions_reached_only_from_tests_are_reported(tmp_path):
             "def from_helper():\n    return 2\n"
             "def exported():\n    return 3\n"
             "def traced():\n    return 4\n"
-            "def test_only():\n    return test_only()\n"),
-        "demos/demo.py": "from superpoisson.mod import entry\nentry()\n",
+            "def test_only():\n    return test_only()\n"
+            "def from_method():\n    return 5\n"
+            "def from_unused_method():\n    return 6\n"
+            "class Box:\n"
+            "    def __init__(self):\n        self._size()\n"
+            "    def _size(self):\n        return 0\n"
+            "    def used(self):\n        return from_method()\n"
+            "    def unused(self):\n        return from_unused_method()\n"),
+        "demos/demo.py": ("from superpoisson.mod import entry, Box\n"
+                          "entry()\nBox().used()\n"),
         "perfbench/bench.py": ("LAYERS = ('mod.traced',)\n"
                                "h = _load_helper(root, 'helper')\n"),
         "tests/helper.py": "from superpoisson import mod\nmod.from_helper()\n",
@@ -103,8 +135,9 @@ def test_definitions_reached_only_from_tests_are_reported(tmp_path):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-    assert unused_definitions(str(tmp_path), ["exported"]) \
-        == [("mod.py", "test_only")]
+    assert unused_definitions(str(tmp_path), ["exported"]) == [
+        ("mod.py", "test_only"), ("mod.py", "from_unused_method"),
+        ("mod.py", "Box.unused")]
 
 
 def _defaulted(fn, method):

@@ -46,7 +46,10 @@ def gradient_elements(rng):
     """(chart, element) pairs on which left derivatives are checked.
 
     Random sums mix parities and symbols; the fixed ones make chain-rule
-    terms meet exponent terms and each other, and cancel.
+    terms meet exponent terms and each other, and cancel.  The last ones
+    draw term keys directly, so they carry two symbols whose jets sort on
+    either side of a new jet index, exponents up to 3, and Fraction
+    coefficients.
     """
     charts = poisson_families() + [make_darboux_chart(2, 2)]
     fixed = ["g*D[h; x1] + D[g; x1]*h", "g*D[h; x1] - D[g; x1]*h",
@@ -60,11 +63,18 @@ def gradient_elements(rng):
                      for _ in range(rng.randint(1, 4))]
             elements.append((ch, sum((m for m in terms if m is not None),
                                      ch.zero())))
+    wide = make_darboux_chart(3, 3)
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            terms.update(draws.random_terms(wide, rng, rng.randint(0, 3), 1))
+        elements.append((wide, SuperPoly(wide, terms)))
     return elements
 
 
 def test_left_gradient_equals_oracle_derivatives():
     rng = random.Random(23)
+    reordered = 0
     for ch, P in gradient_elements(rng):
         grad = left_gradient(P)
         for g in ch.generators:
@@ -72,10 +82,16 @@ def test_left_gradient_equals_oracle_derivatives():
             assert SuperPoly(ch, grad.get(g.index, {})) == want, \
                 (to_text(P), g.name)
             assert (g.index in grad) == (not want.is_zero)
+        assert all(type(c) is int or c.denominator > 1
+                   for d in grad.values() for c in d.values()), to_text(P)
+        reordered += any(len(scal) == 2 and jets and jets[-1] > b
+                         for scal, _, _ in P.terms for _, jets in scal
+                         for b in ch.true_base_indices)
         wanted = set(rng.sample(range(len(ch.generators)),
                                 rng.randint(0, len(ch.generators))))
         assert left_gradient(P, wanted) \
             == {gi: d for gi, d in grad.items() if gi in wanted}
+    assert reordered >= 10, reordered
 
 
 def test_bracket_spot_values():

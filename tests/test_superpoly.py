@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from superpoisson import cli, complexes, courant, gallery, lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.poisson import bracket
 from superpoisson.superpoly import (ParseError, SuperPoly, left_gradient,
-                                    left_partial, parse_expr, substitute,
-                                    to_text)
+                                    left_partial, mul_terms_into, parse_expr,
+                                    substitute, to_text)
 
 
 def chart():
@@ -140,6 +141,87 @@ def test_left_derivative_oracle_matches_simple_cases():
     assert oracles.left_derivative(S, x1) == parse_expr(ch, "D[g; x1]*p1")
 
 
+def assert_product(acc, left, right, scale):
+    """mul_terms_into on a copy of acc against acc plus the oracle product,
+    and every stored coefficient nonzero and int-first."""
+    want = dict(acc)
+    for key, c in oracles.ordered_product(
+            left, right, 1 if scale is None else scale).items():
+        want[key] = want.get(key, 0) + c
+    want = {key: c for key, c in want.items() if c}
+    got = dict(acc)
+    mul_terms_into(got, left, right, scale)
+    assert got == want, (left, right, scale)
+    assert all(c and (type(c) is int or c.denominator > 1)
+               for c in got.values())
+
+
+def test_products_agree_with_the_ordered_word_oracle():
+    # odd lengths 0..4 on each side, overlapping indices, shared even
+    # indices, several symbols with jets, and int and Fraction scales
+    rng = random.Random(31)
+    ch = make_darboux_chart(3, 8)
+    for n1 in range(5):
+        for n2 in range(5):
+            for _ in range(12):
+                left = draws.random_terms(ch, rng, n1, rng.randint(1, 3))
+                right = draws.random_terms(ch, rng, n2, rng.randint(1, 3))
+                scale = rng.choice((None, 2, -1, Fraction(2, 3)))
+                assert_product({}, left, right, scale)
+
+
+def test_inlined_odd_merges_agree_with_the_oracle_exhaustively():
+    # every two-by-two merge and every one-index right factor over a small
+    # pool, so each interleaving and each repeated index occurs
+    ch = make_darboux_chart(1, 6)
+    pool = [g.index for g in ch.generators if g.parity]
+    pairs = [(a, b) for a in pool[:5] for b in pool[:5] if a < b]
+    for o1 in pairs:
+        for o2 in pairs:
+            assert_product({}, {((), (), o1): 1}, {((), (), o2): 3}, None)
+    lefts = [o1 for n in range(5) for o1 in itertools.combinations(pool, n)]
+    for o1 in lefts:
+        for j in pool:
+            assert_product({}, {((), (), o1): Fraction(1, 2)},
+                           {((), (), (j,)): 2}, 3)
+
+
+def test_products_cancel_inside_a_filled_accumulator():
+    # acc holds minus part of the product, so some keys sum to zero and
+    # must leave acc, and some unrelated keys stay as they are
+    rng = random.Random(32)
+    ch = make_darboux_chart(2, 6)
+    few = [g.index for g in ch.generators if g.parity][:4]
+    cancelled = 0
+    for r in range(200):
+        left = draws.random_terms(ch, rng, rng.randint(0, 3),
+                                  rng.randint(1, 3), odd_pool=few)
+        right = draws.random_terms(ch, rng, rng.randint(0, 2),
+                                   rng.randint(1, 3))
+        scale = rng.choice((None, 3, Fraction(-1, 2)))
+        product = oracles.ordered_product(
+            left, right, 1 if scale is None else scale)
+        acc = {key: -c for key, c in product.items() if rng.random() < 0.5}
+        acc.update(draws.random_terms(ch, rng, 1, 2))
+        cancelled += sum(1 for key, c in acc.items()
+                         if product.get(key, 0) + c == 0)
+        assert_product(SuperPoly(ch, acc).terms, left, right, scale)
+    assert cancelled > 100
+
+
+def test_terms_take_only_int_or_fraction_coefficients():
+    ch = chart()
+    key = ((), ((0, 1),), ())
+    for bad in (0.1, 1.0, "1/3", None, 1j):
+        with pytest.raises(TypeError):
+            SuperPoly(ch, {key: bad})
+    for given, want in ((3, 3), (True, 1), (Fraction(4, 2), 2),
+                        (Fraction(1, 3), Fraction(1, 3))):
+        (c,) = SuperPoly(ch, {key: given}).terms.values()
+        assert c == want and type(c) is type(want)
+    assert SuperPoly(ch, {key: 0, ((), (), ()): Fraction(0)}).is_zero
+
+
 def test_substitute_identity_and_scaling():
     ch = make_cotangent_antivb_chart(1, 2)
     P = parse_expr(ch, "x1*xi1*p1 + xi1*xi2")
@@ -240,8 +322,6 @@ def test_catalogue_results_store_coefficients_int_first():
         # the chart's own data stays Fraction, so 1 / c is exact
         ch = inst.chart
         given = list(ch.pairing.values())
-        given += [c for i in range(len(ch.generators))
-                  for _, c in ch.conjugates(i)]
         if ch.metric is not None:
             given += [x for row in ch.metric[1] for x in row]
         assert all(type(c) is Fraction for c in given), name
