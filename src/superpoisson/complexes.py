@@ -22,8 +22,6 @@ naive_commutator_defect takes {theta, alpha}, and
 naive_cohomology_condition takes {theta, theta}.
 """
 
-import itertools
-
 from .superpoly import (ODD, SuperPoly, _add_term, _norm, mul_terms_into,
                         to_text)
 from .poisson import bracket
@@ -213,29 +211,50 @@ def classical_naive_differential(theta, psi, basis, dual):
     sum in another order, so it is exact.  Applying c_k once instead of
     dividing every value by it is exact too: everything after the
     evaluation is linear in the values, and c_k = +-1 is its own inverse.
+    The zero element, which is in the small complex, has differential
+    zero once the frame is checked.
 
     Every anchor vector rho(b_i) = (-1)^b_i~ {theta, b_i} is computed
-    once, whenever the anchor terms or the bracket terms need it.  Every
-    [[b_i, b_j]] is computed once, by pre_bracket given rho(b_i), as the
-    derived bracket {rho(b_i), b_j}, and only for k >= 1, where the
-    bracket terms exist; so theta is bracketed with each section once, not
-    once per pair.  A zero anchor vector is applied to nothing.  Over a
-    point (no generator of symplectic weight 0) the anchor terms are
-    skipped: every form value there is a constant, which every anchor
-    vector kills.  The anchor vectors are still made there for the bracket
-    terms, but never applied.
+    at most once, whenever the anchor terms or the bracket terms need it.
+    Every [[b_i, b_j]] is computed at most once, by pre_bracket given
+    rho(b_i), as the derived bracket {rho(b_i), b_j}, and only for k >= 1,
+    where the bracket terms exist; so theta is bracketed with each section
+    at most once, not once per pair.  A zero anchor vector is applied to
+    nothing.  Over a point (no generator of symplectic weight 0) the
+    anchor terms are skipped: every form value there is a constant, which
+    every anchor vector kills.  The anchor vectors are still made there
+    for the bracket terms, but never applied.
+
+    The elements that are contracted with several others keep their full
+    gradient (SuperPoly.gradient): theta, psi, each anchor vector, each
+    [[b_i, b_j]] and each node of the walk, as do the sections.  A bracket
+    {X, Y} is a sum of (d_g X) P^gh (d_h Y), so it is zero when no
+    derivative index g of X pairs with a derivative index h of Y; such a
+    contraction is not made.  So {theta, b_i} is skipped, and rho(b_i)
+    left zero, when theta meets no index of b_i; {rho(b_i), b_j} when
+    rho(b_i) meets none of b_j; {psi, [[b_i, b_j]]} when the derived
+    bracket is zero or psi meets none of its indices; and {node, b_m} in
+    the walk when the node meets none of b_m.
     """
     if not naive_membership(AnchorVectors(theta), psi):
         raise PotentialError("element is not in the small complex: %s"
                              % to_text(psi))
     weight = psi.weight()
-    if weight is None or psi.parity() is None:
+    if not psi.is_zero and (weight is None or psi.parity() is None):
         raise PotentialError("element must be homogeneous: %s" % to_text(psi))
     chart = psi.chart
-    k = chart.symplectic_weight(weight)
     _check_dual(chart, basis, dual)
+    if psi.is_zero:
+        return chart.zero()
+    k = chart.symplectic_weight(weight)
     n = len(basis)
+    rows = chart.pairing_rows
     values = {}
+
+    def partners(X):
+        """The indices that pair with a derivative index of X, read off
+        X's full gradient, which X keeps."""
+        return {hj for gi in X.gradient() for hj, _ in rows.get(gi, ())}
 
     def walk(value, free, depth, labels=()):
         if value.is_zero:
@@ -243,9 +262,12 @@ def classical_naive_differential(theta, psi, basis, dual):
         if not depth:
             yield labels, value
             return
+        meets = partners(value)
         for pos in range(len(free) - depth + 1):
-            yield from walk(bracket(value, basis[free[pos]]), free[pos + 1:],
-                            depth - 1, labels + (free[pos],))
+            b = basis[free[pos]]
+            if not meets.isdisjoint(b.gradient()):
+                yield from walk(bracket(value, b), free[pos + 1:],
+                                depth - 1, labels + (free[pos],))
 
     def scatter(combo, value, power):
         """Add (-1)^power value into the term dict of combo."""
@@ -256,7 +278,9 @@ def classical_naive_differential(theta, psi, basis, dual):
     anchor_terms = bool(chart.base_indices) and k < n
     bracket_terms = 1 <= k < n
     if anchor_terms or bracket_terms:
-        anchors = [anchor_vector(theta, b) for b in basis]
+        meets = partners(theta)
+        anchors = [chart.zero() if meets.isdisjoint(b.gradient())
+                   else anchor_vector(theta, b) for b in basis]
     if anchor_terms:
         for rest, value in walk(psi, range(n), k):
             for a in range(n):
@@ -265,13 +289,20 @@ def classical_naive_differential(theta, psi, basis, dual):
                     scatter(combo, apply_anchor_vector(anchors[a], value),
                             combo.index(a))
     if bracket_terms:
-        for p, q in itertools.combinations(range(n), 2):
-            first = bracket(psi, pre_bracket(theta, basis[p], basis[q],
-                                             anchor=anchors[p]))
-            free = [m for m in range(n) if m != p and m != q]
-            for rest, value in walk(first, free, k - 1):
-                combo = tuple(sorted(rest + (p, q)))
-                scatter(combo, value, combo.index(p) + combo.index(q))
+        meets_psi = partners(psi)
+        for p in range(n):
+            meets = partners(anchors[p])
+            for q in range(p + 1, n):
+                if meets.isdisjoint(basis[q].gradient()):
+                    continue
+                derived = pre_bracket(theta, basis[p], basis[q],
+                                      anchor=anchors[p])
+                if meets_psi.isdisjoint(derived.gradient()):
+                    continue
+                free = [m for m in range(n) if m != p and m != q]
+                for rest, value in walk(bracket(psi, derived), free, k - 1):
+                    combo = tuple(sorted(rest + (p, q)))
+                    scatter(combo, value, combo.index(p) + combo.index(q))
     out = {}
     scale = -identification_constant(k)
     for combo, terms in values.items():

@@ -26,7 +26,11 @@ with its kept full gradient when it has one and otherwise takes those
 derivatives alone and keeps nothing.  X's full gradient is not taken and
 kept on first use: a large X bracketed once (a potential with formal
 symbols, hundreds of terms) would pay the chain rule on every base
-coordinate for derivatives that no d_h Y meets.
+coordinate for derivatives that no d_h Y meets.  A caller that brackets
+one X with many Y takes X.gradient() itself, and every later bracket
+reads it: complexes.classical_naive_differential does so for theta, psi,
+the anchor vectors, the derived brackets and the nodes of its walk, and
+reads off the kept gradients which of those brackets are zero.
 
 For odd X the entries (g, h) and (h, g) add the same term to {X, X}, so
 {X, X} = sum over g < h of 2 (d_g X) P^gh (d_h X) plus the diagonal once,

@@ -69,10 +69,30 @@ class Generator:
 # A term key is (scal, even, odd):
 #   scal: sorted tuple of (symbol_name, jets) where jets is a sorted tuple of
 #         generator indices the symbol has been differentiated by (a multiset);
-#   even: tuple of (generator_index, exponent) with indices ascending;
+#   even: tuple of (generator_index, exponent) with indices strictly
+#         ascending and exponents at least 1;
 #   odd:  strictly ascending tuple of generator indices.
 # The coefficient of a key is nonzero: an int, or a Fraction when it is not
-# integral (see _norm).
+# integral (see _norm).  SuperPoly(chart, terms) refuses a key in any other
+# form (_key_problem); from_clean_terms takes its keys on trust.
+
+
+def _key_problem(key):
+    """What breaks the canonical form of a term key, or None."""
+    scal, even, odd = key
+    if len(odd) > 1 and any(a >= b for a, b in zip(odd, odd[1:])):
+        return "odd part is not strictly ascending"
+    prev = -1
+    for gi, e in even:
+        if gi <= prev:
+            return "even part is not strictly ascending"
+        if e < 1:
+            return "even exponent below 1"
+        prev = gi
+    if scal and (list(scal) != sorted(scal)
+                 or any(list(jets) != sorted(jets) for _, jets in scal)):
+        return "symbol part is not sorted"
+    return None
 
 
 def _norm(c):
@@ -228,6 +248,9 @@ class SuperPoly:
         clean = {}
         if terms:
             for key, given in terms.items():
+                problem = _key_problem(key)
+                if problem:
+                    raise ValueError("term key %r: %s" % (key, problem))
                 c = given if type(given) is int else _scalar(given)
                 if c is None:
                     raise TypeError(
@@ -265,12 +288,12 @@ class SuperPoly:
             key = ((), (), (gen.index,))
         else:
             key = ((), ((gen.index, 1),), ())
-        return SuperPoly(chart, {key: 1})
+        return SuperPoly.from_clean_terms(chart, {key: 1})
 
     @staticmethod
     def symbol(chart, name, jets=()):
         key = (((name, tuple(sorted(jets))),), (), ())
-        return SuperPoly(chart, {key: 1})
+        return SuperPoly.from_clean_terms(chart, {key: 1})
 
     # -- basic structure ------------------------------------------------
 

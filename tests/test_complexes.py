@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -450,18 +452,21 @@ def test_squared_differential_on_gallery_functions():
 
 def test_classical_differential_brackets_each_basis_pair_once(
         monkeypatch, bracket_calls):
-    # Each [[b_p, b_q]] goes through pre_bracket once, given the anchor
-    # vector rho(b_p) that the differential makes anyway, so pre_bracket
-    # brackets rho(b_p) with b_q and never theta with b_p again.
+    # Each [[b_p, b_q]] goes through pre_bracket at most once, given the
+    # anchor vector rho(b_p) that the differential makes anyway, so
+    # pre_bracket brackets rho(b_p) with b_q and never theta with b_p
+    # again.  A pair where no derivative index of rho(b_p) pairs with b_q
+    # is skipped: 54 of the 91 pairs on cross7 are made.
     inst = gallery.build("cross7")
     T = inst.default_potential
     basis, dual = complexes.section_frame(inst.chart)
-    anchors = []
+    anchors = {}
     original_anchor_vector = complexes.anchor_vector
 
     def recording(theta, s):
-        anchors.append(original_anchor_vector(theta, s))
-        return anchors[-1]
+        p = basis.index(s)
+        anchors[p] = original_anchor_vector(theta, s)
+        return anchors[p]
 
     calls = []
     original_pre_bracket = complexes.pre_bracket
@@ -476,19 +481,20 @@ def test_classical_differential_brackets_each_basis_pair_once(
     del bracket_calls[:]
     got = complexes.classical_naive_differential(T, el, basis, dual)
     # The frame check takes no bracket; it took 196 pairings, 464 calls in
-    # all, and with theta bracketed with b_p again for every q, 541.
-    assert len(bracket_calls) <= 268
+    # all, with theta bracketed with b_p again for every q, 541, and with
+    # every basis pair and walk contraction made, 268.
+    assert len(bracket_calls) <= 80
     assert got == complexes.q_theta(T, el)
     assert len(basis) == len(anchors) == 14
     pairs = [(basis.index(s), basis.index(p)) for s, p, _ in calls]
-    assert len(pairs) == len(set(pairs)) == 91
+    assert len(pairs) == len(set(pairs)) == 54
     assert all(p < q for p, q in pairs)
     assert all(anchor is anchors[p] for (p, _), (_, _, anchor)
                in zip(pairs, calls))
     derived = [(X, Y) for X, Y in bracket_calls
-               if any(X is a for a in anchors)
+               if any(X is a for a in anchors.values())
                and any(Y is b for b in basis)]
-    assert len(derived) == 91
+    assert len(derived) == 54
 
 
 def theta_section_brackets(name):
@@ -517,14 +523,105 @@ def theta_section_brackets(name):
 
 
 def test_classical_differential_brackets_theta_with_each_section_once():
-    # The anchor terms and the derived brackets [[b_p, b_q]] share one
-    # {theta, b_i} per section.  Over a point (cross7) there are no anchor
-    # terms, and the anchor vectors serve the derived brackets only.
+    # The anchor terms and the derived brackets [[b_p, b_q]] share at most
+    # one {theta, b_i} per section.  Over a point (cross7) there are no
+    # anchor terms, and the anchor vectors serve the derived brackets only.
+    # On action_algebra no derivative index of theta pairs with two of the
+    # sections, so their anchor vectors are zero and are not made.
     calls, basis = theta_section_brackets("cross7")
     assert len(basis) == 14
     assert len(calls) == len(set(calls)) == 14
     calls, basis = theta_section_brackets("action_algebra")
-    assert len(calls) == len(set(calls)) == len(basis)
+    assert len(basis) == 8
+    assert len(calls) == len(set(calls)) == 6
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_classical_differential_of_zero_is_zero(name):
+    # 0 is in the small complex and q_theta(theta, 0) = 0; the frame is
+    # still checked first.
+    inst = gallery.build(name)
+    ch, T = inst.chart, inst.default_potential
+    basis, dual = complexes.section_frame(ch)
+    got = complexes.classical_naive_differential(T, ch.zero(), basis, dual)
+    assert got.is_zero and got == complexes.q_theta(T, ch.zero())
+    with pytest.raises(PotentialError, match="basis/dual mismatch"):
+        complexes.classical_naive_differential(
+            T, ch.zero(), basis, dual[:-1] + [ch.zero()])
+    with pytest.raises(PotentialError, match="one section and one dual"):
+        complexes.classical_naive_differential(T, ch.zero(), basis[:-1],
+                                               dual[:-1])
+
+
+def unskipped_contractions(T, psi, basis):
+    """The brackets (X, Y) that the alternating sum for psi makes when it
+    skips none: {theta, b} for every section b, every section contraction
+    of every nonzero node of the depth-first walks, and for each p < q
+    the derived bracket (rho(b_p), b_q) and (psi, [[b_p, b_q]])."""
+    chart = T.chart
+    n = len(basis)
+    k = chart.symplectic_weight(psi.weight())
+    pairs = []
+
+    def walk(value, free, depth):
+        if value.is_zero or not depth:
+            return
+        for pos in range(len(free) - depth + 1):
+            pairs.append((value, basis[free[pos]]))
+            walk(bracket(value, basis[free[pos]]), free[pos + 1:],
+                 depth - 1)
+
+    anchor_terms = bool(chart.base_indices) and k < n
+    bracket_terms = 1 <= k < n
+    if anchor_terms or bracket_terms:
+        pairs += [(T, b) for b in basis]
+    if anchor_terms:
+        walk(psi, range(n), k)
+    if bracket_terms:
+        for p, q in itertools.combinations(range(n), 2):
+            rho = courant.anchor_vector(T, basis[p])
+            derived = bracket(rho, basis[q])
+            pairs += [(rho, basis[q]), (psi, derived)]
+            walk(bracket(psi, derived),
+                 [m for m in range(n) if m != p and m != q], k - 1)
+    return pairs
+
+
+def test_classical_differential_skips_only_zero_contractions(bracket_calls):
+    # Every bracket of the unskipped sum that the differential does not
+    # make must be zero: the l_elements of the catalogue, and the lifted
+    # chart of test_classical_differential_on_a_lifted_non_diagonal_metric.
+    cases = []
+    for name in gallery.names():
+        inst = gallery.build(name)
+        cases += [(inst.default_potential, el) for el in inst.l_elements]
+    ch = make_darboux_chart(0, 3, metric=[[1, 1, 0], [1, 2, 0], [0, 0, 1]])
+    for k in (2, 3):
+        T = lifts.complete_lift(parse_expr(ch, "xi1*xi2*xi3"), k)
+        basis = complexes.section_frame(T.chart)[0]
+        cases += [(T, el) for el in
+                  [T.chart.one()] + basis + [basis[0] * basis[-1]]]
+
+    def key(X, Y):
+        return frozenset(X.terms.items()), frozenset(Y.terms.items())
+
+    made_total = skipped = 0
+    for T, psi in cases:
+        basis, dual = complexes.section_frame(T.chart)
+        del bracket_calls[:]
+        got = complexes.classical_naive_differential(T, psi, basis, dual)
+        assert got == complexes.q_theta(T, psi), to_text(psi)
+        made = collections.Counter(key(X, Y) for X, Y in bracket_calls)
+        for X, Y in unskipped_contractions(T, psi, basis):
+            if made[key(X, Y)]:
+                made[key(X, Y)] -= 1
+                made_total += 1
+            else:
+                assert bracket(X, Y).is_zero, (to_text(psi), to_text(X),
+                                               to_text(Y))
+                skipped += 1
+    assert len(cases) == 51 + 19
+    assert skipped > made_total > 0
 
 
 def skew(entries):

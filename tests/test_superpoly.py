@@ -222,6 +222,28 @@ def test_terms_take_only_int_or_fraction_coefficients():
     assert SuperPoly(ch, {key: 0, ((), (), ()): Fraction(0)}).is_zero
 
 
+@pytest.mark.parametrize("key, problem", [
+    (((), (), (3, 2)), "odd part is not strictly ascending"),
+    (((), (), (2, 2)), "odd part is not strictly ascending"),
+    (((), ((1, 1), (0, 1)), ()), "even part is not strictly ascending"),
+    (((), ((0, 1), (0, 2)), ()), "even part is not strictly ascending"),
+    (((), ((0, 0),), ()), "even exponent below 1"),
+    (((("g", ()), ("f", ())), (), ()), "symbol part is not sorted"),
+    (((("f", (1, 0)),), (), ()), "symbol part is not sorted"),
+])
+def test_terms_refuse_a_key_out_of_canonical_form(key, problem):
+    # Equality is dict equality and products bisect odd parts, so a key
+    # stored as given made xi2*xi1 unequal to -xi1*xi2 and xi1*xi1
+    # nonzero.  from_clean_terms takes its keys on trust.
+    ch = make_darboux_chart(1, 2)
+    with pytest.raises(ValueError) as refused:
+        SuperPoly(ch, {key: 1})
+    assert str(refused.value) == "term key %r: %s" % (key, problem)
+    assert SuperPoly.from_clean_terms(ch, {key: 1}).terms == {key: 1}
+    xi1, xi2 = ch.gen("xi1"), ch.gen("xi2")
+    assert SuperPoly(ch, {((), (), (2, 3)): -1}) == -xi1 * xi2 == xi2 * xi1
+
+
 def test_substitute_identity_and_scaling():
     ch = make_cotangent_antivb_chart(1, 2)
     P = parse_expr(ch, "x1*xi1*p1 + xi1*xi2")
@@ -412,7 +434,9 @@ def test_no_kept_gradient_goes_stale(monkeypatch, capsys):
     # A kept gradient is right only while its element's terms stay as they
     # were when it was taken.  Run the check path, the complete lifts and
     # the classical differential, then compare every element that kept a
-    # gradient with its terms at that time and with a fresh gradient.
+    # gradient with its terms at that time and with a fresh gradient.  The
+    # differential keeps those of theta, psi, the anchor vectors, the
+    # derived brackets and the walk's nodes.
     kept = []
     original = SuperPoly.gradient
 
@@ -425,6 +449,7 @@ def test_no_kept_gradient_goes_stale(monkeypatch, capsys):
     for name in gallery.INSTANCE_NAMES:
         assert cli.main(["check", name, "--seed", "0"]) == 0, name
     capsys.readouterr()
+    differential_inputs = []
     for name in gallery.INSTANCE_NAMES:
         inst = gallery.build(name)
         T = inst.default_potential
@@ -432,11 +457,13 @@ def test_no_kept_gradient_goes_stale(monkeypatch, capsys):
             basis, dual = complexes.section_frame(inst.chart)
             for el in inst.l_elements:
                 complexes.classical_naive_differential(T, el, basis, dual)
+            differential_inputs += [T, *inst.l_elements]
         if inst.lift_k is not None and inst.chart.lift_degree is None:
             low = lifts.flatten_poly(T, lifts.flatten_chart(inst.chart))
             for k in (2, 3):
                 courant.classify(lifts.complete_lift(low, k))
-    assert kept
+    assert len(differential_inputs) == 16 + 51
+    assert all(any(P is X for P, _ in kept) for X in differential_inputs)
     for P, terms in kept:
         assert P.terms == terms, to_text(P)
         assert P.gradient() == left_gradient(P), to_text(P)
