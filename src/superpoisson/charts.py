@@ -10,17 +10,22 @@ Nondegeneracy is checked by one exact rank of the sparse pairing rows.
 
 The grading is decided here and nowhere else: Chart.symplectic_weight and
 Chart.lift_weight sum a weight vector over the symplectic axes and over
-the others (the lift axis of a lifted chart).  Each generator's grading,
-the pair (symplectic weight, lift weight), is summed once, on
-construction, and stored in Chart.gradings; Chart.term_grading(key) adds
-up the stored gradings of a term's factors, so no caller sums a weight
-vector per term.  The sectors are indexed in the same pass: base_indices
-(symplectic weight 0), section_indices (weight 1) and true_base_indices
-(even, weight 0 on every axis).  The structural checks read those stored
-values and the pairing rows, whose entries are sorted once.
+the others (the lift axis of a lifted chart).  A generator's grading, the
+pair (symplectic weight, lift weight), is summed on construction, once for
+each distinct weight vector, and stored in Chart.gradings;
+Chart.term_grading(key) adds up the stored gradings of a term's factors,
+so no caller sums a weight vector per term.  The sectors are read off the
+gradings: base_indices (symplectic weight 0), section_indices (weight 1)
+and true_base_indices (even, weight 0 on every axis).  The structural
+checks read those stored values and the pairing rows, whose entries are
+sorted once.
 
-Every lift and flattening builds a new chart, so the pairing check adds
-each pair's weight vectors with one map rather than a generator per pair.
+Every chart, loaded, flattened or lifted, is built and checked by the same
+constructor, and every lift and flattening builds a new chart, so the
+checks are written for speed: a generator name is tried against the ASCII
+identifier pattern before the parser's rule, a duplicate name is one whose
+name_to_index entry is an earlier generator, and the rank over the pairing
+rows clears no denominators when the pairing is integral.
 """
 
 from fractions import Fraction
@@ -54,14 +59,11 @@ class Chart:
                  lift_degree=None, strict=True):
         self.name = name
         self.axes = int(axes)
-        self.generators = []
-        self.name_to_index = {}
-        for spec in generators:
-            gname, parity, weight = spec
-            gen = Generator(gname, parity, weight, len(self.generators))
-            self.generators.append(gen)
-            if gname not in self.name_to_index:
-                self.name_to_index[gname] = gen.index
+        self.generators = [Generator(gname, parity, weight, i) for i, (
+            gname, parity, weight) in enumerate(generators)]
+        self.name_to_index = index = {}
+        for g in self.generators:
+            index.setdefault(g.name, g.index)
         self.pairing_given = [(g, h, c if type(c) is Fraction
                                else Fraction(c)) for g, h, c in pairing]
         self.metric = None
@@ -76,7 +78,7 @@ class Chart:
         self.symplectic_axes = tuple(int(a) for a in symplectic_axes)
         self.roles = None
         if roles is not None:
-            self.roles = {str(k): str(v) for k, v in roles.items()}
+            self.roles = dict(zip(map(str, roles), map(str, roles.values())))
         self.lift_degree = lift_degree
 
         self._problems = []
@@ -97,59 +99,70 @@ class Chart:
     # -- construction helpers -------------------------------------------
 
     def _complete_pairing(self):
+        index, gens, pairing = self.name_to_index, self.generators, self.pairing
         for gname, hname, c in self.pairing_given:
-            if gname not in self.name_to_index or hname not in self.name_to_index:
+            gi = index.get(gname)
+            hj = index.get(hname)
+            if gi is None or hj is None:
                 self._problems.append(
                     "pairing entry (%s, %s) names an unknown generator"
                     % (gname, hname))
                 continue
             if not c:
                 continue
-            gi = self.name_to_index[gname]
-            hj = self.name_to_index[hname]
-            g = self.generators[gi]
-            h = self.generators[hj]
+            g = gens[gi]
             # graded antisymmetry: P^hg = -(-1)^(g~ h~) P^gh
-            mirror = (c if (g.parity and h.parity) else -c)
+            mirror = c if g.parity and gens[hj].parity else -c
             if gi == hj:
                 if g.parity == EVEN:
                     self._problems.append(
                         "even generator %s cannot pair with itself" % g.name)
                     continue
-                if (gi, hj) in self.pairing and self.pairing[(gi, hj)] != c:
+                if (gi, hj) in pairing and pairing[gi, hj] != c:
                     self._problems.append(
                         "conflicting self-pairing for %s" % g.name)
                     continue
-                self.pairing[(gi, hj)] = c
+                pairing[gi, hj] = c
                 continue
             # Both orientations are stored together, so a seed against
             # graded antisymmetry meets its mirror here as a conflict.
-            if (gi, hj) in self.pairing:
-                if self.pairing[(gi, hj)] != c:
+            if (gi, hj) in pairing:
+                if pairing[gi, hj] != c:
                     self._problems.append(
                         "pairing entries for (%s, %s) conflict: %s vs %s"
-                        % (gname, hname, self.pairing[(gi, hj)], c))
+                        % (gname, hname, pairing[gi, hj], c))
                 continue
-            self.pairing[(gi, hj)] = c
-            self.pairing[(hj, gi)] = mirror
+            pairing[gi, hj] = c
+            pairing[hj, gi] = mirror
 
     def _index_sectors(self):
-        """Each generator's grading, summed once, the sectors read off
-        the gradings, and the pairing rows, from one sort of the pairing."""
-        self.gradings = tuple(
-            (self.symplectic_weight(g.weight), self.lift_weight(g.weight))
-            for g in self.generators)
-        self.base_indices = tuple(
-            i for i, (sw, _) in enumerate(self.gradings) if sw == 0)
-        self.section_indices = tuple(
-            i for i, (sw, _) in enumerate(self.gradings) if sw == 1)
-        self.true_base_indices = tuple(
-            g.index for g in self.generators if g.is_true_base)
+        """Each generator's grading, summed once for each distinct weight
+        vector, the sectors read off the gradings, and the pairing rows,
+        from one sort of the pairing."""
+        by_weight = {}
+        gradings, base, section, true_base = [], [], [], []
+        for g in self.generators:
+            grading = by_weight.get(g.weight)
+            if grading is None:
+                grading = by_weight[g.weight] = (
+                    self.symplectic_weight(g.weight),
+                    self.lift_weight(g.weight))
+            gradings.append(grading)
+            if grading[0] == 0:
+                base.append(g.index)
+            elif grading[0] == 1:
+                section.append(g.index)
+            if g.is_true_base:
+                true_base.append(g.index)
+        self.gradings = tuple(gradings)
+        self.base_indices = tuple(base)
+        self.section_indices = tuple(section)
+        self.true_base_indices = tuple(true_base)
         # The bracket's pairing coefficients, stored integer-first like every
         # SuperPoly coefficient; self.pairing keeps the Fractions.
-        rows = {}
-        for (gi, hj), c in sorted(self.pairing.items()):
-            rows.setdefault(gi, []).append((hj, _norm(c)))
+        pairing, rows = self.pairing, {}
+        for gi, hj in sorted(pairing):
+            rows.setdefault(gi, []).append((hj, _norm(pairing[gi, hj])))
         self.pairing_rows = {gi: tuple(row) for gi, row in rows.items()}
 
     # -- lookups ---------------------------------------------------------
@@ -159,7 +172,7 @@ class Chart:
 
     def symplectic_weight(self, weight):
         """The entries of a weight vector on the symplectic axes, summed."""
-        return sum(weight[a] for a in self.symplectic_axes)
+        return sum(map(weight.__getitem__, self.symplectic_axes))
 
     def lift_weight(self, weight):
         """The entries of a weight vector on the other axes, summed: the
@@ -210,15 +223,25 @@ class Chart:
 
 
 def _shape_problems(chart):
-    """A missing axis, a symplectic axis out of range, or a weight vector
-    of the wrong length: the problems that leave weights unreadable."""
+    """A missing axis, a symplectic axis out of range, a parity other than
+    0/1, or a weight vector that is not one int per axis: the problems
+    that leave a generator's grading unreadable."""
     if chart.axes < 1:
         return ["a chart needs at least one weight axis"]
     problems = ["symplectic axis %d out of range" % a
                 for a in chart.symplectic_axes if not 0 <= a < chart.axes]
-    problems.extend("generator %s has %d weight entries, chart has %d axes"
-                    % (g.name, len(g.weight), chart.axes)
-                    for g in chart.generators if len(g.weight) != chart.axes)
+    ints = {type(w) for g in chart.generators for w in g.weight} <= {int}
+    for g in chart.generators:
+        if g.parity not in (EVEN, ODD):
+            problems.append("generator %s has parity %r, not 0 or 1"
+                            % (g.name, g.parity))
+        if len(g.weight) != chart.axes:
+            problems.append(
+                "generator %s has %d weight entries, chart has %d axes"
+                % (g.name, len(g.weight), chart.axes))
+        elif not ints and any(type(w) is not int for w in g.weight):
+            problems.append("generator %s has weight %r; its entries must be "
+                            "ints" % (g.name, g.weight))
     return problems
 
 
@@ -229,29 +252,33 @@ def _structural_problems(chart):
     problems = []
     if not chart.symplectic_axes:
         problems.append("symplectic_axes must be non-empty")
+    gens = chart.generators
 
     # One pass over the generators; the N-manifold rule is reported after
-    # the pairing's problems.
-    seen = set()
-    n_manifold = []
-    for g, (sw, _) in zip(chart.generators, chart.gradings):
-        if not g.name or _name_end(g.name, 0) < len(g.name):
-            problems.append("generator name %r is not an identifier" % g.name)
-        if g.name in seen:
-            problems.append("duplicate generator name %r" % g.name)
-        seen.add(g.name)
+    # the pairing's problems.  A name that is not an ASCII identifier is
+    # read by _name_end, the parser's rule, and a name is a duplicate when
+    # name_to_index, which keeps the first of each name, points elsewhere.
+    index, n_manifold = chart.name_to_index, chart.n_manifold
+    broken = []
+    for g, (sw, _) in zip(gens, chart.gradings):
+        name = g.name
+        if not (name.isascii() and name.isidentifier()
+                or name and _name_end(name, 0) == len(name)):
+            problems.append("generator name %r is not an identifier" % name)
+        if index[name] != g.index:
+            problems.append("duplicate generator name %r" % name)
         if min(g.weight) < 0:
-            problems.append("generator %s has a negative weight" % g.name)
-        if chart.n_manifold and g.parity != sw % 2:
-            n_manifold.append(
+            problems.append("generator %s has a negative weight" % name)
+        if n_manifold and g.parity != sw % 2:
+            broken.append(
                 "N-manifold rule broken: %s has parity %d but symplectic "
-                "weight %d" % (g.name, g.parity, sw))
+                "weight %d" % (name, g.parity, sw))
 
     pair_weight = None
     for gi, row in chart.pairing_rows.items():
-        g = chart.generators[gi]
+        g = gens[gi]
         for hj, _ in row:
-            h = chart.generators[hj]
+            h = gens[hj]
             if g.parity != h.parity:
                 problems.append(
                     "pairing {%s,%s} joins different parities (a nonzero "
@@ -280,7 +307,7 @@ def _structural_problems(chart):
                                     < len(chart.generators)):
         problems.append("pairing matrix is degenerate over the rationals")
 
-    problems.extend(n_manifold)
+    problems.extend(broken)
 
     if chart.metric is not None:
         mnames, rows = chart.metric
@@ -311,24 +338,27 @@ def _structural_problems(chart):
                 if linalg.rank([enumerate(row) for row in rows]) < r:
                     problems.append("metric block is singular")
 
-    if chart.roles is not None:
-        for name, role in sorted(chart.roles.items()):
-            if name not in chart.name_to_index:
+    roles = chart.roles
+    if roles is not None:
+        pairing_rows = chart.pairing_rows
+        for name, role in sorted(roles.items()):
+            idx = index.get(name)
+            if idx is None:
                 problems.append("role for unknown generator %r" % name)
                 continue
             if role not in ROLES:
                 problems.append("unknown role %r for %s" % (role, name))
                 continue
-            idx = chart.name_to_index[name]
             if role == "base" and chart.gradings[idx][0] != 0:
                 problems.append(
                     "generator %s has role base but nonzero symplectic "
                     "weight" % name)
             if role in ("momentum", "cofibre"):
                 want = ("base", "fibre") if role == "momentum" else ("fibre",)
-                ok = any(chart.roles.get(chart.generators[hj].name) in want
-                         for hj, _ in chart.pairing_rows.get(idx, ()))
-                if not ok:
+                for hj, _ in pairing_rows.get(idx, ()):
+                    if roles.get(gens[hj].name) in want:
+                        break
+                else:
                     problems.append(
                         "generator %s has role %s but no conjugate with "
                         "role in %r" % (name, role, want))

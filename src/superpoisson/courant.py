@@ -150,7 +150,8 @@ def section_pair(theta, sigma, psi):
 
 class AnchorVectors(dict):
     """anchor_vector(theta, x) by the text of x, each computed on its first
-    lookup.
+    lookup.  A text that names a generator is read through Chart.gen; only
+    other texts, such as the arguments of a spot, are parsed.
 
     For a section x it is the anchor of x.  For a weight-0 coordinate x the
     bracket with it is the contraction (-1)^x~ {{theta, x}, .} of the small
@@ -165,8 +166,10 @@ class AnchorVectors(dict):
         self.theta = theta
 
     def __missing__(self, text):
-        value = self[text] = anchor_vector(
-            self.theta, parse_expr(self.theta.chart, text))
+        chart = self.theta.chart
+        x = (chart.gen(text) if text in chart.name_to_index
+             else parse_expr(chart, text))
+        value = self[text] = anchor_vector(self.theta, x)
         return value
 
 

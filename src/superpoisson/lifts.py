@@ -18,7 +18,10 @@ identity {P^c, Q^c} = ({P, Q})^c, checked by the tests and exposed as
 
 complete_lift(P, k) returns an element of a new lifted chart, read as
 ``.chart``.  Lifts on one chart come from lift_identity_check, or from
-``superpoly.substitute`` by name onto a chart already built.
+``superpoly.substitute`` by name onto a chart already built.  A lifted
+chart, like a flattened one, is built by the one Chart constructor, so
+each runs every chart check: the problems of a chart come back on its
+lift, named by the copies.
 
 Lifting reads one axis.  complete_lift and lift_identity_check flatten a
 chart whose axes are all symplectic to total weight (``flatten_chart``).
@@ -86,11 +89,14 @@ def tangent_lift_chart(chart, k):
             % chart.name)
     if k < 2:
         raise LiftError("lift degree must be at least 2, got %d" % k)
-    # copies[eps][i] is the name of copy eps of generator i.
-    copies = [[lifted_name(g.name, eps) for g in chart.generators]
-              for eps in range(k)]
-    gens = [(copies[eps][g.index], g.parity, (eps, g.weight[0]))
-            for eps in range(k) for g in chart.generators]
+    # copies[eps][i] is the name of copy eps of generator i, the name with
+    # the suffix lifted_name("", eps).
+    names = [g.name for g in chart.generators]
+    copies = [[name + suffix for name in names]
+              for suffix in [lifted_name("", eps) for eps in range(k)]]
+    gens = [(name, g.parity, (eps, g.weight[0]))
+            for eps, row in enumerate(copies)
+            for name, g in zip(row, chart.generators)]
     # One seed per unordered pair of copies: gi < hj at every eps, and a
     # self-pair at the eps with eps <= k - 1 - eps.
     pairing_spec = [(copies[eps][gi], copies[k - 1 - eps][hj], c)

@@ -37,23 +37,23 @@ def _eliminate(rows):
     """A row echelon form of rows as {pivot column: int row}, each row a
     dict {column: nonzero int} whose smallest column is its pivot column.
 
-    Each row is scaled by the lcm of its denominators and reduced against
-    the pivot rows found so far, keyed by their leading column: a row whose
-    leading column has a pivot row p is _cleared by p.  A row that reduces
-    to nothing depends on the rows before it; each row that does not
-    becomes a pivot row.
+    Each row's dict is built once; a row with a Fraction or a zero entry
+    is scaled by the lcm of its denominators and stripped of its zeros.
+    The row is then reduced against the pivot rows found so far, keyed by
+    their leading column: a row whose leading column has a pivot row p is
+    _cleared by p.  A row that reduces to nothing depends on the rows
+    before it; each row that does not becomes a pivot row.
     """
     pivots = {}
-    for row in rows:
-        row = dict(row)
-        s = math.lcm(*(x.denominator for x in row.values()))
-        v = {c: x.numerator * (s // x.denominator)
-             for c, x in row.items() if x}
+    for v in map(dict, rows):
+        if Fraction in map(type, v.values()) or not all(v.values()):
+            s = math.lcm(*(x.denominator for x in v.values()))
+            v = {c: x.numerator * (s // x.denominator)
+                 for c, x in v.items() if x}
         while v:
             c = min(v)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = v
+            p = pivots.setdefault(c, v)
+            if p is v:
                 break
             v = _cleared(v, p, c)
     return pivots

@@ -48,21 +48,22 @@ ODD = 1
 class Generator:
     """One graded coordinate: a name, a parity, and a weight vector.
 
-    is_true_base is stored on construction: even and weight zero on every
-    axis, the sector the chain rule sees."""
+    The parity and weight are stored as given; the Chart that makes a
+    Generator reports a parity other than 0/1 or a weight entry that is
+    not an int as a problem.  is_true_base is stored on construction: even
+    and weight zero on every axis, the sector the chain rule sees."""
 
     __slots__ = ("name", "parity", "weight", "index", "is_true_base")
 
     def __init__(self, name, parity, weight, index):
-        assert parity in (EVEN, ODD), parity
         self.name = name
         self.parity = parity
-        self.weight = tuple(int(w) for w in weight)
+        self.weight = weight = tuple(weight)
         self.index = index
-        self.is_true_base = parity == EVEN and not any(self.weight)
+        self.is_true_base = parity == EVEN and not any(weight)
 
     def __repr__(self):
-        return "Generator(%r, parity=%d, weight=%r)" % (
+        return "Generator(%r, parity=%r, weight=%r)" % (
             self.name, self.parity, self.weight)
 
 

@@ -152,6 +152,13 @@ ODD_PAIRS = [("xi", "xi", 1), ("eta", "eta", 1)]
       "symplectic weight 2"]),
     (1, [("1a", 0, (0,)), ("p", 0, (2,))], [("p", "1a", 1)], {},
      ["generator name '1a' is not an identifier"]),
+    # A parity or a weight entry of the wrong kind is a shape problem, so
+    # no weight is summed.
+    (1, [("a", 2, (0,)), ("p", 0, (2,))], [("p", "a", 1)], {},
+     ["generator a has parity 2, not 0 or 1"]),
+    (1, [("a", 0, (0.5,)), ("p", 0, ("1",))], [("p", "a", 1)], {},
+     ["generator a has weight (0.5,); its entries must be ints",
+      "generator p has weight ('1',); its entries must be ints"]),
     (1, [("x²", 0, (0,)), ("p", 0, (2,))], [("p", "x²", 1)], {},
      ["generator name 'x²' is not an identifier"]),
     # The second a cannot be named in a pairing, so it pairs with nothing.
@@ -228,7 +235,8 @@ ODD_PAIRS = [("xi", "xi", 1), ("eta", "eta", 1)]
       "role for unknown generator 'c'",
       "generator q has role base but nonzero symplectic weight"]),
 ], ids=["unknown-pairing-name", "self-pairing-conflict", "antisymmetry",
-        "no-axis", "no-symplectic-axis", "not-identifier",
+        "no-axis", "no-symplectic-axis", "not-identifier", "parity-not-0-1",
+        "weight-not-int",
         "superscript-digit", "duplicate-name",
         "metric-not-square", "metric-unknown-name", "metric-singular",
         "role-unknown-name", "unknown-role", "negative-weight",

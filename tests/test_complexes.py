@@ -9,7 +9,8 @@ import draws
 import identities
 import oracles
 import routes
-from superpoisson import complexes, courant, gallery, lifts, sampling
+from superpoisson import (charts, complexes, courant, gallery, lifts, sampling,
+                          superpoly)
 from superpoisson.charts import (chart_from_json, chart_to_json,
                                  hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
@@ -314,6 +315,27 @@ def test_classical_differential_brackets_no_zero_prefix(
     got = complexes.classical_naive_differential(T, el, basis, dual)
     assert len(bracket_calls) <= most
     assert got == complexes.q_theta(T, el)
+
+
+@pytest.mark.parametrize("name", ["cross7", "twisted_pencil"])
+def test_classical_differential_parses_no_text(monkeypatch, name):
+    # The anchor vectors of the base coordinates are looked up by name, and
+    # a name is read through Chart.gen, not parsed.
+    inst = gallery.build(name)
+    basis, dual = complexes.section_frame(inst.chart)
+    texts = []
+
+    def recording(chart, text):
+        texts.append(text)
+        return parse_expr(chart, text)
+
+    for module in (superpoly, courant, charts, gallery):
+        monkeypatch.setattr(module, "parse_expr", recording)
+    for el in inst.l_elements:
+        got = complexes.classical_naive_differential(
+            inst.default_potential, el, basis, dual)
+        assert got == complexes.q_theta(inst.default_potential, el)
+    assert texts == []
 
 
 def test_identification_constants():

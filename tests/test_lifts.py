@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,9 +7,10 @@ import draws
 import oracles
 import routes
 from superpoisson import complexes, courant, gallery, lifts
-from superpoisson.charts import (chart_from_json, chart_to_json,
+from superpoisson.charts import (EVEN, ODD, Chart, ChartError,
+                                 chart_from_json, chart_to_json,
                                  make_cotangent_antivb_chart,
-                                 make_darboux_chart)
+                                 make_darboux_chart, validate_chart)
 from superpoisson.courant import PotentialError
 from superpoisson.lifts import LiftError
 from superpoisson.poisson import bracket
@@ -88,6 +90,39 @@ def test_lift_degree_gates():
         lifts.tangent_lift_chart(flat, 1)
     with pytest.raises(LiftError, match="single-axis"):
         lifts.tangent_lift_chart(make_cotangent_antivb_chart(1, 2), 2)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("generators, pairing, problem", [
+    # {a,a} = {b,b} = {a,b} = 1: the block [[1,1],[1,1]].
+    ([("a", ODD, (1,)), ("b", ODD, (1,))],
+     [("a", "a", 1), ("b", "b", 1), ("a", "b", 1)],
+     "pairing matrix is degenerate over the rationals"),
+    ([("1a", EVEN, (0,)), ("p", EVEN, (2,))], [("p", "1a", 1)],
+     "generator name '1a_0' is not an identifier"),
+], ids=["degenerate-pairing", "not-identifier"])
+def test_lifting_an_invalid_chart_runs_every_chart_check(
+        generators, pairing, problem, k):
+    # The lifted chart is built by the same Chart constructor as any other,
+    # so the problems of the chart it lifts come back on its copies.
+    chart = Chart("bad", 1, generators, pairing, strict=False)
+    assert validate_chart(chart)
+    with pytest.raises(ChartError, match=re.escape(problem)):
+        lifts.tangent_lift_chart(chart, k)
+
+
+def test_a_non_ascii_generator_name_lifts():
+    # Names that are not ASCII identifiers are read by the parser's rule.
+    chart = Chart("greek", 1, [("x1", EVEN, (0,)), ("p1", EVEN, (2,)),
+                               ("ξ1", ODD, (1,))],
+                  [("p1", "x1", 1), ("ξ1", "ξ1", 1)])
+    assert validate_chart(chart) == []
+    for k in (2, 3):
+        lifted = lifts.tangent_lift_chart(chart, k)
+        assert validate_chart(lifted) == []
+        assert parse_expr(lifted, "ξ1_0") == lifted.gen("ξ1_0")
+        assert bracket(lifted.gen("ξ1_0"), lifted.gen("ξ1_%d" % (k - 1))) \
+            == lifted.one()
 
 
 def test_lifted_name_format():
