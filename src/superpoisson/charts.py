@@ -194,11 +194,6 @@ class Chart:
             lw += l
         return sw, lw
 
-    def pairing_entries(self):
-        """All nonzero ordered pairs (gi, hj, coefficient), deterministic."""
-        return [(gi, hj, self.pairing[(gi, hj)])
-                for gi, hj in sorted(self.pairing)]
-
     # -- element factories ----------------------------------------------
 
     def zero(self):

@@ -118,15 +118,13 @@ def identity_sweep(inst, tt, rng, samples):
     every defect is identically zero, so a nonzero value names a bug.
     tt is {T, T} of the default potential T.
 
-    Each row runs on integer multiples of the sample's draws: s, p, l and
-    f are each scaled by the lcm of their coefficient denominators before
-    any bracket, so no Fraction enters a bracket through them.  The rng
-    stream and the draws are those of the unscaled sweep.  Every row is a
-    sum of bracket chains linear in each of its inputs (alpha is s or
-    s*l), so on the multiples it is a positive integer times the row on
-    the draws, and zero exactly when that is.  A failing row's witness
-    lists the inputs it was evaluated on, the multiples, and its value on
-    them.
+    The sampler draws s, p, l and f as integral multiples: each is the
+    least positive integer multiple of a draw with coefficients n/d, so no
+    Fraction enters a bracket through them.  Every row is a sum of bracket
+    chains linear in each of its inputs (alpha is s or s*l), so on the
+    multiples it is a positive integer times the row on the draws, and
+    zero exactly when that is.  A failing row's witness lists the inputs
+    it was evaluated on, the multiples, and its value on them.
 
     Per sample the anchor vectors of s and p, [[s, p]] and its anchor
     vector are computed once, in one courant.SectionPair that the
@@ -148,11 +146,10 @@ def identity_sweep(inst, tt, rng, samples):
                               "value": to_text(value)}
 
     for i in range(samples):
-        draws = (sampling.random_section(chart, rng),
-                 sampling.random_section(chart, rng),
-                 sampling.random_section(chart, rng),
-                 sampling.random_base_function(chart, rng))
-        s, p, l, f = map(sampling.integral_multiple, draws)
+        s = sampling.random_section(chart, rng)
+        p = sampling.random_section(chart, rng)
+        l = sampling.random_section(chart, rng)
+        f = sampling.random_base_function(chart, rng)
         pair = courant.section_pair(T, s, p)
         record("bracket_symmetry", courant.symmetry_defect(pair), (s, p))
         record("anchor_morphism", courant.anchor_defect(pair, tt, f),

@@ -98,9 +98,13 @@ def tangent_lift_chart(chart, k):
             for eps, row in enumerate(copies)
             for name, g in zip(row, chart.generators)]
     # One seed per unordered pair of copies: gi < hj at every eps, and a
-    # self-pair at the eps with eps <= k - 1 - eps.
-    pairing_spec = [(copies[eps][gi], copies[k - 1 - eps][hj], c)
-                    for gi, hj, c in chart.pairing_entries() if gi <= hj
+    # self-pair at the eps with eps <= k - 1 - eps.  The rows list the
+    # pairing sorted; its values are the Fractions Chart keeps as given.
+    pairing = chart.pairing
+    pairing_spec = [(copies[eps][gi], copies[k - 1 - eps][hj],
+                     pairing[gi, hj])
+                    for gi, row in chart.pairing_rows.items()
+                    for hj, _ in row if gi <= hj
                     for eps in range(k) if gi < hj or 2 * eps < k]
     roles = None if chart.roles is None else {
         copies[eps][g.index]: chart.roles[g.name]

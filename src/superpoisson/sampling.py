@@ -4,37 +4,33 @@ Everything takes an explicit random.Random so that identical seeds give
 identical elements; the checks built on top are exact, the randomness only
 picks where to look.
 
-The draws build their term dicts directly: a base function as its one or
-two terms, a section by accumulating each coefficient times its generator
-into one dict.  They make the same rng calls in the same order as the
-chain of SuperPoly products they stand for (a base monomial, a symbol, a
-coefficient, a generator), and give the same elements; the test suite
-keeps that chain as the reference.
-
-integral_multiple clears a drawn element's denominators, so a check that
-is linear in its inputs can run on int coefficients.
+Each draw is made as an integral multiple: the least positive integer
+multiple of the element a chain of SuperPoly products would give (a base
+monomial, a symbol, a coefficient n/d with d in 1, 2, 3, a generator),
+making the same rng calls in the same order.  The draws build their term
+keys directly and keep six times each coefficient, an int, until the end,
+where the terms are divided by their gcd with 6.  A check that is linear
+in its inputs thus runs on int coefficients; the test suite keeps the
+chain of products as the reference.
 """
 
 import math
-from fractions import Fraction
 
-from .superpoly import SuperPoly, mul_terms_into
+from .superpoly import ODD, SuperPoly, _add_term
 
 SYMBOL_NAMES = ("f", "g", "h")
+NUMERATORS = (-3, -2, -1, 1, 2, 3)
+# 6 // d for the drawn denominators d = 1, 1, 2, 3
+SIXTHS = (6, 6, 3, 2)
 
 
 class SamplingError(ValueError):
     """The chart has no elements of the kind asked for."""
 
 
-def random_coeff(rng):
-    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
-                    rng.choice((1, 1, 2, 3)))
-
-
-def random_base_function(chart, rng):
-    """Weight-zero element: a small polynomial in the base sector, possibly
-    times a formal symbol, plus a constant 30% of the time."""
+def _sixfold_base_function(chart, rng):
+    """Six times the weight-zero draw, as a term dict with int
+    coefficients."""
     base = chart.true_base_indices
     exponents = {}
     if base:
@@ -42,11 +38,27 @@ def random_base_function(chart, rng):
             idx = rng.choice(base)
             exponents[idx] = exponents.get(idx, 0) + 1
     scal = ((rng.choice(SYMBOL_NAMES), ()),) if rng.random() < 0.5 else ()
-    terms = {(scal, tuple(sorted(exponents.items())), ()): random_coeff(rng)}
+    terms = {(scal, tuple(sorted(exponents.items())), ()):
+             rng.choice(NUMERATORS) * rng.choice(SIXTHS)}
     if rng.random() < 0.3:
-        constant = ((), (), ())
-        terms[constant] = terms.get(constant, 0) + random_coeff(rng)
-    return SuperPoly(chart, terms)
+        c = rng.choice(NUMERATORS) * rng.choice(SIXTHS)
+        _add_term(terms, ((), (), ()), c)
+    return terms
+
+
+def _least_multiple(chart, sixfold):
+    """The least positive integer multiple of sixfold / 6: the drawn
+    coefficients have denominators dividing 6, so it is sixfold divided
+    by the gcd of 6 and its coefficients."""
+    g = math.gcd(6, *sixfold.values())
+    return SuperPoly.from_clean_terms(
+        chart, {key: c // g for key, c in sixfold.items()})
+
+
+def random_base_function(chart, rng):
+    """Weight-zero element: a small polynomial in the base sector, possibly
+    times a formal symbol, plus a constant 30% of the time."""
+    return _least_multiple(chart, _sixfold_base_function(chart, rng))
 
 
 def random_section(chart, rng):
@@ -61,14 +73,12 @@ def random_section(chart, rng):
         g = gens[rng.choice(choices)]
         if n == 0:
             choices = [i for i in choices if gens[i].parity == g.parity]
-        mul_terms_into(total, random_base_function(chart, rng).terms,
-                       SuperPoly.generator_monomial(chart, g).terms)
+        for (scal, even, _), c in _sixfold_base_function(chart, rng).items():
+            if g.parity == ODD:
+                key = (scal, even, (g.index,))
+            else:
+                key = (scal, tuple(sorted(even + ((g.index, 1),))), ())
+            _add_term(total, key, c)
     if not total:
         return SuperPoly.generator_monomial(chart, gens[rng.choice(choices)])
-    return SuperPoly.from_clean_terms(chart, total)
-
-
-def integral_multiple(P):
-    """P times the least common multiple of its coefficient denominators:
-    the least positive integer multiple of P with int coefficients."""
-    return P * math.lcm(*(c.denominator for c in P.terms.values()))
+    return _least_multiple(chart, total)

@@ -7,6 +7,7 @@ and bracket weight.
 """
 
 import draws
+from routes import pairing_entries
 from superpoisson import lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.poisson import bracket
@@ -25,7 +26,7 @@ def pairing_drop(chart):
     """The weight the bracket lowers by: w(g) + w(h) for every pairing
     entry {g, h}, which must be one vector."""
     drops = set()
-    for gi, hj, _c in chart.pairing_entries():
+    for gi, hj, _c in pairing_entries(chart):
         wg = chart.generators[gi].weight
         wh = chart.generators[hj].weight
         drops.add(tuple(a + b for a, b in zip(wg, wh)))

@@ -2,24 +2,37 @@
 
 Every helper takes an explicit random.Random, so a seed fixes the inputs
 a test sees.  The library's own draws (sections and base functions, which
-``superpoisson check`` samples) stay in ``superpoisson.sampling``; the
-draws here only the tests need, and the SuperPoly-product construction
-of the library's draws that tests/test_sampling.py holds them to.
+``superpoisson check`` samples) are in ``superpoisson.sampling``, made as
+integral multiples; the draws here are those only the tests need, with
+Fraction coefficients, and the SuperPoly-product construction of the
+library's draws that tests/test_sampling.py holds them to.
 """
 
+import math
 import random
+from fractions import Fraction
 
 from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
-from superpoisson.sampling import (SYMBOL_NAMES, random_base_function,
-                                   random_coeff, random_section)
+from superpoisson.sampling import SYMBOL_NAMES
 from superpoisson.superpoly import ODD, SuperPoly
 
 
+def random_coeff(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                    rng.choice((1, 1, 2, 3)))
+
+
+def integral_multiple(P):
+    """P times the least common multiple of its coefficient denominators:
+    the least positive integer multiple of P with int coefficients."""
+    return P * math.lcm(*(c.denominator for c in P.terms.values()))
+
+
 def reference_base_function(chart, rng):
-    """sampling.random_base_function as a chain of SuperPoly products: the
-    construction the sampler's term dicts must reproduce, rng call for rng
-    call."""
+    """A weight-zero element as a chain of SuperPoly products, with
+    Fraction coefficients; sampling.random_base_function must give its
+    integral_multiple, rng call for rng call."""
     poly = chart.one()
     base = chart.true_base_indices
     if base:
@@ -36,9 +49,10 @@ def reference_base_function(chart, rng):
 
 
 def reference_section(chart, rng):
-    """sampling.random_section as a sum of SuperPoly products, drawing its
-    coefficients with reference_base_function.  The first generator drawn
-    fixes the parity of the later ones."""
+    """A weight-1 element as a sum of SuperPoly products, drawing its
+    coefficients with reference_base_function; sampling.random_section
+    must give its integral_multiple.  The first generator drawn fixes the
+    parity of the later ones."""
     ones = [chart.generators[idx] for idx in chart.section_indices]
     total = chart.zero()
     for n in range(rng.randint(1, 3)):
@@ -190,10 +204,10 @@ def derived_setups(seed, rounds):
     for r in range(rounds):
         ch = charts[r % len(charts)]
         T = random_potential(ch, rng)
-        s = random_section(ch, rng)
-        p = random_section(ch, rng)
-        l = random_section(ch, rng)
-        f = random_base_function(ch, rng)
+        s = reference_section(ch, rng)
+        p = reference_section(ch, rng)
+        l = reference_section(ch, rng)
+        f = reference_base_function(ch, rng)
         yield T, s, p, l, f
 
 
@@ -205,17 +219,17 @@ def random_projectable_potential(ch, rng, rank, dim):
     for _ in range(rng.randrange(4)):
         i = rng.randrange(1, rank + 1)
         a = rng.randrange(1, dim + 1)
-        T = T + random_base_function(ch, rng) \
+        T = T + reference_base_function(ch, rng) \
             * ch.gen("xi%d" % i) * ch.gen("p%d" % a)
     for _ in range(rng.randrange(3)):
         i = rng.randrange(1, rank)
         j = rng.randrange(i + 1, rank + 1)
         k = rng.randrange(1, rank + 1)
-        T = T + random_base_function(ch, rng) \
+        T = T + reference_base_function(ch, rng) \
             * ch.gen("xi%d" % i) * ch.gen("xi%d" % j) * ch.gen("pi%d" % k)
     if rank >= 3:
         for _ in range(rng.randrange(3)):
-            T = T + random_base_function(ch, rng) \
+            T = T + reference_base_function(ch, rng) \
                 * ch.gen("xi1") * ch.gen("xi2") * ch.gen("xi3")
     return T
 
@@ -226,7 +240,7 @@ def random_graph_field(ch, rng, prefix):
     a bivector field for prefix "pi", a two-form for prefix "xi"."""
     out = ch.zero()
     for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        c = random_base_function(ch, rng)
+        c = reference_base_function(ch, rng)
         out = out + c * ch.gen("%s%d" % (prefix, i)) \
             * ch.gen("%s%d" % (prefix, j))
     if out.is_zero:

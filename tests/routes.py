@@ -12,8 +12,8 @@ already forces), the substitute-and-truncate complete lift (every
 generator replaced by the sum of its copies, every symbol Taylor-expanded,
 every product cut at lift weight k - 1), an algebra map as a sum of
 ordered SuperPoly products of the factor images, and a chart's sectors and
-term gradings summed from weight vectors.  Tests compare them with the
-library; the library does not use them.
+term gradings summed from weight vectors and its sorted pairing entries.
+Tests compare them with the library; the library does not use them.
 """
 
 import itertools
@@ -542,9 +542,15 @@ def substitute_by_products(P, genmap, target):
     return total
 
 
+def pairing_entries(chart):
+    """Every ordered pair (gi, hj, coefficient) of chart.pairing, sorted."""
+    return [(gi, hj, chart.pairing[gi, hj])
+            for gi, hj in sorted(chart.pairing)]
+
+
 def sectors_by_weight_vectors(chart):
     """The gradings, sectors and pairing rows a chart stores, recomputed
-    from its generators' weight vectors and from pairing_entries(), as a
+    from its generators' weight vectors and from pairing_entries, as a
     dict from attribute name to value.  A grading is the weight summed
     over the symplectic axes and over the rest; a row lists a generator's
     partners in order, with each Fraction stored integer-first."""
@@ -553,7 +559,7 @@ def sectors_by_weight_vectors(chart):
         sw = sum(g.weight[a] for a in chart.symplectic_axes)
         gradings.append((sw, sum(g.weight) - sw))
     rows = {}
-    for gi, hj, c in chart.pairing_entries():
+    for gi, hj, c in pairing_entries(chart):
         c = c.numerator if c.denominator == 1 else c
         rows.setdefault(gi, []).append((hj, c))
     return {

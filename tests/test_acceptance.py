@@ -16,8 +16,7 @@ import identities
 import oracles
 import routes
 from axioms import check_poisson_axioms, poisson_families
-from superpoisson import cli, complexes, courant, dirac, gallery, lifts, \
-    sampling
+from superpoisson import cli, complexes, courant, dirac, gallery, lifts
 from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.dirac import BivectorGraph, TwoFormGraph
@@ -141,7 +140,7 @@ def test_criterion_5_commutator_defect_100():
     for r in range(100):
         ch = charts[r % len(charts)]
         T = draws.random_potential(ch, rng)
-        f = sampling.random_base_function(ch, rng)
+        f = draws.reference_base_function(ch, rng)
         a = draws.random_homogeneous(ch, rng)
         assert identities.commutator_defect(T, f, a).is_zero, r
 

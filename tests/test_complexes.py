@@ -9,7 +9,7 @@ import draws
 import identities
 import oracles
 import routes
-from superpoisson import (charts, complexes, courant, gallery, lifts, sampling,
+from superpoisson import (charts, complexes, courant, gallery, lifts,
                           superpoly)
 from superpoisson.charts import (chart_from_json, chart_to_json,
                                  hyperbolic_metric, make_cotangent_antivb_chart,
@@ -57,7 +57,7 @@ def test_commutator_defect_vanishes_on_random_inputs():
     for r in range(30):
         ch = charts[r % len(charts)]
         T = draws.random_potential(ch, rng)
-        f = sampling.random_base_function(ch, rng)
+        f = draws.reference_base_function(ch, rng)
         a = draws.random_homogeneous(ch, rng)
         defect = identities.commutator_defect(T, f, a)
         assert defect.is_zero, (r, to_text(defect))
@@ -452,7 +452,7 @@ def test_squared_differential_equals_half_self_bracket():
     for r in range(24):
         ch = charts[r % len(charts)]
         T = draws.random_potential(ch, rng)
-        f = sampling.random_base_function(ch, rng)
+        f = draws.reference_base_function(ch, rng)
         lhs = complexes.q_theta(T, complexes.q_theta(T, f))
         rhs = bracket(bracket(T, T) * Fraction(1, 2), f)
         assert lhs == rhs, r

@@ -1,14 +1,16 @@
-"""The sampler's draws, and the integer multiples of them that the
-identity sweep of ``superpoisson check`` evaluates its rows on."""
+"""The sampler's draws: the integral multiples of the reference draws,
+which the identity sweep of ``superpoisson check`` evaluates its rows on."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import draws
-from superpoisson import courant, gallery, sampling
+from superpoisson import cli, courant, gallery, sampling
 from superpoisson.charts import chart_from_json, chart_to_json
 from superpoisson.poisson import bracket
+from superpoisson.superpoly import to_text
 
 SEEDS = range(10)
 
@@ -19,19 +21,28 @@ def typed_terms(P):
     return [(key, type(c), c) for key, c in P.items()]
 
 
-def test_draws_equal_the_superpoly_reference():
+def assert_draws_multiple(draw, reference, chart, seed):
+    """draw makes integral_multiple(reference) with int coefficients, and
+    leaves the rng where reference leaves it."""
+    where = (chart.name, seed)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    got = draw(chart, ours)
+    want = draws.integral_multiple(reference(chart, theirs))
+    assert got.chart is want.chart
+    assert all(type(c) is int for c in got.terms.values()), where
+    assert typed_terms(got) == typed_terms(want), where
+    assert ours.getstate() == theirs.getstate(), where
+    return got
+
+
+def test_draws_are_the_integral_multiples_of_the_reference():
     for name in gallery.names():
         chart = gallery.build(name).chart
         for seed in range(200):
-            for draw, reference in (
-                    (sampling.random_section, draws.reference_section),
-                    (sampling.random_base_function,
-                     draws.reference_base_function)):
-                ours, theirs = random.Random(seed), random.Random(seed)
-                got, want = draw(chart, ours), reference(chart, theirs)
-                assert got.chart is want.chart
-                assert typed_terms(got) == typed_terms(want), (name, seed)
-                assert ours.random() == theirs.random(), (name, seed)
+            assert_draws_multiple(sampling.random_section,
+                                  draws.reference_section, chart, seed)
+            assert_draws_multiple(sampling.random_base_function,
+                                  draws.reference_base_function, chart, seed)
 
 
 def test_sections_take_the_parity_of_their_first_generator():
@@ -45,13 +56,10 @@ def test_sections_take_the_parity_of_their_first_generator():
     chart = chart_from_json(doc)
     parities = set()
     for seed in range(200):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        got = sampling.random_section(chart, ours)
+        got = assert_draws_multiple(sampling.random_section,
+                                    draws.reference_section, chart, seed)
         assert got.parity() is not None, seed
         parities.add(got.parity())
-        want = draws.reference_section(chart, theirs)
-        assert typed_terms(got) == typed_terms(want), seed
-        assert ours.random() == theirs.random(), seed
     assert parities == {0, 1}
 
 
@@ -65,8 +73,8 @@ def test_integral_multiple_clears_every_denominator():
     chart = gallery.build("quasi_poisson").chart
     scaled = 0
     for _ in range(200):
-        P = sampling.random_section(chart, rng)
-        Q = sampling.integral_multiple(P)
+        P = draws.reference_section(chart, rng)
+        Q = draws.integral_multiple(P)
         assert Q == P * multiplier(P)
         assert all(type(c) is int for c in Q.terms.values())
         scaled += multiplier(P) > 1
@@ -112,13 +120,13 @@ def test_summands_on_the_integer_multiples_scale_by_the_multipliers():
         for seed in SEEDS:
             rng = random.Random(seed)
             for i in range(2):
-                drawn = dict(s=sampling.random_section(chart, rng),
-                             p=sampling.random_section(chart, rng),
-                             l=sampling.random_section(chart, rng),
-                             f=sampling.random_base_function(chart, rng))
+                drawn = dict(s=draws.reference_section(chart, rng),
+                             p=draws.reference_section(chart, rng),
+                             l=draws.reference_section(chart, rng),
+                             f=draws.reference_base_function(chart, rng))
                 scale = {k: multiplier(x) for k, x in drawn.items()}
                 fractional += any(m > 1 for m in scale.values())
-                ints = {k: sampling.integral_multiple(x)
+                ints = {k: draws.integral_multiple(x)
                         for k, x in drawn.items()}
                 # the sweep's alpha: s on odd samples, s*l on even ones
                 for d in (drawn, ints):
@@ -135,3 +143,40 @@ def test_summands_on_the_integer_multiples_scale_by_the_multipliers():
     assert fractional > 100
     assert all(count > 0 for count in nonzero.values()), nonzero
     assert len(nonzero) == 11
+
+
+# sha256 of the to_text of every s, p, l and f the identity sweep evaluates
+# its rows on, for every catalogue name, seeds 0-9 and 4 samples, one line
+# per input in the order the rows receive them; taken from the sweep that
+# scaled Fraction draws to their integral multiples.
+SWEEP_INPUTS_SHA256 = (
+    "94e04e8590932a1dd3475a801609b34c674dbade2d54a575cea887560f0e13a0")
+
+
+def test_the_sweep_evaluates_its_rows_on_pinned_inputs(monkeypatch):
+    lines = []
+    anchor_defect = courant.anchor_defect
+    via_master = courant.jacobiator_via_master
+
+    def recording_anchor_defect(pair, tt, f):
+        lines.append("f " + to_text(f))
+        return anchor_defect(pair, tt, f)
+
+    def recording_via_master(tt, s, p, l):
+        lines.extend("%s %s" % (k, to_text(x))
+                     for k, x in zip("spl", (s, p, l)))
+        return via_master(tt, s, p, l)
+
+    monkeypatch.setattr(courant, "anchor_defect", recording_anchor_defect)
+    monkeypatch.setattr(courant, "jacobiator_via_master",
+                        recording_via_master)
+    for name in gallery.names():
+        inst = gallery.build(name)
+        tt = bracket(inst.default_potential, inst.default_potential)
+        for seed in SEEDS:
+            lines.append("%s %d" % (name, seed))
+            rows = cli.identity_sweep(inst, tt, random.Random(seed), 4)
+            assert all(row["ok"] for row in rows), (name, seed)
+    assert len(lines) == 16 * len(SEEDS) * (1 + 4 * 4)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SWEEP_INPUTS_SHA256
