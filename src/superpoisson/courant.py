@@ -14,8 +14,11 @@ The differential {T, f} of a function is ``complexes.q_theta``.
 The self-bracket {T, T} measures how far this structure is from a Courant
 algebroid.  classify() sorts potentials into three classes by one rule:
 for odd T the graded Jacobi identity gives {{T, T}, x} = 2 {T, {T, x}},
-so T is Nearly when {T, {T, x}} is nonzero for some base coordinate x,
-and otherwise {T, T} decides between Courant (zero) and PreCourant.
+so T is Nearly when {T, {T, x}} is nonzero for some base coordinate x.
+Otherwise T is PreCourant when {T, {T, e}} is nonzero for the first
+weight-1 generator e with {T, e} nonzero, and only when there is no such
+e or that witness is zero is {T, T} built, to decide between Courant
+(zero) and PreCourant.
 The closed forms built on {T, T} take it as an argument, so a caller that
 checks many samples computes it once: jacobiator_via_master, the
 right-hand side of anchor_defect, and complexes.naive_cohomology_condition,
@@ -247,8 +250,10 @@ class StructureClass:
     verdict is one of "Courant" ({T,T} = 0), "PreCourant" ({T,T} nonzero but
     killing every weight-0 function) or "Nearly" (neither).  For Nearly,
     witness_name/witness_value give the first base coordinate x with
-    {{T,T}, x} = 2 {T, {T, x}} nonzero, and that value.  sigma is {T,T},
-    computed from theta on its first read.
+    {{T,T}, x} = 2 {T, {T, x}} nonzero, and that value; they are None for
+    the other verdicts.  sigma is {T,T}, computed from theta on its first
+    read: by classify for a Courant class and for a PreCourant one that
+    has no nonzero weight-1 witness, else only when a caller reads it.
     """
 
     def __init__(self, theta, verdict, witness_name=None, witness_value=None):
@@ -273,7 +278,10 @@ class StructureClass:
 
 def classify(theta):
     """Sort a potential into Courant / PreCourant / Nearly: Nearly at the
-    first base coordinate x with {T, {T, x}} nonzero, else by {T, T}."""
+    first base coordinate x with {T, {T, x}} nonzero; else PreCourant when
+    {T, {T, e}} = (1/2) {{T, T}, e} is nonzero for the first weight-1
+    generator e with {T, e} nonzero; else, and only then building {T, T},
+    Courant when it is zero and PreCourant when it is not."""
     validate_potential(theta)
     chart = theta.chart
     for idx in chart.base_indices:
@@ -285,6 +293,14 @@ def classify(theta):
         if not value.is_zero:
             return StructureClass(theta, NEARLY, name, value * 2)
     sc = StructureClass(theta, PRE_COURANT)
+    # One witness only: scanning every e costs a Courant T more than {T, T}.
+    for idx in chart.section_indices:
+        rho = bracket(theta, chart.gen(chart.generators[idx].name))
+        if rho.is_zero:
+            continue
+        if not bracket(theta, rho).is_zero:
+            return sc
+        break
     if sc.sigma.is_zero:
         sc.verdict = COURANT
     return sc

@@ -398,15 +398,17 @@ def test_each_loaded_chart_is_validated_once(tmp_path, capsys, monkeypatch):
 
 
 def test_check_cross7_computes_each_self_bracket_once(bracket_calls, capsys):
-    # One {T, T} for the classification, which the naive condition and
-    # every sample of the identity sweep reuse, and one for the lift's
-    # classification.
+    # One {T, T}, built on the class's first read of sigma, which the
+    # naive condition and every sample of the identity sweep reuse.  The
+    # k = 2 lift is PreCourant by its weight-1 witness {T, {T, e}}, so its
+    # classification builds no self-bracket (it built one, two in all,
+    # before classify read that witness).
     assert run(capsys, ["check", "cross7"])[0] == 0
     selves = [X for X, Y in bracket_calls if X is Y]
     T = selves[0]
     assert to_text(T) == to_text(gallery.build("cross7").default_potential)
     assert sum(X is T for X in selves) == 1
-    assert len(selves) == 2
+    assert len(selves) == 1
 
 
 @pytest.mark.parametrize("argv", [

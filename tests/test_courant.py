@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -193,6 +194,63 @@ def test_classify_computes_the_self_bracket_on_first_read(bracket_calls):
     del bracket_calls[:]
     assert courant.classify(TL).verdict == "Nearly"
     assert len(bracket_calls) == 2
+
+
+def test_classify_decides_pre_courant_by_a_weight_1_witness(bracket_calls):
+    # cross7 and its k = 5 lift are PreCourant by {T, {T, e}} for their
+    # first weight-1 generator e, so classify builds no {T, T}; a read of
+    # sigma builds it once.
+    T7 = gallery.build("cross7").default_potential
+    for T in (T7, lifts.complete_lift(T7, 5)):
+        del bracket_calls[:]
+        sc = courant.classify(T)
+        assert sc.verdict == "PreCourant"
+        assert sc.witness_name is None and sc.witness_value is None
+        assert not any(X is Y for X, Y in bracket_calls)
+        del bracket_calls[:]
+        sigma = sc.sigma
+        assert [(X, Y) for X, Y in bracket_calls if X is Y] == [(T, T)]
+        assert sigma == bracket(T, T)
+    # On a Courant potential the witness is zero, and {T, T} decides.
+    T3 = lifts.complete_lift(gallery.build("cross3").default_potential, 3)
+    del bracket_calls[:]
+    assert courant.classify(T3).verdict == "Courant"
+    assert [(X, Y) for X, Y in bracket_calls if X is Y] == [(T3, T3)]
+
+
+def test_classify_agrees_with_the_self_bracket_route_on_drawn_potentials():
+    # Sums of one to four drawn potentials on point and base charts, and
+    # k = 2, 3 lifts of every fourth round.  "by sigma" counts the classes
+    # that had built {T, T} when classify returned: every Courant class,
+    # and a PreCourant one only when its weight-1 witness is zero.
+    rng = random.Random(35)
+    charts = [make_darboux_chart(0, 4), make_darboux_chart(0, 5),
+              make_darboux_chart(1, 4),
+              make_darboux_chart(0, 4, metric=hyperbolic_metric(2)),
+              make_cotangent_antivb_chart(1, 3)]
+    seen = collections.Counter()
+    for r in range(60):
+        for ch in charts:
+            T = ch.zero()
+            for _ in range(rng.randint(1, 4)):
+                T = T + draws.random_potential(ch, rng)
+            potentials = [T]
+            if r % 4 == 0:
+                potentials.append(lifts.complete_lift(T, 2 + r // 4 % 2))
+            for P in potentials:
+                got = courant.classify(P)
+                by_sigma = "sigma" in vars(got)
+                want = routes.classify_by_self_bracket(P)
+                assert got.verdict == want.verdict, to_text(P)
+                assert got.witness_name == want.witness_name, to_text(P)
+                assert got.witness_value == want.witness_value, to_text(P)
+                assert got.sigma == want.sigma, to_text(P)
+                seen[got.verdict, by_sigma] += 1
+    # 195, 72, 4 and 104 of the 375 classes.
+    least = {("Courant", True): 150, ("PreCourant", False): 60,
+             ("PreCourant", True): 3, ("Nearly", False): 80}
+    assert set(seen) == set(least)
+    assert all(seen[key] >= n for key, n in least.items())
 
 
 def test_metric_frame_reproduces_metric():

@@ -204,7 +204,7 @@ def test_check_instance_classifies_each_potential_once(monkeypatch, name,
     assert len(calls) <= most
 
 
-@pytest.mark.parametrize("name, calls", [("cross7", 53), ("rflux", 46)])
+@pytest.mark.parametrize("name, calls", [("cross7", 56), ("rflux", 63)])
 def test_check_instance_bracket_count(bracket_calls, name, calls):
     # naive_membership contracts by the base coordinates only,
     # constant_l1_basis does not test its own nullspace again, and the
@@ -217,7 +217,16 @@ def test_check_instance_bracket_count(bracket_calls, name, calls):
     # {T, x_a} six times) before.  classify brackets {T, x} for every base
     # coordinate x of a potential that is not Nearly, and {T, {T, x}} when
     # {T, x} is nonzero: rflux makes 24 such calls for its two pencil
-    # members and its lift; cross7 has no base coordinates.
+    # members and its lift; cross7 has no base coordinates.  It then
+    # brackets T with the weight-1 generators up to the first e with
+    # {T, e} nonzero, makes the witness {T, {T, e}}, and builds {T, T}
+    # only when that witness is zero.  cross7: 2 calls each for the
+    # potential and its k = 2 lift, both PreCourant by witness, and the
+    # naive condition's read of the potential's {T, T}; the lift's {T, T}
+    # is no longer built (53 + 4 - 1).  rflux meets 4 zero {T, e} first in
+    # each of its three classes, so 6 calls each; the Courant member at
+    # lambda 0 still builds its {T, T}, the twist check reads that of
+    # lambda 1, and the lift's is no longer built (46 + 18 - 1).
     inst = gallery.build(name)
     del bracket_calls[:]
     failures, sc = gallery.check_instance(inst)
