@@ -152,24 +152,25 @@ def _total_derivative(terms, up, base):
     """D on a term dict.  up maps a copy g_eps below lift weight k - 1 to
     (g_(eps+1), eps + 1), which has the larger index.  g_eps^e gives
     e (eps + 1) g_eps^(e-1) g_(eps+1); an odd g_eps is replaced in place by
-    (eps + 1) g_(eps+1) with the Koszul sign of re-sorting, or gives 0 when
-    g_(eps+1) is already there.  base lists the true-base copies."""
+    (eps + 1) g_(eps+1) with the Koszul sign of re-sorting.  base lists the
+    true-base copies.
+
+    Pass j of _lift hands over terms of lift weight j <= k - 2, so every
+    factor is a copy below k - 1 and up has it.  D only raises the copy of
+    a factor, so a term's odd factors hold each base generator at most
+    once, as P_0's do, and g_(eps+1) is never already among them."""
     out = defaultdict(int)
     chains = {}
     for (scal, even, odd), c in terms.items():
         for pos, (gi, e) in enumerate(even):
-            step = up.get(gi)
-            if step is not None:
-                gj, w = step
-                head = even[:pos] + ((gi, e - 1),) if e > 1 else even[:pos]
-                out[scal, head + _bump(even[pos + 1:], gj), odd] += c * e * w
+            gj, w = up[gi]
+            head = even[:pos] + ((gi, e - 1),) if e > 1 else even[:pos]
+            out[scal, head + _bump(even[pos + 1:], gj), odd] += c * e * w
         for pos, gi in enumerate(odd):
-            step = up.get(gi)
-            if step is not None and step[0] not in odd:
-                gj, w = step
-                at = bisect_left(odd, gj, pos)
-                moved = odd[:pos] + odd[pos + 1:at] + (gj,) + odd[at:]
-                out[scal, even, moved] += c * w if (at - pos) & 1 else -c * w
+            gj, w = up[gi]
+            at = bisect_left(odd, gj, pos)
+            moved = odd[:pos] + odd[pos + 1:at] + (gj,) + odd[at:]
+            out[scal, even, moved] += c * w if (at - pos) & 1 else -c * w
         if scal:
             if scal not in chains:
                 chains[scal] = _chain_rule(scal, base, up)

@@ -17,11 +17,13 @@ with the element, so an element bracketed many times is differentiated once.
 
 Products have one loop, mul_terms_into, which multiplies two term dicts
 into an accumulator; SuperPoly products, the Poisson bracket and every
-other product of term dicts go through it.  It merges the common cases
-inline: an empty symbol, even or odd part on either side, a right factor
-with one odd index, and two odd pairs.  Only an odd merge longer than
-that calls _merge_odd, only two nonempty even parts call _merge_even, and
-only two nonempty symbol parts are sorted.
+other product of term dicts go through it.  An empty symbol, even or odd
+part on either side is the other side as it is.  Two nonempty odd parts
+follow one rule: for each right index, bisect_left into the left part
+finds a repeated index (an odd square, so the term is zero) and counts the
+larger left indices; the Koszul sign is the parity of that count, and the
+merged part is the sorted concatenation.  Only two nonempty even parts
+call _merge_even, and only two nonempty symbol parts are sorted.
 
 Scalars have one rule too, in _scalar, which products, sums, comparisons,
 constants, the coefficients given to SuperPoly(chart, terms) and the
@@ -118,32 +120,6 @@ def _scalar(x):
     return None
 
 
-def _merge_odd(a, b):
-    """Merge two nonempty ascending odd-index tuples; return (merged,
-    koszul_sign).
-
-    Returns None when an index repeats (odd square is zero).  The sign is
-    (-1)**inversions where inversions counts the transpositions needed to
-    sort the concatenation a + b.
-    """
-    out = []
-    i = j = 0
-    inv = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            inv += len(a) - i
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1 if inv & 1 else 1)
-
-
 def _merge_even(a, b):
     """Merge two nonempty (index, exponent) tuples, adding exponents."""
     acc = dict(a)
@@ -159,10 +135,11 @@ def mul_terms_into(acc, left, right, scale=None):
     term dict; both SuperPoly products and the Poisson bracket accumulate
     through here.
 
-    This is the engine's inner loop, so the common merges run inline: an
-    empty side of any of the three key parts is the other side as it is, a
-    right factor with one odd index is inserted by bisection, and two odd
-    pairs are merged by comparing their four indices.
+    An empty side of any of the three key parts is the other side as it
+    is.  Two nonempty odd parts o1, o2 have one rule: bisect_left of each
+    index of o2 into o1 finds a repeated index (the term is zero) and the
+    number of o1's indices above it; the Koszul sign is the parity of the
+    sum of those numbers, and the merged part is sorted(o1 + o2).
     """
     get = acc.get
     for (s1, e1, o1), c1 in left.items():
@@ -178,42 +155,19 @@ def mul_terms_into(acc, left, right, scale=None):
                 odd = o1
             elif not n1:
                 odd = o2
-            elif n2 == 1:
-                j = o2[0]
-                p = bisect_left(o1, j)
-                if p < n1 and o1[p] == j:
-                    continue
-                odd = o1[:p] + o2 + o1[p:]
-                neg = (n1 - p) & 1
-            elif n1 == 2 and n2 == 2:
-                a0, a1 = o1
-                b0, b1 = o2
-                if a1 < b0:
-                    odd = o1 + o2
-                elif b1 < a0:
-                    odd = o2 + o1
-                elif a0 == b0 or a0 == b1 or a1 == b0 or a1 == b1:
-                    continue
-                elif a0 < b0:
-                    # a0 < b0 < a1: one transposition if a1 < b1, else two
-                    if a1 < b1:
-                        odd = (a0, b0, a1, b1)
-                        neg = True
-                    else:
-                        odd = (a0, b0, b1, a1)
-                else:
-                    # b0 < a0 < b1: two transpositions if a1 < b1, else three
-                    if a1 < b1:
-                        odd = (b0, a0, a1, b1)
-                    else:
-                        odd = (b0, a0, b1, a1)
-                        neg = True
             else:
-                merged = _merge_odd(o1, o2)
-                if merged is None:
+                # inv -1 marks a shared index: an odd square, a zero term
+                inv = 0
+                for j in o2:
+                    p = bisect_left(o1, j)
+                    if p < n1 and o1[p] == j:
+                        inv = -1
+                        break
+                    inv += n1 - p
+                if inv < 0:
                     continue
-                odd, sign = merged
-                neg = sign < 0
+                odd = tuple(sorted(o1 + o2))
+                neg = inv & 1
             if not s1 or not s2:
                 scal = s1 + s2
             else:

@@ -678,27 +678,36 @@ def _set(*path_and_value):
     return edit
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_set("chart", "pairing", 0, 2, "x"),
+@pytest.mark.parametrize("name, edit, message", [
+    ("cross3", _set("chart", "pairing", 0, 2, "x"),
      'chart.pairing[0][2]: expected a rational like "3/2", got "x"'),
-    (_set("chart", "pairing", 0, ["xi1", "pi1"]),
+    ("cross3", _set("chart", "pairing", 0, ["xi1", "pi1"]),
      'chart.pairing[0]: expected a list of 3 entries, got ["xi1", "pi1"]'),
-    (_set("chart", "generators", 0, "parity", "neutral"),
+    ("cross3", _set("chart", "generators", 0, "parity", "neutral"),
      'chart.generators[0].parity: expected one of "even", "odd", 0, 1, '
      'got "neutral"'),
-    (_set("lift", "k", 1),
+    ("cross3", _set("lift", "k", 1),
      "lift.k: expected an integer of at least 2, got 1"),
-    (_set("expected", "spots", 0, "args", ["pi1"]),
+    ("cross3", _set("expected", "spots", 0, "args", ["pi1"]),
      "expected.spots[0].args: pre_bracket takes 2 arguments, got 1"),
-    (_set("chart", "generators", 0, "weight", [1]),
+    ("cross3", _set("chart", "generators", 0, "weight", [1]),
      "chart.generators[0].weight: expected 2 entries, one per axis, got 1"),
-    (_set("chart", "symplectic_axes", [0, 2]),
+    ("cross3", _set("chart", "symplectic_axes", [0, 2]),
      "chart.symplectic_axes[1]: axis 2 out of range for 2 axes"),
+    # a string where a list of strings is expected is refused, not read
+    # as its characters
+    ("cross3", _set("l_elements", "xi1"),
+     'l_elements: expected a list, got "xi1"'),
+    ("cross3", _set("expected", "spots", 0, "args", "pi1"),
+     'expected.spots[0].args: expected a list, got "pi1"'),
+    ("cross7", _set("dirac", "vanish", "pi1"),
+     'dirac.vanish: expected a list, got "pi1"'),
 ], ids=["rational", "pairing-length", "parity", "lift-k", "spot-arity",
-        "weight-length", "symplectic-axis"])
-def test_each_malformed_field_is_refused_with_its_path(tmp_path, capsys, edit,
-                                                       message):
-    path = write_instance(tmp_path, "cross3", edit)
+        "weight-length", "symplectic-axis", "elements-string",
+        "spot-args-string", "vanish-string"])
+def test_each_malformed_field_is_refused_with_its_path(tmp_path, capsys, name,
+                                                       edit, message):
+    path = write_instance(tmp_path, name, edit)
     code, out, err = run(capsys, ["check", path])
     assert code == 2
     assert out == ""

@@ -260,6 +260,17 @@ def test_weight_table_reports_a_potential_of_the_wrong_lift_weight(
                for p in high["problems"])
 
 
+def test_validate_potential_names_the_lift_degree_and_weight():
+    inst = gallery.build("cross3")
+    lifted = lifts.tangent_lift_chart(lifts.flatten_chart(inst.chart), 3)
+    courant.validate_potential(parse_expr(lifted, "xi1_0*xi2_1*xi3_1"))
+    with pytest.raises(PotentialError) as refused:
+        courant.validate_potential(parse_expr(lifted, "xi1_0*xi2_0*xi3_1"))
+    assert str(refused.value) == (
+        "potential on a degree-3 lifted chart must have lift weight 2; "
+        "term xi1_0*xi2_0*xi3_1 has 1")
+
+
 def test_weight_table_needs_lifted_chart():
     inst = gallery.build("cross3")
     with pytest.raises(LiftError, match="lift degree"):

@@ -10,6 +10,8 @@ import json
 import random
 import re
 
+import pytest
+
 from superpoisson import cli, gallery
 
 SEED = 20261018
@@ -174,3 +176,24 @@ def test_mutated_lifted_instance_files_exit_0_1_or_2(tmp_path, capsys):
                 assert code in (0, 1, 2), (name, mutate.__name__, d)
                 codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def flip_residual_zero(d, rng):
+    dirac = d["expected"]["dirac"]
+    dirac["residual_zero"] = not dirac["residual_zero"]
+
+
+def not_isotropic(d, rng):
+    d["expected"]["dirac"]["isotropic"] = False
+
+
+@pytest.mark.parametrize("name, mutate, failure", [
+    ("vb_twist", flip_residual_zero,
+     "graph residual zero is False, expected True"),
+    ("vb_dirac", not_isotropic, "graph isotropy is True, expected False"),
+], ids=["residual-zero", "isotropic"])
+def test_a_wrong_dirac_expectation_fails_the_check(tmp_path, capsys, name,
+                                                    mutate, failure):
+    code, out, _d = check_mutated(tmp_path, capsys, name, mutate, None, 0)
+    assert code == 1
+    assert json.loads(out)["failures"] == [failure]

@@ -170,20 +170,17 @@ def test_products_agree_with_the_ordered_word_oracle():
                 assert_product({}, left, right, scale)
 
 
-def test_inlined_odd_merges_agree_with_the_oracle_exhaustively():
-    # every two-by-two merge and every one-index right factor over a small
-    # pool, so each interleaving and each repeated index occurs
+def test_every_odd_merge_of_up_to_three_indices_agrees_with_the_oracle():
+    # every pair of odd parts of length 1-3 over a 6-index pool, so each
+    # interleaving, each Koszul sign and each repeated index occurs
     ch = make_darboux_chart(1, 6)
     pool = [g.index for g in ch.generators if g.parity]
-    pairs = [(a, b) for a in pool[:5] for b in pool[:5] if a < b]
-    for o1 in pairs:
-        for o2 in pairs:
-            assert_product({}, {((), (), o1): 1}, {((), (), o2): 3}, None)
-    lefts = [o1 for n in range(5) for o1 in itertools.combinations(pool, n)]
-    for o1 in lefts:
-        for j in pool:
+    assert len(pool) == 6
+    parts = [o for n in (1, 2, 3) for o in itertools.combinations(pool, n)]
+    for o1 in parts:
+        for o2 in parts:
             assert_product({}, {((), (), o1): Fraction(1, 2)},
-                           {((), (), (j,)): 2}, 3)
+                           {((), (), o2): 3}, 2)
 
 
 def test_products_cancel_inside_a_filled_accumulator():
@@ -398,6 +395,18 @@ def test_scalar_products_store_coefficients_int_first():
                     assert Q.chart is ch and Q.terms == want, (to_text(P), c)
             assert P * 1 is P
             assert P * True is P
+
+
+def test_a_scalar_minus_an_element_is_the_negated_difference():
+    rng = random.Random(18)
+    for ch in _scalar_charts():
+        for _ in range(10):
+            P = draws.random_homogeneous(ch, rng)
+            for c in (3, Fraction(-5, 2)):
+                Q = c - P
+                assert_int_first(Q)
+                assert Q == -(P - c) and Q.chart is ch, (to_text(P), c)
+                assert Q + P == c
 
 
 def test_constants_and_scalar_brackets_store_coefficients_int_first():
