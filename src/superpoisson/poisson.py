@@ -17,20 +17,24 @@ which the test suite checks term by term against an independent
 transcription of that display.
 
 Each argument is differentiated at most once, through SuperPoly.gradient,
-which alone decides what an element keeps.  Y is always differentiated by
-every generator, so its full gradient is taken and kept with Y: the frame
-sections and coordinates that stand on the right of many brackets are
-differentiated once.  X is asked only for the pairing partners of Y's
-derivative indices, since no other d_g X meets a nonzero d_h Y; it answers
+which alone decides what an element keeps.  One rule picks the side that
+is differentiated in full: the argument with fewer terms, and Y when the
+two have as many terms (so also when X is Y).  That side's full gradient
+is taken and kept with it, so the frame sections and coordinates that
+meet many larger elements are differentiated once.  The other side is
+asked only for the pairing partners of those derivative indices, since
+no other derivative meets a nonzero one across the pairing; it answers
 with its kept full gradient when it has one and otherwise takes those
-derivatives alone and keeps nothing.  X's full gradient is not taken and
-kept on first use: a large X bracketed once (a potential with formal
-symbols, hundreds of terms) would pay the chain rule on every base
-coordinate for derivatives that no d_h Y meets.  A caller that brackets
-one X with many Y takes X.gradient() itself, and every later bracket
-reads it: complexes.classical_naive_differential does so for theta, psi,
-the anchor vectors, the derived brackets and the nodes of its walk, and
-reads off the kept gradients which of those brackets are zero.
+derivatives alone and keeps nothing.  So a large element bracketed once
+(a potential with formal symbols, hundreds of terms) does not pay the
+chain rule on every base coordinate for derivatives that the smaller
+side never meets.  A caller that brackets one element with many takes
+its gradient() itself, and every later bracket reads it:
+complexes.classical_naive_differential does so for theta, psi, the
+anchor vectors, the derived brackets and the nodes of its walk, and
+reads off the kept gradients which of those brackets are zero.  Which
+side is full changes neither the products nor their order, so the
+result, its term-dict order included, is the same either way.
 
 For odd X the entries (g, h) and (h, g) add the same term to {X, X}, so
 {X, X} = sum over g < h of 2 (d_g X) P^gh (d_h X) plus the diagonal once,
@@ -46,10 +50,13 @@ from .superpoly import ODD, SuperPoly, mul_terms_into
 def bracket(X, Y):
     """Graded Poisson bracket of two elements of one chart.
 
-    Takes the full gradient of Y through Y.gradient(), which keeps it with
-    Y, and asks X.gradient only for the pairing partners of Y's derivative
-    indices, which X answers from a kept full gradient when it has one.  Each derivative of X by an odd generator that meets some
-    d_h Y carries the sign (-1)^(X~+1) term by term.
+    When X has fewer terms than Y, takes X's full gradient through
+    X.gradient(), which keeps it with X, and asks Y.gradient only for the
+    pairing partners of X's derivative indices; otherwise (a tie, and X is
+    Y, included) the same with the roles of X and Y exchanged.  The
+    partial side answers from a kept full gradient when it has one.  Each
+    derivative of X by an odd generator that meets some d_h Y carries the
+    sign (-1)^(X~+1) term by term.
 
     When Y is X and X is odd, the one gradient of X serves both sides:
     each entry (g, h) with g < h is folded onto (h, g) with coefficient
@@ -66,9 +73,13 @@ def bracket(X, Y):
     gens = chart.generators
     rows = chart.pairing_rows
     fold = X is Y and X.parity() == ODD
-    dY = Y.gradient()
-    # dY itself when X is Y
-    dX = X.gradient({gi for hj in dY for gi, _ in rows.get(hj, ())})
+    if len(X.terms) < len(Y.terms):
+        dX = X.gradient()
+        dY = Y.gradient({hj for gi in dX for hj, _ in rows.get(gi, ())})
+    else:
+        dY = Y.gradient()
+        # dY itself when X is Y
+        dX = X.gradient({gi for hj in dY for gi, _ in rows.get(hj, ())})
     acc = {}
     for gi in sorted(dX):
         dXg = dX[gi]

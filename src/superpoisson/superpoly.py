@@ -13,7 +13,11 @@ decidable, exact statement.  Left derivatives have one rule, in
 left_gradient, which takes all of an element's derivatives in one pass over
 its terms; the Poisson bracket differentiates each argument once with it.
 SuperPoly.gradient takes that full gradient on its first call and keeps it
-with the element, so an element bracketed many times is differentiated once.
+with the element.  The bracket takes and keeps the full gradient of its
+argument with fewer terms (Y on a tie) and asks the other only for the
+derivatives that meet it, a pass that keeps nothing; so an element that
+is the smaller side of many brackets, or whose gradient() its caller
+takes, is differentiated once.
 
 Products have one loop, mul_terms_into, which multiplies two term dicts
 into an accumulator; SuperPoly products, the Poisson bracket and every

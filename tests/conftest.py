@@ -23,3 +23,21 @@ def bracket_calls(monkeypatch):
                 and getattr(module, "bracket", None) is original):
             monkeypatch.setattr(module, "bracket", counting)
     return calls
+
+
+@pytest.fixture
+def derivative_terms(monkeypatch):
+    """A list that grows by one entry per left_gradient pass, the number of
+    derivative terms that pass builds, while the test runs.
+    SuperPoly.gradient takes every pass the engine makes."""
+    from superpoisson import superpoly
+    original = superpoly.left_gradient
+    counts = []
+
+    def counting(P, wanted=None):
+        grad = original(P, wanted)
+        counts.append(sum(len(d) for d in grad.values()))
+        return grad
+
+    monkeypatch.setattr(superpoly, "left_gradient", counting)
+    return counts

@@ -411,6 +411,20 @@ def test_check_cross7_computes_each_self_bracket_once(bracket_calls, capsys):
     assert len(selves) == 1
 
 
+def test_check_quasi_poisson_differentiates_the_larger_side_partially(
+        derivative_terms, capsys):
+    # The bracket differentiates its smaller argument in full and asks the
+    # larger one only for the derivatives that meet it: 2,617 derivative
+    # terms.  Taking the right argument's full gradient whatever its size
+    # built 4,104, most of them chain-rule terms of symbol-carrying
+    # potentials that no derivative of the smaller side meets.
+    code, out, _err = run(capsys, ["check", "quasi_poisson", "--json",
+                                   "--seed", "5", "--samples", "4"])
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    assert sum(derivative_terms) <= 3000, sum(derivative_terms)
+
+
 @pytest.mark.parametrize("argv", [
     ["bracket", "cross3", "--pre", "xi1+xi1*xi2", "pi1"],
     ["jacobiator", "cross7", "xi1+xi1*xi2", "pi1", "pi2"],

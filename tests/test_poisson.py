@@ -106,22 +106,63 @@ def test_bracket_spot_values():
     assert out == parse_expr(ch, "D[g; x1]")
 
 
+# Elements of make_darboux_chart(2, 2).  The mixed-parity elements at the
+# end take the bracket's per-term sign.
+SYMBOL_CARRIERS = ["g", "g*xi1", "g*xi2", "p1*xi1", "p1*xi2", "g*p1",
+                   "g*p2*xi1", "D[g; x1]*xi2", "g*h", "x1*h*xi2", "xi1*xi2",
+                   "p1*p2", "x2", "g + xi1", "p1*xi1 + x2",
+                   "D[g; x1]*xi2 + p2", "x1*xi1*xi2 + h*xi2 - p1"]
+
+
 def test_literal_darboux_formula_on_symbol_carriers():
     # A symbol's chain rule reaches the base coordinates even when no base
     # coordinate is written, so those pairs must not be skipped.
     ch = make_darboux_chart(2, 2)
-    # The mixed-parity elements at the end take the bracket's per-term sign.
-    texts = ["g", "g*xi1", "g*xi2", "p1*xi1", "p1*xi2", "g*p1", "g*p2*xi1",
-             "D[g; x1]*xi2", "g*h", "x1*h*xi2", "xi1*xi2", "p1*p2", "x2",
-             "g + xi1", "p1*xi1 + x2", "D[g; x1]*xi2 + p2",
-             "x1*xi1*xi2 + h*xi2 - p1"]
-    elements = [parse_expr(ch, t) for t in texts]
+    elements = [parse_expr(ch, t) for t in SYMBOL_CARRIERS]
     for X in elements:
         for Y in elements:
             assert bracket(X, Y) == oracles.darboux_literal_bracket(X, Y), \
                 (to_text(X), to_text(Y))
     assert bracket(parse_expr(ch, "g*xi1"), parse_expr(ch, "p1*xi2")) \
         == parse_expr(ch, "-D[g; x1]*xi1*xi2")
+
+
+def test_bracket_is_independent_of_which_side_is_differentiated_in_full():
+    # The smaller argument is differentiated in full and the larger one
+    # only where they meet (Y in full on a tie).  A gradient that either
+    # side already keeps is read instead, so the four states below take
+    # every branch; each must give the literal formula, in one term order.
+    ch = make_darboux_chart(2, 2)
+    pool = [parse_expr(ch, t) for t in SYMBOL_CARRIERS]
+
+    def fresh(P):
+        return SuperPoly(ch, dict(P.terms))
+
+    # every ordered pair; on the diagonal the fresh copies are two distinct
+    # elements with as many terms
+    pairs = [(A, B) for A in pool for B in pool]
+    sizes = {(len(A.terms) > len(B.terms)) - (len(A.terms) < len(B.terms))
+             for A, B in pairs}
+    assert sizes == {-1, 0, 1}
+    for A, B in pairs:
+        want = oracles.darboux_literal_bracket(A, B)
+        orders = set()
+        for keep_x in (False, True):
+            for keep_y in (False, True):
+                X, Y = fresh(A), fresh(B)
+                if keep_x:
+                    X.gradient()
+                if keep_y:
+                    Y.gradient()
+                out = bracket(X, Y)
+                assert out == want, (to_text(A), to_text(B), keep_x, keep_y)
+                orders.add(tuple(out.terms))
+        assert len(orders) == 1, (to_text(A), to_text(B))
+        if A is B:
+            # X is Y, first with no kept gradient, then with the one kept
+            X = fresh(A)
+            assert bracket(X, X) == want
+            assert bracket(X, X) == want
 
 
 def record_gradients(monkeypatch, elements=None):
@@ -152,6 +193,25 @@ def test_bracket_differentiates_only_by_supported_generators(monkeypatch):
     assert bracket(ch.gen("xi1"), ch.gen("pi1")) == 1
     assert sorted(name for names in passes for name in names) \
         == ["pi1", "xi1"]
+
+
+def test_larger_side_is_differentiated_only_where_it_meets(monkeypatch):
+    # One term against the quasi_poisson potential, whose symbols make its
+    # full gradient reach every base coordinate: the potential is asked
+    # only for p1 and pi1, the partners of the term's x1 and xs1.
+    differentiated = []
+    passes = record_gradients(monkeypatch, differentiated)
+    T = gallery.build("quasi_poisson").default_potential
+    ch = T.chart
+    X = parse_expr(ch, "x1*xs1")
+    assert len(X.terms) == 1 < len(T.terms)
+    assert not bracket(X, T).is_zero
+    assert [P is X for P in differentiated] == [True, False]
+    partners = {ch.generators[hj].name for gi in X.gradient()
+                for hj, _ in ch.pairing_rows.get(gi, ())}
+    assert partners == {"p1", "pi1"}
+    assert passes[1] and set(passes[1]) <= partners, passes
+    assert len(passes[1]) < len(T.gradient())
 
 
 def test_self_bracket_fold_equals_ordered_walk_on_catalogue_lifts():
