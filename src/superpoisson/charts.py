@@ -2,11 +2,15 @@
 
 A Chart is an ordered list of graded generators together with the constant
 symplectic pairing data {g, h} = P^gh (conjugate pairs and, on metric
-charts, the odd metric block).  The pairing is stored completed to graded
-antisymmetry P^gh = -(-1)^(g~ h~) P^hg, and every structural invariant the
-bracket engine relies on (weight compatibility, parity compatibility,
-nondegeneracy over the rationals) is checked here, not in the engine.
-Nondegeneracy is checked by one exact rank of the sparse pairing rows.
+charts, the odd metric block).  The pairing seeds are kept as given in
+Chart.pairing_given, a coefficient other than an int or a Fraction read as
+a Fraction; the pairing itself is stored completed to graded antisymmetry
+P^gh = -(-1)^(g~ h~) P^hg in Chart.pairing_rows, one sorted row of
+(partner, coefficient) per generator with each coefficient integer-first.
+Every structural invariant the bracket engine relies on (weight
+compatibility, parity compatibility, nondegeneracy over the rationals) is
+checked here, not in the engine.  Nondegeneracy is checked by one exact
+rank of the sparse pairing rows.
 
 The grading is decided here and nowhere else: Chart.symplectic_weight and
 Chart.lift_weight sum a weight vector over the symplectic axes and over
@@ -17,8 +21,7 @@ Chart.term_grading(key) adds up the stored gradings of a term's factors,
 so no caller sums a weight vector per term.  The sectors are read off the
 gradings: base_indices (symplectic weight 0), section_indices (weight 1)
 and true_base_indices (even, weight 0 on every axis).  The structural
-checks read those stored values and the pairing rows, whose entries are
-sorted once.
+checks read those stored values and the pairing rows.
 
 Every chart, loaded, flattened or lifted, is built and checked by the same
 constructor, and every lift and flattening builds a new chart, so the
@@ -64,7 +67,7 @@ class Chart:
         self.name_to_index = index = {}
         for g in self.generators:
             index.setdefault(g.name, g.index)
-        self.pairing_given = [(g, h, c if type(c) is Fraction
+        self.pairing_given = [(g, h, c if type(c) in (int, Fraction)
                                else Fraction(c)) for g, h, c in pairing]
         self.metric = None
         if metric is not None:
@@ -82,15 +85,14 @@ class Chart:
         self.lift_degree = lift_degree
 
         self._problems = []
-        self.pairing = {}
-        self._complete_pairing()
+        pairing = self._complete_pairing()
         # The sectors are read off the weight vectors, which a chart with a
         # shape problem cannot sum; its shape problems are the answer.
         shape = _shape_problems(self)
         if shape:
             self._problems.extend(shape)
         else:
-            self._index_sectors()
+            self._index_sectors(pairing)
             self._problems.extend(_structural_problems(self))
         if strict and self._problems:
             raise ChartError("invalid chart %r: %s"
@@ -99,7 +101,9 @@ class Chart:
     # -- construction helpers -------------------------------------------
 
     def _complete_pairing(self):
-        index, gens, pairing = self.name_to_index, self.generators, self.pairing
+        """The seeds completed to graded antisymmetry, as one dict
+        {(gi, hj): coefficient} with each coefficient integer-first."""
+        index, gens, pairing = self.name_to_index, self.generators, {}
         for gname, hname, c in self.pairing_given:
             gi = index.get(gname)
             hj = index.get(hname)
@@ -110,9 +114,8 @@ class Chart:
                 continue
             if not c:
                 continue
+            c = _norm(c)
             g = gens[gi]
-            # graded antisymmetry: P^hg = -(-1)^(g~ h~) P^gh
-            mirror = c if g.parity and gens[hj].parity else -c
             if gi == hj:
                 if g.parity == EVEN:
                     self._problems.append(
@@ -133,14 +136,16 @@ class Chart:
                         % (gname, hname, pairing[gi, hj], c))
                 continue
             pairing[gi, hj] = c
-            pairing[hj, gi] = mirror
+            # graded antisymmetry: P^hg = -(-1)^(g~ h~) P^gh
+            pairing[hj, gi] = c if g.parity and gens[hj].parity else -c
+        return pairing
 
-    def _index_sectors(self):
+    def _index_sectors(self, pairing):
         """Each generator's grading, summed once for each distinct weight
-        vector, the sectors read off the gradings, and the pairing rows,
-        from one sort of the pairing."""
-        by_weight = {}
+        vector, the sectors read off the gradings, and the pairing rows:
+        the completed pairing, sorted."""
         gradings, base, section, true_base = [], [], [], []
+        by_weight = {}
         for g in self.generators:
             grading = by_weight.get(g.weight)
             if grading is None:
@@ -158,11 +163,9 @@ class Chart:
         self.base_indices = tuple(base)
         self.section_indices = tuple(section)
         self.true_base_indices = tuple(true_base)
-        # The bracket's pairing coefficients, stored integer-first like every
-        # SuperPoly coefficient; self.pairing keeps the Fractions.
-        pairing, rows = self.pairing, {}
-        for gi, hj in sorted(pairing):
-            rows.setdefault(gi, []).append((hj, _norm(pairing[gi, hj])))
+        rows = {}
+        for (gi, hj), c in sorted(pairing.items()):
+            rows.setdefault(gi, []).append((hj, c))
         self.pairing_rows = {gi: tuple(row) for gi, row in rows.items()}
 
     # -- lookups ---------------------------------------------------------
@@ -322,9 +325,9 @@ def _structural_problems(chart):
                     if chart.generators[idxs[a]].parity != ODD:
                         problems.append(
                             "metric generator %s is not odd" % mnames[a])
+                    row = dict(chart.pairing_rows.get(idxs[a], ()))
                     for b in range(r):
-                        got = chart.pairing.get((idxs[a], idxs[b]),
-                                                Fraction(0))
+                        got = row.get(idxs[b], 0)
                         if got != rows[a][b]:
                             problems.append(
                                 "pairing {%s,%s} = %s disagrees with the "

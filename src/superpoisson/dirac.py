@@ -158,13 +158,9 @@ def is_isotropic(graph):
     if graph.kind != "coords":
         return True
     chart = graph.chart
-    alive = [i for i in graph.survivor_indices()
-             if i in chart.section_indices]
-    for i in alive:
-        for j in alive:
-            if chart.pairing.get((i, j), 0) != 0:
-                return False
-    return True
+    alive = set(graph.survivor_indices()).intersection(chart.section_indices)
+    return not any(j in alive for i in alive
+                   for j, _ in chart.pairing_rows.get(i, ()))
 
 
 def graph_from_json(chart, data):

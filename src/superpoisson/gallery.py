@@ -296,8 +296,7 @@ def run_all():
 # object (a key ending in "?" is optional, other keys are ignored), or a
 # function (value, path) that raises GalleryError itself.  A path is None
 # at the top or (parent path, key or index); it is spelled out only when
-# something is wrong.  Values that json.load made of exactly the type a
-# spec names are passed without a call, which keeps loading cheap.
+# something is wrong.
 
 RATIONAL = "rational"
 
@@ -338,12 +337,9 @@ def _check(value, spec, path):
     elif callable(spec):
         spec(value, path)
     elif isinstance(spec, list):
-        if type(value) is not list:
-            _check(value, list, path)
-        sub = spec[0]
+        _check(value, list, path)
         for i, item in enumerate(value):
-            if type(item) is not sub:
-                _check(item, sub, (path, i))
+            _check(item, spec[0], (path, i))
     elif isinstance(spec, tuple):
         if not isinstance(value, list) or len(value) != len(spec):
             _malformed(path, "expected a list of %d entries, got %s"
@@ -351,13 +347,11 @@ def _check(value, spec, path):
         for i, (item, sub) in enumerate(zip(value, spec)):
             _check(item, sub, (path, i))
     else:
-        if type(value) is not dict:
-            _check(value, dict, path)
+        _check(value, dict, path)
         for key, sub in spec.items():
             name = key.rstrip("?")
             if name in value:
-                if type(value[name]) is not sub:
-                    _check(value[name], sub, (path, name))
+                _check(value[name], sub, (path, name))
             elif not key.endswith("?"):
                 _malformed((path, name), "missing")
 
@@ -513,7 +507,7 @@ def instance_from_json(d):
     lambdas = ()
     if "twist" in d:
         twist = parse_expr(chart, d["twist"]["expr"])
-        lambdas = tuple(Fraction(l) for l in d["twist"]["lambdas"])
+        lambdas = d["twist"]["lambdas"]
     graph = None
     # A graph's weight rules assume a valid chart; on an invalid one the
     # chart's problems are the answer, so the graph is not built.

@@ -99,12 +99,10 @@ def tangent_lift_chart(chart, k):
             for name, g in zip(row, chart.generators)]
     # One seed per unordered pair of copies: gi < hj at every eps, and a
     # self-pair at the eps with eps <= k - 1 - eps.  The rows list the
-    # pairing sorted; its values are the Fractions Chart keeps as given.
-    pairing = chart.pairing
-    pairing_spec = [(copies[eps][gi], copies[k - 1 - eps][hj],
-                     pairing[gi, hj])
+    # pairing sorted.
+    pairing_spec = [(copies[eps][gi], copies[k - 1 - eps][hj], c)
                     for gi, row in chart.pairing_rows.items()
-                    for hj, _ in row if gi <= hj
+                    for hj, c in row if gi <= hj
                     for eps in range(k) if gi < hj or 2 * eps < k]
     roles = None if chart.roles is None else {
         copies[eps][g.index]: chart.roles[g.name]
@@ -160,7 +158,6 @@ def _total_derivative(terms, up, base):
     a factor, so a term's odd factors hold each base generator at most
     once, as P_0's do, and g_(eps+1) is never already among them."""
     out = defaultdict(int)
-    chains = {}
     for (scal, even, odd), c in terms.items():
         for pos, (gi, e) in enumerate(even):
             gj, w = up[gi]
@@ -171,11 +168,8 @@ def _total_derivative(terms, up, base):
             at = bisect_left(odd, gj, pos)
             moved = odd[:pos] + odd[pos + 1:at] + (gj,) + odd[at:]
             out[scal, even, moved] += c * w if (at - pos) & 1 else -c * w
-        if scal:
-            if scal not in chains:
-                chains[scal] = _chain_rule(scal, base, up)
-            for lifted, xb in chains[scal]:
-                out[lifted, _bump(even, xb), odd] += c
+        for lifted, xb in _chain_rule(scal, base, up):
+            out[lifted, _bump(even, xb), odd] += c
     return {key: _norm(c) for key, c in out.items() if c}
 
 

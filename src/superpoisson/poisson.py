@@ -68,8 +68,6 @@ def bracket(X, Y):
         Y = SuperPoly.constant(chart, Y)
     if Y.chart is not chart:
         raise ValueError("bracket arguments live on different charts")
-    if X.is_zero or Y.is_zero:
-        return chart.zero()
     gens = chart.generators
     rows = chart.pairing_rows
     fold = X is Y and X.parity() == ODD

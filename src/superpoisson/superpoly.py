@@ -43,7 +43,6 @@ were, so a write to an element's terms would make every later bracket with
 that element wrong.
 """
 
-import re
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -442,14 +441,11 @@ def left_gradient(P, wanted=None):
     For odd g the derivative anticommutes past the odd factors to the left
     of g; for even g it lowers the exponent; for an even weight-zero g the
     chain rule also extends every scalar symbol by one jet index.  Each
-    term dict lists its keys in the order of P's terms.  The pass builds
-    plain dicts and multiplies by an exponent without normalising an int.
+    term dict lists its keys in the order of P's terms.
 
-    Dropping g from a term, or lowering its exponent, sends distinct terms
-    to distinct keys, and a chain-rule key always carries a symbol, so only
-    the terms with symbols can meet an existing key.  No derivative that
-    receives a term cancels to zero: the chain rule lifts the jets of the
-    highest order into an order nothing else reaches.
+    No derivative that receives a term cancels to zero: the chain rule
+    lifts the jets of the highest order into an order nothing else
+    reaches.
     """
     base = P.chart.true_base_indices
     if wanted is not None:
@@ -469,18 +465,10 @@ def left_gradient(P, wanted=None):
                 if out is None:
                     out = grad[gi] = {}
                 if e > 1:
-                    key = (scal, even[:k] + ((gi, e - 1),) + even[k + 1:],
-                           odd)
-                    v = c * e
-                    if type(v) is Fraction:
-                        v = _norm(v)
+                    _add_term(out, (scal, even[:k] + ((gi, e - 1),)
+                                    + even[k + 1:], odd), c * e)
                 else:
-                    key = (scal, even[:k] + even[k + 1:], odd)
-                    v = c
-                if scal:
-                    _add_term(out, key, v)
-                else:
-                    out[key] = v
+                    _add_term(out, (scal, even[:k] + even[k + 1:], odd), c)
         if scal:
             for gi in base:
                 out = grad.get(gi)
@@ -618,16 +606,10 @@ class ParseError(ValueError):
 _OPCHARS = set("+-*/^()[];,")
 
 
-# The ASCII identifiers, which are all a chart's names in practice; a
-# match only lets _name_end skip ahead in its own character rule.
-_ASCII_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def _name_end(text, i):
     """End of the identifier that starts at text[i], or i if none does: a
     letter or '_', then letters, decimal digits or '_'."""
-    match = _ASCII_NAME.match(text, i)
-    j = match.end() if match else i
+    j = i
     while j < len(text) and (text[j].isalpha() or text[j] == "_"
                              or (j > i and text[j].isdecimal())):
         j += 1

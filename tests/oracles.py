@@ -257,8 +257,10 @@ def dense_pairing_det(chart):
     Gaussian elimination over Fraction on the dense matrix; the chart
     itself checks nondegeneracy by one rank of its sparse pairing rows."""
     n = len(chart.generators)
-    m = [[Fraction(chart.pairing.get((i, j), 0)) for j in range(n)]
-         for i in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in chart.pairing_rows.items():
+        for j, c in row:
+            m[i][j] = Fraction(c)
     det = Fraction(1)
     for c in range(n):
         pivot = next((r for r in range(c, n) if m[r][c]), None)

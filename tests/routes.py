@@ -165,7 +165,8 @@ def classify_by_self_bracket(theta):
     if sigma.is_zero:
         return verdict("Courant")
     base = set(chart.base_indices)
-    momenta = {gi for gi, hj in chart.pairing if hj in base}
+    momenta = {gi for gi, row in chart.pairing_rows.items()
+              for hj, _ in row if hj in base}
     if not any(momenta.intersection(odd)
                or momenta.intersection(gi for gi, _ in even)
                or any(momenta.intersection(jets) for _, jets in scal)
@@ -543,9 +544,17 @@ def substitute_by_products(P, genmap, target):
 
 
 def pairing_entries(chart):
-    """Every ordered pair (gi, hj, coefficient) of chart.pairing, sorted."""
-    return [(gi, hj, chart.pairing[gi, hj])
-            for gi, hj in sorted(chart.pairing)]
+    """Every ordered pair (gi, hj, coefficient) of the pairing, sorted: the
+    nonzero seeds of chart.pairing_given with their mirrors by graded
+    antisymmetry P^hg = -(-1)^(g~ h~) P^gh, completed here and not read
+    from the chart's own completion."""
+    entries = {}
+    for gname, hname, c in chart.pairing_given:
+        if c:
+            g, h = chart.generator(gname), chart.generator(hname)
+            entries[g.index, h.index] = c
+            entries[h.index, g.index] = c if g.parity and h.parity else -c
+    return [(gi, hj, c) for (gi, hj), c in sorted(entries.items())]
 
 
 def sectors_by_weight_vectors(chart):

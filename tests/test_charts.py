@@ -31,10 +31,10 @@ def test_pairing_mirror_completion():
     ch = make_darboux_chart(1, 2)
     p1 = ch.name_to_index["p1"]
     x1 = ch.name_to_index["x1"]
-    assert ch.pairing[(p1, x1)] == 1
-    assert ch.pairing[(x1, p1)] == -1
     xi1 = ch.name_to_index["xi1"]
-    assert ch.pairing[(xi1, xi1)] == 1
+    assert ch.pairing_rows[p1] == ((x1, 1),)
+    assert ch.pairing_rows[x1] == ((p1, -1),)
+    assert ch.pairing_rows[xi1] == ((xi1, 1),)
 
 
 def test_antivb_weights_and_roles():
@@ -55,9 +55,11 @@ def test_conjugates():
     xi1 = ch.name_to_index["xi1"]
     (idx, coeff), = ch.pairing_rows[xi1]
     assert ch.generators[idx].name == "pi1"
-    # the bracket's rows store int, but the pairing keeps the exact Fraction
+    # the bracket's rows store int, but the seeds are kept as exact Fractions
     assert coeff == 1 and type(coeff) is int
-    assert type(ch.pairing[(xi1, idx)]) is Fraction
+    assert ch.pairing_given == [("p1", "x1", 1), ("xi1", "pi1", 1),
+                                ("xi2", "pi2", 1)]
+    assert {type(c) for _, _, c in ch.pairing_given} == {Fraction}
 
 
 def test_metrics():
@@ -111,7 +113,8 @@ def test_vb_plain_chart_shape():
     assert ch.lift_degree == 2
     dq = ch.generators[ch.name_to_index["dq1"]]
     assert dq.weight == (1, 1)
-    assert ch.pairing[(ch.name_to_index["y1"], ch.name_to_index["q1"])] == 1
+    assert dict(ch.pairing_rows[ch.name_to_index["y1"]])[
+        ch.name_to_index["q1"]] == 1
 
 
 @pytest.mark.parametrize("axes, symplectic_axes, problems", [

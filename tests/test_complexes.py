@@ -79,6 +79,8 @@ def test_section_frame_is_dual():
     assert len(charts) == 2 + 55
     for chart in charts:
         basis, dual = complexes.section_frame(chart)
+        # the frame the identity sweeps and the benchmark load
+        assert identities.weight_one_frame(chart) == (basis, dual)
         assert basis == [chart.gen(chart.generators[idx].name)
                          for idx in chart.section_indices]
         for i, b in enumerate(basis):

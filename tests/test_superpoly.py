@@ -338,9 +338,9 @@ def test_catalogue_results_store_coefficients_int_first():
         for P in polys:
             assert_int_first(P)
             seen.update(map(type, P.terms.values()))
-        # the chart's own data stays Fraction, so 1 / c is exact
+        # the chart's pairing seeds and metric stay Fraction, so 1 / c is exact
         ch = inst.chart
-        given = list(ch.pairing.values())
+        given = [c for _, _, c in ch.pairing_given]
         if ch.metric is not None:
             given += [x for row in ch.metric[1] for x in row]
         assert all(type(c) is Fraction for c in given), name
