@@ -498,12 +498,10 @@ def _parity_from_json(p):
 def chart_from_json(d, *, strict=True):
     gens = [(g["name"], _parity_from_json(g["parity"]), tuple(g["weight"]))
             for g in d["generators"]]
-    pairing = [(g, h, Fraction(c)) for g, h, c in d.get("pairing", [])]
-    metric = None
-    if d.get("metric") is not None:
-        metric = (list(d["metric"]["generators"]),
-                  [[Fraction(x) for x in row] for row in d["metric"]["rows"]])
-    return Chart(d.get("name", "chart"), d["axes"], gens, pairing,
+    metric = d.get("metric")
+    if metric is not None:
+        metric = (metric["generators"], metric["rows"])
+    return Chart(d.get("name", "chart"), d["axes"], gens, d.get("pairing", []),
                  metric=metric, n_manifold=d.get("n_manifold", False),
                  symplectic_axes=tuple(d.get("symplectic_axes",
                                              range(d["axes"]))),

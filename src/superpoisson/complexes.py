@@ -179,8 +179,10 @@ def _check_dual(chart, basis, dual):
 def classical_naive_differential(theta, psi, basis, dual):
     """Differential of a small-complex element via the alternating sum.
 
-    psi is a weight-k element built on the weight-1 sector, basis a list of
-    sections, one per weight-1 generator, and dual a list with
+    psi is built on the weight-1 sector and has one degree k, the
+    symplectic weight of each term (Chart.term_grading), whatever its
+    weight vectors; an element of two degrees is refused.  basis is a
+    list of sections, one per weight-1 generator, and dual a list with
     <basis[i], dual[j]> = delta, each a constant rational combination of
     the weight-1 generators.  Every caller passes section_frame(chart);
     the frame stays an argument because the benchmark's differential
@@ -239,14 +241,14 @@ def classical_naive_differential(theta, psi, basis, dual):
     if not naive_membership(AnchorVectors(theta), psi):
         raise PotentialError("element is not in the small complex: %s"
                              % to_text(psi))
-    weight = psi.weight()
-    if not psi.is_zero and (weight is None or psi.parity() is None):
-        raise PotentialError("element must be homogeneous: %s" % to_text(psi))
     chart = psi.chart
+    degrees = {chart.term_grading(key)[0] for key in psi.terms}
+    if len(degrees) > 1:
+        raise PotentialError("element must be homogeneous: %s" % to_text(psi))
     _check_dual(chart, basis, dual)
     if psi.is_zero:
         return chart.zero()
-    k = chart.symplectic_weight(weight)
+    k, = degrees
     n = len(basis)
     rows = chart.pairing_rows
     values = {}
@@ -373,15 +375,10 @@ def constant_l1_basis(theta):
             for key, c in bracket(tf, s).terms.items():
                 by_key.setdefault(key, {})[a] = c
         rows.extend(by_key.values())
-    kernel = linalg.nullspace(rows, ncols=len(sections))
-    out = []
-    for coeffs in kernel:
-        el = chart.zero()
-        for c, sec in zip(coeffs, sections):
-            if c:
-                el = el + sec * c
-        out.append(el)
-    return out
+    keys = _section_keys(chart)
+    return [SuperPoly.from_clean_terms(
+        chart, {key: _norm(c) for key, c in zip(keys, coeffs) if c})
+        for coeffs in linalg.nullspace(rows, ncols=len(sections))]
 
 
 def naive_cohomology_condition(theta, tt):

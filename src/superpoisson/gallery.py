@@ -41,19 +41,17 @@ class Instance:
         self.graph = graph
         self.lift_k = lift_k
         self.l_elements = tuple(l_elements)
+        # The potential the spot checks run against, made once so that
+        # what a check keeps with it ({T, T}, its gradient) serves the rest:
+        # the pencil at its reference value 1, or theta without a pencil.
+        self.default_potential = theta if twist is None else theta + twist
 
     def potential_at(self, lam):
         if self.twist is None:
             raise GalleryError("instance %s has no twist" % self.name)
+        if lam == 1:
+            return self.default_potential
         return self.theta + self.twist * Fraction(lam)
-
-    @property
-    def default_potential(self):
-        """The potential the spot checks run against: the twist at its
-        reference value 1 when a pencil is present, theta otherwise."""
-        if self.twist is not None:
-            return self.theta + self.twist
-        return self.theta
 
 
 # Listing order of ``gallery --list`` and of run_all's rows.  Adding an

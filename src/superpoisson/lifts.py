@@ -1,9 +1,10 @@
 """Higher tangent lifts: lifted charts and complete lifts.
 
-A single-axis chart lifts to a two-axis chart whose generators are the
-copies z_eps for 0 <= eps < k, of bi-weight (eps, w(z)).  The pairing of
-two copies is the original pairing exactly when the lift weights add up to
-k - 1, which makes the lifted bracket carry bi-weight (1-k, -2).
+A chart whose axes are all symplectic lifts to a two-axis chart whose
+generators are the copies z_eps for 0 <= eps < k, of bi-weight (eps, w(z)),
+w(z) the symplectic weight in Chart.gradings.  The pairing of two copies
+is the original pairing exactly when the lift weights add up to k - 1,
+which makes the lifted bracket carry bi-weight (1-k, -2).
 
 The complete lift of P is the coefficient of t^(k-1) of P on the formal
 curves g(t) = sum_eps g_eps t^eps.  Let D be the even derivation with
@@ -23,11 +24,11 @@ chart, like a flattened one, is built by the one Chart constructor, so
 each runs every chart check: the problems of a chart come back on its
 lift, named by the copies.
 
-Lifting reads one axis.  complete_lift and lift_identity_check flatten a
-chart whose axes are all symplectic to total weight (``flatten_chart``).
-Flattening keeps every generator's name and index, so ``flatten_poly``
-reads P's term dict on the flat chart as it is; it is the one transport
-onto a flattened chart.
+Lifting reads only the symplectic weight, so a chart with several axes
+lifts as it is, to the lift of its flattening (``flatten_chart``, one axis
+of total weight), named ``<name>|flat|T<k-1>``.  Flattening keeps every
+generator's name and index, so ``flatten_poly`` reads P's term dict on
+the flat chart as it is; it is the one transport onto a flattened chart.
 
 Weights on a lifted chart are checked once, where an object is made:
 ``courant.validate_potential`` wants a potential of lift weight k - 1, and
@@ -49,18 +50,25 @@ class LiftError(ValueError):
     pass
 
 
+def _symplectic_weights(chart):
+    """Each generator's symplectic weight, read from Chart.gradings, of a
+    chart whose axes are all symplectic; a chart with another axis is
+    refused, since dropping that axis would lose its grading."""
+    if tuple(chart.symplectic_axes) != tuple(range(chart.axes)):
+        raise LiftError(
+            "chart %s has non-symplectic axes; flattening would lose its "
+            "grading" % chart.name)
+    return [sw for sw, _ in chart.gradings]
+
+
 def flatten_chart(chart):
     """Collapse a multi-axis chart to a single axis of total symplectic
     weight.  Names, parities, roles and the N-flag survive, and so do the
     pairing seeds and the metric block, which are keyed by names."""
     if chart.axes == 1:
         return chart
-    if tuple(chart.symplectic_axes) != tuple(range(chart.axes)):
-        raise LiftError(
-            "chart %s has non-symplectic axes; flattening would lose its "
-            "grading" % chart.name)
     gens = [(g.name, g.parity, (sw,))
-            for g, (sw, _) in zip(chart.generators, chart.gradings)]
+            for g, sw in zip(chart.generators, _symplectic_weights(chart))]
     return Chart("%s|flat" % chart.name, 1, gens, chart.pairing_given,
                  metric=chart.metric, n_manifold=chart.n_manifold,
                  symplectic_axes=(0,), roles=chart.roles)
@@ -80,23 +88,22 @@ def lifted_name(name, eps):
 
 
 def tangent_lift_chart(chart, k):
-    """Chart of the (k-1)-th tangent prolongation: copies z_eps with
-    bi-weight (eps, w(z)) and pairing {g_eps, h_delta} = {g, h} exactly
-    when eps + delta = k - 1."""
-    if chart.axes != 1:
-        raise LiftError(
-            "lifting needs a single-axis chart; flatten %s first"
-            % chart.name)
+    """Chart of the (k-1)-th tangent prolongation of a chart whose axes are
+    all symplectic: copies z_eps with bi-weight (eps, w(z)), w(z) the
+    symplectic weight from Chart.gradings, and pairing {g_eps, h_delta} =
+    {g, h} exactly when eps + delta = k - 1.  A chart with several axes
+    lifts as its flattening does, under the flattening's name."""
     if k < 2:
         raise LiftError("lift degree must be at least 2, got %d" % k)
+    weights = _symplectic_weights(chart)
     # copies[eps][i] is the name of copy eps of generator i, the name with
     # the suffix lifted_name("", eps).
     names = [g.name for g in chart.generators]
     copies = [[name + suffix for name in names]
               for suffix in [lifted_name("", eps) for eps in range(k)]]
-    gens = [(name, g.parity, (eps, g.weight[0]))
+    gens = [(name, g.parity, (eps, w))
             for eps, row in enumerate(copies)
-            for name, g in zip(row, chart.generators)]
+            for name, g, w in zip(row, chart.generators, weights)]
     # One seed per unordered pair of copies: gi < hj at every eps, and a
     # self-pair at the eps with eps <= k - 1 - eps.  The rows list the
     # pairing sorted.
@@ -108,7 +115,8 @@ def tangent_lift_chart(chart, k):
         copies[eps][g.index]: chart.roles[g.name]
         for g in chart.generators if g.name in chart.roles
         for eps in range(k)}
-    return Chart("%s|T%d" % (chart.name, k - 1), 2, gens,
+    name = chart.name if chart.axes == 1 else chart.name + "|flat"
+    return Chart("%s|T%d" % (name, k - 1), 2, gens,
                  pairing_spec, n_manifold=chart.n_manifold,
                  symplectic_axes=(1,), roles=roles, lift_degree=k)
 
@@ -175,28 +183,26 @@ def _total_derivative(terms, up, base):
 
 def complete_lift(P, k):
     """P^c = D^(k-1)(P_0) / (k-1)! of a homogeneous P, on a new
-    tangent_lift_chart(flatten_chart(P.chart), k); see the module
-    docstring."""
-    flat = flatten_chart(P.chart)
-    return _lift(flatten_poly(P, flat), k, tangent_lift_chart(flat, k))
+    tangent_lift_chart(P.chart, k); see the module docstring."""
+    return _lift(P, k, tangent_lift_chart(P.chart, k))
 
 
 def _lift(P, k, target):
     """complete_lift onto target, which is tangent_lift_chart(P.chart, k):
     D g_eps = (eps + 1) g_(eps+1), 0 at eps = k - 1, and
     D f_J = sum_b f_(J,b) x_(b,1).  Copy eps of generator i has index
-    eps n + i on target, so P_0 has P's own term dict, and eps is read
-    from a copy's weight.  (k-1)! divides once.
+    eps n + i on target, so P_0 has P's own term dict.  P is homogeneous
+    when its terms have one symplectic weight (Chart.term_grading).
+    (k-1)! divides once.
     """
     chart = P.chart
     if P.is_zero:
         return target.zero()
-    if P.parity() is None or P.weight() is None:
+    if len({chart.term_grading(key)[0] for key in P.terms}) > 1:
         raise LiftError("complete lift needs a homogeneous input: %s"
                         % to_text(P))
     n = len(chart.generators)
-    up = {g.index: (g.index + n, g.weight[0] + 1)
-          for g in target.generators if g.weight[0] < k - 1}
+    up = {i: (i + n, i // n + 1) for i in range(n * (k - 1))}
     terms = P.terms
     for _ in range(k - 1):
         terms = _total_derivative(terms, up, target.true_base_indices)
@@ -207,12 +213,10 @@ def _lift(P, k, target):
 
 
 def lift_identity_check(P, Q, k):
-    """{P^c, Q^c} minus ({P, Q})^c on one lift of flatten_chart(P.chart);
-    identically zero when the lift conventions are consistent."""
+    """{P^c, Q^c} minus ({P, Q})^c on one lift of P.chart; identically zero
+    when the lift conventions are consistent."""
     if P.chart is not Q.chart:
         raise LiftError("inputs live on different charts")
-    flat = flatten_chart(P.chart)
-    target = tangent_lift_chart(flat, k)
-    Pc, Qc, PQc = (_lift(flatten_poly(X, flat), k, target)
-                   for X in (P, Q, bracket(P, Q)))
+    target = tangent_lift_chart(P.chart, k)
+    Pc, Qc, PQc = (_lift(X, k, target) for X in (P, Q, bracket(P, Q)))
     return bracket(Pc, Qc) - PQc

@@ -397,6 +397,23 @@ def test_each_loaded_chart_is_validated_once(tmp_path, capsys, monkeypatch):
             == [1] * len(seen), argv
 
 
+def test_check_cross7_builds_two_charts(capsys, monkeypatch):
+    """The loaded two-axis chart and its k = 2 lift, which reads the
+    loaded chart's gradings: no flattened chart is built on the way."""
+    from superpoisson import charts
+    original = charts.Chart.__init__
+    built = []
+
+    def counting(chart, *args, **kwargs):
+        original(chart, *args, **kwargs)
+        built.append(chart.name)
+
+    monkeypatch.setattr(charts.Chart, "__init__", counting)
+    assert run(capsys, ["check", "cross7"])[0] == 0
+    assert built == ["cotangent_antivb(0|7)",
+                     "cotangent_antivb(0|7)|flat|T1"]
+
+
 def test_check_cross7_computes_each_self_bracket_once(bracket_calls, capsys):
     # One {T, T}, built on the class's first read of sigma, which the
     # naive condition and every sample of the identity sweep reuse.  The

@@ -301,6 +301,47 @@ def test_classical_differential_equals_q_theta_off_the_catalogue_degrees(
     assert got == complexes.q_theta(T, psi)
 
 
+def potential_or_lift(name):
+    """A catalogue potential, or with the suffix _lift<k> its complete lift
+    at degree k."""
+    base, _, k = name.partition("_lift")
+    T = gallery.build(base).default_potential
+    return lifts.complete_lift(T, int(k)) if k else T
+
+
+@pytest.mark.parametrize("name, text", [
+    (name, text) for name in ("cross3", "cross7", "cross7_full")
+    for text in ("xi1 + pi1", "xi1*xi2 + pi1*pi2", "xi1*pi2 + xi2*xi3")] + [
+    ("cross3_lift2", "xi1_0 + pi3_1"),
+    ("cross3_lift2", "xi1_0*xi2_0 + pi2_1*pi3_1"),
+])
+def test_classical_differential_reads_the_degree_from_the_gradings(
+        name, text):
+    # Each element has one degree, symplectic weight 1 or 2, but two
+    # weight vectors: on cross3's axes, or on the lift axis of its k = 2
+    # lift.  The degree is read from the chart's gradings.
+    T = potential_or_lift(name)
+    psi = parse_expr(T.chart, text)
+    assert psi.weight() is None
+    basis, dual = complexes.section_frame(T.chart)
+    got = complexes.classical_naive_differential(T, psi, basis, dual)
+    assert got == complexes.q_theta(T, psi)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("cross3", "xi1 + xi1*xi2"),
+    ("cross7", "1 + pi1*pi2*pi3"),
+    ("cross3_lift2", "xi1_0 + xi1_0*pi2_1"),
+])
+def test_classical_differential_refuses_an_element_of_two_degrees(
+        name, text):
+    T = potential_or_lift(name)
+    psi = parse_expr(T.chart, text)
+    basis, dual = complexes.section_frame(T.chart)
+    with pytest.raises(PotentialError, match="element must be homogeneous"):
+        complexes.classical_naive_differential(T, psi, basis, dual)
+
+
 @pytest.mark.parametrize("name, index, most", [("twisted_pencil", 2, 200),
                                                ("cross7", 1, 600)])
 def test_classical_differential_brackets_no_zero_prefix(

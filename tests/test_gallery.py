@@ -140,6 +140,22 @@ def test_pencil_self_bracket_is_linear_in_lambda():
                         Fraction(-2): "PreCourant"}
 
 
+def test_the_default_potential_is_made_once():
+    # The pencil at lambda = 1 is the default potential itself, so what a
+    # check keeps with it (its class's {T, T}, its gradient) is not lost.
+    pencils = 0
+    for name in gallery.names():
+        inst = gallery.build(name)
+        assert inst.default_potential is inst.default_potential, name
+        if inst.twist is None:
+            assert inst.default_potential is inst.theta, name
+            continue
+        pencils += 1
+        assert inst.potential_at(1) is inst.default_potential, name
+        assert inst.default_potential == inst.theta + inst.twist, name
+    assert pencils == 5
+
+
 def test_euclidean_sigma_against_literal_oracle():
     inst = gallery.build("euclidean_cubic")
     sigma = oracles.darboux_literal_bracket(inst.theta, inst.theta)

@@ -88,8 +88,13 @@ def test_lift_degree_gates():
     flat = flat_antivb(0, 2)
     with pytest.raises(LiftError, match="at least 2"):
         lifts.tangent_lift_chart(flat, 1)
-    with pytest.raises(LiftError, match="single-axis"):
-        lifts.tangent_lift_chart(make_cotangent_antivb_chart(1, 2), 2)
+    # A chart whose axes are all symplectic lifts as its flattening does;
+    # one with a non-symplectic axis is refused.
+    two_axis = make_cotangent_antivb_chart(1, 2)
+    assert chart_to_json(lifts.tangent_lift_chart(two_axis, 2)) \
+        == chart_to_json(lifts.tangent_lift_chart(flat_antivb(1, 2), 2))
+    with pytest.raises(LiftError, match="non-symplectic"):
+        lifts.tangent_lift_chart(gallery.build("vb_plain").chart, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -180,8 +185,8 @@ def test_lift_identity_on_random_pairs():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_lift_identity_check_flattens_a_two_axis_chart(k):
-    # cross3 has two symplectic axes; the check flattens it, as
-    # complete_lift does, before lifting.
+    # cross3 has two symplectic axes; the check lifts it as it is, to the
+    # lift of its flattening, under the flattening's name.
     inst = gallery.build("cross3")
     rng = random.Random(54 + k)
     pairs = [(inst.theta, inst.theta)] + [
@@ -391,10 +396,10 @@ def test_complete_lift_equals_substitution_route_on_draws_with_symbols():
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_complete_lift_flattens_the_chart_itself(k):
-    # Flattening keeps every generator's index, so lifting the two-axis
-    # potential gives what the explicit flatten_chart, flatten_poly route
-    # gives, on a lifted chart of the same name.
+def test_complete_lift_equals_the_lift_of_the_flattening(k):
+    # A two-axis chart lifts as its flattening does: the explicit
+    # flatten_chart, flatten_poly route gives the same potential on a
+    # lifted chart with the same JSON.
     lifted = 0
     for name in gallery.INSTANCE_NAMES:
         inst = gallery.build(name)
@@ -405,7 +410,7 @@ def test_complete_lift_flattens_the_chart_itself(k):
             lifts.flatten_poly(inst.default_potential, flat), k)
         got = lifts.complete_lift(inst.default_potential, k)
         assert to_text(got) == to_text(want), name
-        assert got.chart.name == want.chart.name, name
+        assert chart_to_json(got.chart) == chart_to_json(want.chart), name
         lifted += inst.chart.axes == 2
     assert lifted == 10
 
