@@ -18,7 +18,9 @@ the others (the lift axis of a lifted chart).  A generator's grading, the
 pair (symplectic weight, lift weight), is summed on construction, once for
 each distinct weight vector, and stored in Chart.gradings;
 Chart.term_grading(key) adds up the stored gradings of a term's factors,
-so no caller sums a weight vector per term.  The sectors are read off the
+so no caller sums a weight vector per term: potentials, graph functions,
+lift inputs and differential elements are judged by it alone, and no
+element method sums a weight vector.  The sectors are read off the
 gradings: base_indices (symplectic weight 0), section_indices (weight 1)
 and true_base_indices (even, weight 0 on every axis).  The structural
 checks read those stored values and the pairing rows.
@@ -94,9 +96,8 @@ class Chart:
         else:
             self._index_sectors(pairing)
             self._problems.extend(_structural_problems(self))
-        if strict and self._problems:
-            raise ChartError("invalid chart %r: %s"
-                             % (self.name, "; ".join(self._problems)))
+        if strict:
+            _refuse_invalid(self)
 
     # -- construction helpers -------------------------------------------
 
@@ -361,6 +362,13 @@ def _structural_problems(chart):
                         "generator %s has role %s but no conjugate with "
                         "role in %r" % (name, role, want))
     return problems
+
+
+def _refuse_invalid(chart):
+    """Raise ChartError naming every problem of the chart, if it has any."""
+    if chart._problems:
+        raise ChartError("invalid chart %r: %s"
+                         % (chart.name, "; ".join(chart._problems)))
 
 
 def validate_chart(chart):

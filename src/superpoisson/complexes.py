@@ -179,18 +179,22 @@ def _check_dual(chart, basis, dual):
 def classical_naive_differential(theta, psi, basis, dual):
     """Differential of a small-complex element via the alternating sum.
 
-    psi is built on the weight-1 sector and has one degree k, the
-    symplectic weight of each term (Chart.term_grading), whatever its
-    weight vectors; an element of two degrees is refused.  basis is a
-    list of sections, one per weight-1 generator, and dual a list with
-    <basis[i], dual[j]> = delta, each a constant rational combination of
-    the weight-1 generators.  Every caller passes section_frame(chart);
-    the frame stays an argument because the benchmark's differential
-    workload passes one.  It is checked on its coefficient rows, as
-    B P D^T = I with P the pairing block, which takes no bracket; a frame
-    of the wrong size, a mismatched dual or an element with a non-constant
-    coefficient is refused with PotentialError.  Evaluates Psi(t) =
-    eval(psi; t) / c_k on every ascending basis tuple of length k+1 through
+    psi is built on the odd generators of the weight-1 sector over the
+    base and has one degree k, the symplectic weight of each term
+    (Chart.term_grading), whatever its weight vectors; an element of two
+    degrees is refused.  The sum runs over tuples of distinct sections, so
+    it evaluates skew forms only: an element with an even weight-1 factor
+    (an even generator in section_indices, possible only off N-manifold
+    charts) is refused.  basis is a list of sections, one per weight-1
+    generator, and dual a list with <basis[i], dual[j]> = delta, each a
+    constant rational combination of the weight-1 generators.  Every
+    caller passes section_frame(chart); the frame stays an argument
+    because the benchmark's differential workload passes one.  It is
+    checked on its coefficient rows, as B P D^T = I with P the pairing
+    block, which takes no bracket; a frame of the wrong size, a mismatched
+    dual or an element with a non-constant coefficient is refused with
+    PotentialError.  Evaluates Psi(t) = eval(psi; t) / c_k on every
+    ascending basis tuple of length k+1 through
 
         sum_i (-1)^i rho(b_i) Psi(..b_i dropped..)
           + sum_{i<j} (-1)^(i+j) Psi([[b_i, b_j]], ..both dropped..),
@@ -245,6 +249,11 @@ def classical_naive_differential(theta, psi, basis, dual):
     degrees = {chart.term_grading(key)[0] for key in psi.terms}
     if len(degrees) > 1:
         raise PotentialError("element must be homogeneous: %s" % to_text(psi))
+    if any(chart.gradings[gi][0] == 1 for _, even, _ in psi.terms
+           for gi, _e in even):
+        raise PotentialError("element has an even weight-1 factor, which the "
+                             "alternating sum of skew forms cannot "
+                             "evaluate: %s" % to_text(psi))
     _check_dual(chart, basis, dual)
     if psi.is_zero:
         return chart.zero()

@@ -67,11 +67,13 @@ class _FunctionGraph:
     over the base: each generator z of a replaced role goes to sign*{F, z}.
 
     F may use only odd generators of the odd_role sector and even base
-    generators, and on a chart with a lift degree k it must have lift
-    weight k - 1.  That is the whole weight rule for the graph: the pairing
-    joins lift weights adding up to k - 1, so every image of the
-    substitution has the bi-weight of the coordinate it replaces exactly
-    when F has lift weight k - 1."""
+    generators.  It is judged as a potential is, by Chart.term_grading:
+    its terms share one grading, whatever their weight vectors, of
+    symplectic weight 2 and, on a chart with a lift degree k, lift weight
+    k - 1.  That is the whole weight rule for the graph: the pairing joins
+    lift weights adding up to k - 1, so every image of the substitution
+    has the bi-weight of the coordinate it replaces exactly when F has
+    lift weight k - 1."""
 
     def __init__(self, chart, function):
         if chart.roles is None:
@@ -85,13 +87,13 @@ class _FunctionGraph:
         self.function = function
         if function.is_zero:
             return
-        weight, parity = function.weight(), function.parity()
-        if weight is None or parity is None:
+        gradings = {chart.term_grading(key) for key in function.terms}
+        if len(gradings) > 1:
             raise GraphError(
                 "%s must be homogeneous: %s" % (what, to_text(function)))
-        if parity != 0:
+        if function.parity() != 0:
             raise GraphError("%s must be even: %s" % (what, to_text(function)))
-        sw, lift = chart.term_grading(next(iter(function.terms)))
+        (sw, lift), = gradings
         if sw != 2:
             raise GraphError(
                 "%s must have symplectic weight 2, got %d" % (what, sw))

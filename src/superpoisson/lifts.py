@@ -21,8 +21,9 @@ complete_lift(P, k) returns an element of a new lifted chart, read as
 ``.chart``.  Lifts on one chart come from lift_identity_check, or from
 ``superpoly.substitute`` by name onto a chart already built.  A lifted
 chart, like a flattened one, is built by the one Chart constructor, so
-each runs every chart check: the problems of a chart come back on its
-lift, named by the copies.
+each runs every chart check.  A chart with problems is refused before it
+is flattened or lifted, with the ChartError its strict constructor
+raises, naming its own generators.
 
 Lifting reads only the symplectic weight, so a chart with several axes
 lifts as it is, to the lift of its flattening (``flatten_chart``, one axis
@@ -43,7 +44,7 @@ from fractions import Fraction
 
 from .superpoly import SuperPoly, _norm, to_text
 from .poisson import bracket
-from .charts import Chart
+from .charts import Chart, _refuse_invalid
 
 
 class LiftError(ValueError):
@@ -52,8 +53,10 @@ class LiftError(ValueError):
 
 def _symplectic_weights(chart):
     """Each generator's symplectic weight, read from Chart.gradings, of a
-    chart whose axes are all symplectic; a chart with another axis is
-    refused, since dropping that axis would lose its grading."""
+    chart with no problems (else the ChartError of its strict constructor)
+    whose axes are all symplectic; a chart with another axis is refused,
+    since dropping that axis would lose its grading."""
+    _refuse_invalid(chart)
     if tuple(chart.symplectic_axes) != tuple(range(chart.axes)):
         raise LiftError(
             "chart %s has non-symplectic axes; flattening would lose its "
@@ -65,10 +68,11 @@ def flatten_chart(chart):
     """Collapse a multi-axis chart to a single axis of total symplectic
     weight.  Names, parities, roles and the N-flag survive, and so do the
     pairing seeds and the metric block, which are keyed by names."""
+    weights = _symplectic_weights(chart)
     if chart.axes == 1:
         return chart
     gens = [(g.name, g.parity, (sw,))
-            for g, sw in zip(chart.generators, _symplectic_weights(chart))]
+            for g, sw in zip(chart.generators, weights)]
     return Chart("%s|flat" % chart.name, 1, gens, chart.pairing_given,
                  metric=chart.metric, n_manifold=chart.n_manifold,
                  symplectic_axes=(0,), roles=chart.roles)
@@ -93,9 +97,9 @@ def tangent_lift_chart(chart, k):
     symplectic weight from Chart.gradings, and pairing {g_eps, h_delta} =
     {g, h} exactly when eps + delta = k - 1.  A chart with several axes
     lifts as its flattening does, under the flattening's name."""
+    weights = _symplectic_weights(chart)
     if k < 2:
         raise LiftError("lift degree must be at least 2, got %d" % k)
-    weights = _symplectic_weights(chart)
     # copies[eps][i] is the name of copy eps of generator i, the name with
     # the suffix lifted_name("", eps).
     names = [g.name for g in chart.generators]

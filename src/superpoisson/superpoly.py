@@ -361,24 +361,10 @@ class SuperPoly:
             out = out * self
         return out
 
-    # -- grading --------------------------------------------------------
+    # -- parity (a term's grading is Chart.term_grading) ---------------
 
     def term_parity(self, key):
         return len(key[2]) & 1
-
-    def term_weight(self, key):
-        gens = self.chart.generators
-        axes = self.chart.axes
-        tot = [0] * axes
-        for idx, e in key[1]:
-            w = gens[idx].weight
-            for a in range(axes):
-                tot[a] += e * w[a]
-        for idx in key[2]:
-            w = gens[idx].weight
-            for a in range(axes):
-                tot[a] += w[a]
-        return tuple(tot)
 
     def parity(self):
         """Parity if parity-homogeneous (zero counts), else None."""
@@ -390,17 +376,6 @@ class SuperPoly:
             elif p != tp:
                 return None
         return p
-
-    def weight(self):
-        """Weight vector if weight-homogeneous and nonzero, else None."""
-        w = None
-        for key in self.terms:
-            tw = self.term_weight(key)
-            if w is None:
-                w = tw
-            elif w != tw:
-                return None
-        return w
 
     def symbol_names(self):
         names = set()

@@ -7,7 +7,7 @@ and bracket weight.
 """
 
 import draws
-from routes import pairing_entries
+from routes import pairing_entries, weight_vector
 from superpoisson import lifts
 from superpoisson.charts import make_cotangent_antivb_chart, make_darboux_chart
 from superpoisson.poisson import bracket
@@ -57,6 +57,6 @@ def check_poisson_axioms(chart, rng, rounds):
         out = bracket(X, Y)
         if not out.is_zero:
             want = tuple(a + b - d for a, b, d in
-                         zip(X.weight(), Y.weight(), drop))
-            assert out.parity() is not None and out.weight() == want, \
+                         zip(weight_vector(X), weight_vector(Y), drop))
+            assert out.parity() is not None and weight_vector(out) == want, \
                 (chart.name, r)

@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import routes
 from superpoisson.charts import (hyperbolic_metric, make_cotangent_antivb_chart,
                                  make_darboux_chart)
 from superpoisson.sampling import SYMBOL_NAMES
@@ -127,7 +128,7 @@ def random_homogeneous(chart, rng, *, max_factors=3, allow_symbols=True):
             if m is None:
                 continue
             key = next(iter(m.terms))
-            drawn = (m.term_parity(key), m.term_weight(key))
+            drawn = (m.term_parity(key), routes.term_weight_vector(m, key))
             grade = grade or drawn
             if drawn != grade:
                 continue

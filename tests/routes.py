@@ -11,8 +11,9 @@ weights of its brackets, pairings and anchors, which validate_potential
 already forces), the substitute-and-truncate complete lift (every
 generator replaced by the sum of its copies, every symbol Taylor-expanded,
 every product cut at lift weight k - 1), an algebra map as a sum of
-ordered SuperPoly products of the factor images, and a chart's sectors and
-term gradings summed from weight vectors and its sorted pairing entries.
+ordered SuperPoly products of the factor images, a term's weight vector
+summed from its generators', and a chart's sectors and term gradings
+summed from weight vectors and its sorted pairing entries.
 Tests compare them with the library; the library does not use them.
 """
 
@@ -356,7 +357,7 @@ def formal_contraction(theta, alpha):
 def _is_lift_homogeneous(P, expect):
     if P.is_zero:
         return True
-    weights = {P.term_weight(key)[0] for key in P.terms}
+    weights = {term_weight_vector(P, key)[0] for key in P.terms}
     return weights == {expect}
 
 
@@ -423,7 +424,7 @@ def _by_lift_weight(P):
     """P's terms grouped by lift weight, as {weight: term dict}."""
     groups = {}
     for key, c in P.terms.items():
-        groups.setdefault(P.term_weight(key)[0], {})[key] = c
+        groups.setdefault(term_weight_vector(P, key)[0], {})[key] = c
     return groups
 
 
@@ -490,7 +491,7 @@ def substitution_lift(P, k, target=None):
         target = tangent_lift_chart(chart, k)
     if P.is_zero:
         return target.zero()
-    if P.parity() is None or P.weight() is None:
+    if P.parity() is None or weight_vector(P) is None:
         raise LiftError("complete lift needs a homogeneous input: %s"
                         % to_text(P))
     sym_cache = {}
@@ -584,8 +585,27 @@ def sectors_by_weight_vectors(chart):
     }
 
 
+def term_weight_vector(P, key):
+    """The weight vector of the term key of P: the weight vectors of its
+    generator factors, each even one times its exponent, summed.  The
+    library sums no weight vector per term; the tests read one here."""
+    gens = P.chart.generators
+    total = [0] * P.chart.axes
+    for idx, e in list(key[1]) + [(idx, 1) for idx in key[2]]:
+        total = [t + e * w for t, w in zip(total, gens[idx].weight)]
+    return tuple(total)
+
+
+def weight_vector(P):
+    """The weight vector shared by every term of P, or None when P is zero
+    or two of its terms have different ones."""
+    vectors = {term_weight_vector(P, key) for key in P.terms}
+    return vectors.pop() if len(vectors) == 1 else None
+
+
 def grading_by_weight_vector(P, key):
-    """(symplectic weight, lift weight) of the term key of P, summed from
-    its weight vector P.term_weight(key)."""
-    weight = P.term_weight(key)
-    return P.chart.symplectic_weight(weight), P.chart.lift_weight(weight)
+    """(symplectic weight, lift weight) of the term key of P, summed here
+    from its weight vector over the symplectic axes and over the rest."""
+    weight = term_weight_vector(P, key)
+    sw = sum(weight[a] for a in P.chart.symplectic_axes)
+    return sw, sum(weight) - sw

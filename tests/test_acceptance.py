@@ -180,7 +180,7 @@ def test_criterion_5_classical_differential_on_all_list_elements():
         T = inst.default_potential
         basis, dual = complexes.section_frame(inst.chart)
         for el in inst.l_elements:
-            assert inst.chart.symplectic_weight(el.weight()) <= 3
+            assert inst.chart.symplectic_weight(routes.weight_vector(el)) <= 3
             got = complexes.classical_naive_differential(T, el, basis, dual)
             assert got == complexes.q_theta(T, el), (name, to_text(el))
             seen += 1

@@ -273,7 +273,7 @@ def catalogue_charts_and_elements():
         for k in range(2, 6):
             yield (lifts.tangent_lift_chart(flat, k),
                    [lifts.complete_lift(P, k) for P in low
-                    if P.is_zero or P.weight() is not None])
+                    if P.is_zero or routes.weight_vector(P) is not None])
 
 
 def test_stored_sectors_equal_the_weight_vector_route():

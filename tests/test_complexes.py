@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -295,7 +296,7 @@ def test_classical_differential_equals_q_theta_off_the_catalogue_degrees(
     inst = gallery.build(name)
     T = inst.default_potential
     psi = parse_expr(inst.chart, text)
-    assert inst.chart.symplectic_weight(psi.weight()) == degree
+    assert inst.chart.symplectic_weight(routes.weight_vector(psi)) == degree
     basis, dual = complexes.section_frame(inst.chart)
     got = complexes.classical_naive_differential(T, psi, basis, dual)
     assert got == complexes.q_theta(T, psi)
@@ -322,7 +323,7 @@ def test_classical_differential_reads_the_degree_from_the_gradings(
     # lift.  The degree is read from the chart's gradings.
     T = potential_or_lift(name)
     psi = parse_expr(T.chart, text)
-    assert psi.weight() is None
+    assert routes.weight_vector(psi) is None
     basis, dual = complexes.section_frame(T.chart)
     got = complexes.classical_naive_differential(T, psi, basis, dual)
     assert got == complexes.q_theta(T, psi)
@@ -340,6 +341,51 @@ def test_classical_differential_refuses_an_element_of_two_degrees(
     basis, dual = complexes.section_frame(T.chart)
     with pytest.raises(PotentialError, match="element must be homogeneous"):
         complexes.classical_naive_differential(T, psi, basis, dual)
+
+
+def mixed_parity_potentials():
+    """cross3 with an even conjugate pair e1 (1, 0), e2 (0, 1) in the
+    weight-1 sector, and two potentials on it: cross3's T, and T plus
+    e1*e2*xi1, for which {T, e1} is not zero."""
+    d = chart_to_json(gallery.build("cross3").chart)
+    d["n_manifold"] = False
+    d["generators"] += [
+        {"name": "e1", "parity": "even", "weight": [1, 0]},
+        {"name": "e2", "parity": "even", "weight": [0, 1]}]
+    d["pairing"].append(["e1", "e2", "1"])
+    d["roles"].update(e1="fibre", e2="cofibre")
+    chart = chart_from_json(d)
+    T = parse_expr(chart, to_text(gallery.build("cross3").default_potential))
+    return [T, T + parse_expr(chart, "e1*e2*xi1")]
+
+
+@pytest.mark.parametrize("text", [
+    "e1", "e1^2", "e1*e2", "e1*xi1", "e2^2*xi1", "e1*e2*xi1",
+    "e1*e2*xi1*pi2", "xi1*xi2 + e1*e2"])
+def test_classical_differential_refuses_an_even_weight_one_factor(text):
+    # The alternating sum runs over tuples of distinct sections, so it
+    # evaluates skew forms only.  Unrefused, e1*e2*xi1, e2^2*xi1 and
+    # e1*e2*xi1*pi2 differ from q_theta under cross3's T, and e1, e1^2,
+    # e1*e2 and xi1*xi2 + e1*e2 as well under the second potential; e1*xi1
+    # agrees under both, by chance.
+    for T in mixed_parity_potentials():
+        psi = parse_expr(T.chart, text)
+        basis, dual = complexes.section_frame(T.chart)
+        with pytest.raises(PotentialError, match=(
+                r"even weight-1 factor.*: %s$" % re.escape(to_text(psi)))):
+            complexes.classical_naive_differential(T, psi, basis, dual)
+
+
+@pytest.mark.parametrize("text", ["1", "xi1", "xi1*xi2", "pi1",
+                                  "xi1*pi2*xi3"])
+def test_classical_differential_of_odd_sections_beside_even_ones(text):
+    # The odd weight-1 generators of the same chart are still evaluated,
+    # over a frame that holds e1 and e2 too.
+    for T in mixed_parity_potentials():
+        psi = parse_expr(T.chart, text)
+        basis, dual = complexes.section_frame(T.chart)
+        got = complexes.classical_naive_differential(T, psi, basis, dual)
+        assert got == complexes.q_theta(T, psi), to_text(T)
 
 
 @pytest.mark.parametrize("name, index, most", [("twisted_pencil", 2, 200),
@@ -625,7 +671,7 @@ def unskipped_contractions(T, psi, basis):
     the derived bracket (rho(b_p), b_q) and (psi, [[b_p, b_q]])."""
     chart = T.chart
     n = len(basis)
-    k = chart.symplectic_weight(psi.weight())
+    k = chart.symplectic_weight(routes.weight_vector(psi))
     pairs = []
 
     def walk(value, free, depth):

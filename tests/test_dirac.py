@@ -5,7 +5,8 @@ import pytest
 import draws
 import routes
 from superpoisson import dirac, gallery, lifts
-from superpoisson.charts import make_cotangent_antivb_chart
+from superpoisson.charts import (EVEN, ODD, Chart, make_cotangent_antivb_chart,
+                                 validate_chart)
 from superpoisson.dirac import (BivectorGraph, CoordinateSubbundle, GraphError,
                                 TwoFormGraph)
 from superpoisson.lifts import LiftError
@@ -139,6 +140,56 @@ def test_sector_validation_rejects_bad_fields():
     other = make_cotangent_antivb_chart(1, 2)
     with pytest.raises(GraphError, match="wrong chart"):
         BivectorGraph(ch, parse_expr(other, "pi1*pi2"))
+
+
+def test_a_graph_function_of_two_gradings_is_refused():
+    # pi1*pi2 + x1 is even and uses only the cofibre and base sectors, so
+    # only the rule of one grading for every term can refuse it: its terms
+    # have symplectic weights 2 and 0.
+    ch = make_cotangent_antivb_chart(1, 2)
+    F = parse_expr(ch, "pi1*pi2 + x1")
+    assert F.parity() == 0
+    with pytest.raises(GraphError, match=(
+            r"^bivector field must be homogeneous: pi1\*pi2 \+ x1$")):
+        BivectorGraph(ch, F)
+
+
+def two_vector_chart():
+    """A two-axis chart whose fibre and cofibre sectors each hold two weight
+    vectors of one grading: x1 (0,0) base, p1 (1,1) momentum, fibres xi1,
+    xi2, xi3 at (1,0), (0,1), (1,0) paired with cofibres pi1, pi2, pi3 at
+    (0,1), (1,0), (0,1)."""
+    fibres = [(1, 0), (0, 1), (1, 0)]
+    gens = [("x1", EVEN, (0, 0)), ("p1", EVEN, (1, 1))]
+    gens += [("xi%d" % i, ODD, w) for i, w in enumerate(fibres, 1)]
+    gens += [("pi%d" % i, ODD, (1 - a, 1 - b))
+             for i, (a, b) in enumerate(fibres, 1)]
+    pairing = [("p1", "x1", 1)] + [("xi%d" % i, "pi%d" % i, 1)
+                                   for i in (1, 2, 3)]
+    roles = {"x1": "base", "p1": "momentum"}
+    for i in (1, 2, 3):
+        roles.update({"xi%d" % i: "fibre", "pi%d" % i: "cofibre"})
+    return Chart("two_vectors", 2, gens, pairing, n_manifold=True,
+                 roles=roles)
+
+
+def test_a_graph_function_of_one_grading_and_two_weight_vectors_is_accepted():
+    # A graph's function is judged by Chart.term_grading, as a potential
+    # is: pi1*pi2 has weight vector (1,1) and pi1*pi3 (0,2), both of
+    # symplectic weight 2.  Each image {F, z} keeps the grading of z.
+    ch = two_vector_chart()
+    assert validate_chart(ch) == []
+    F = parse_expr(ch, "pi1*pi2 + pi1*pi3")
+    assert {routes.term_weight_vector(F, key) for key in F.terms} \
+        == {(1, 1), (0, 2)}
+    graph = BivectorGraph(ch, F)
+    images = graph.substitution()
+    assert sorted(images) == ["p1", "xi1", "xi2", "xi3"]
+    assert len({routes.term_weight_vector(images["xi1"], key)
+                for key in images["xi1"].terms}) == 2
+    for name, image in images.items():
+        assert {ch.term_grading(key) for key in image.terms} \
+            <= {ch.gradings[ch.name_to_index[name]]}, name
 
 
 def test_induced_structure_on_skew_cotangent_graph():

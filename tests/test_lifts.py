@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 import re
 
@@ -104,16 +106,44 @@ def test_lift_degree_gates():
      [("a", "a", 1), ("b", "b", 1), ("a", "b", 1)],
      "pairing matrix is degenerate over the rationals"),
     ([("1a", EVEN, (0,)), ("p", EVEN, (2,))], [("p", "1a", 1)],
-     "generator name '1a_0' is not an identifier"),
+     "generator name '1a' is not an identifier"),
 ], ids=["degenerate-pairing", "not-identifier"])
 def test_lifting_an_invalid_chart_runs_every_chart_check(
         generators, pairing, problem, k):
-    # The lifted chart is built by the same Chart constructor as any other,
-    # so the problems of the chart it lifts come back on its copies.
+    # A chart with problems is refused before it is lifted, with the
+    # problems of the chart itself, named by its own generators.
     chart = Chart("bad", 1, generators, pairing, strict=False)
     assert validate_chart(chart)
     with pytest.raises(ChartError, match=re.escape(problem)):
         lifts.tangent_lift_chart(chart, k)
+
+
+@pytest.mark.parametrize("axes, generators, pairing, metric, problem", [
+    (1, [("x", 2, (0,)), ("p", EVEN, (2,))], [("p", "x", 1)], None,
+     "generator x has parity 2, not 0 or 1"),
+    (2, [("x", EVEN, (0,)), ("p", EVEN, (1, 1))], [("p", "x", 1)], None,
+     "generator x has 1 weight entries, chart has 2 axes"),
+    (1, [("x", EVEN, (0,)), ("p", EVEN, (2,)), ("xi", ODD, (1,))],
+     [("p", "x", 1), ("xi", "xi", 1)], (["xi"], [[2]]),
+     "pairing {xi,xi} = 1 disagrees with the metric entry 2"),
+], ids=["parity-2", "short-weight", "metric-only"])
+def test_a_chart_with_problems_is_refused_before_it_is_lifted(
+        axes, generators, pairing, metric, problem):
+    # A parity 2 or a weight vector of the wrong length leaves the
+    # gradings unread, and a problem of the metric block would be lost on
+    # a lift, which carries no metric: each chart is refused with the
+    # ChartError of its strict constructor before anything is read.
+    with pytest.raises(ChartError) as strict:
+        Chart("bad", axes, generators, pairing, metric=metric)
+    assert str(strict.value) == "invalid chart 'bad': " + problem
+    chart = Chart("bad", axes, generators, pairing, metric=metric,
+                  strict=False)
+    for lift in (lifts.flatten_chart,
+                 lambda c: lifts.tangent_lift_chart(c, 2),
+                 lambda c: lifts.tangent_lift_chart(c, 3)):
+        with pytest.raises(ChartError) as got:
+            lift(chart)
+        assert str(got.value) == str(strict.value)
 
 
 def test_a_non_ascii_generator_name_lifts():
@@ -415,23 +445,34 @@ def test_complete_lift_equals_the_lift_of_the_flattening(k):
     assert lifted == 10
 
 
-def test_lift_and_classify_sum_no_weight_vector_on_the_lifted_chart(
-        monkeypatch):
-    # The lifted chart stores each generator's grading once; the lift's
-    # component and the potential's check read those, not term weights.
-    calls = []
-    original = SuperPoly.term_weight
+def weight_reads(tree, skip_class):
+    """The line of every .weight attribute read in tree, outside the class
+    named skip_class."""
+    lines = []
 
-    def counting(P, key):
-        if P.chart.lift_degree is not None:
-            calls.append(key)
-        return original(P, key)
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name == skip_class:
+            return
+        if (isinstance(node, ast.Attribute) and node.attr == "weight"
+                and isinstance(node.ctx, ast.Load)):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
 
-    monkeypatch.setattr(SuperPoly, "term_weight", counting)
-    for name in ("quasi_poisson", "cross7_full"):
-        T = gallery.build(name).default_potential
-        assert T.chart.lift_degree is None
-        lifted = lifts.complete_lift(T, 5)
-        assert lifted.chart.lift_degree == 5 and lifted.terms
-        courant.classify(lifted)
-        assert calls == [], name
+    visit(tree)
+    return lines
+
+
+def test_only_the_chart_reads_a_generator_weight_vector():
+    # The grading is decided by the chart: Chart.gradings and
+    # Chart.term_grading.  No element method sums weight vectors, and no
+    # module but charts.py reads one off a generator; Generator itself
+    # only stores and prints its own.
+    assert not hasattr(SuperPoly, "weight")
+    assert not hasattr(SuperPoly, "term_weight")
+    src = pathlib.Path(lifts.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    found = {path.name: weight_reads(ast.parse(path.read_text()), "Generator")
+             for path in modules if path.name != "charts.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

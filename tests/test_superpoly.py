@@ -70,7 +70,7 @@ def test_parity_and_weight_accessors():
     P = ch.gen("xi1") * ch.gen("p1")
     key = next(iter(P.terms))
     assert P.term_parity(key) == 1
-    assert P.term_weight(key) == (3,)
+    assert ch.term_grading(key) == (3, 0)
     assert P.parity() == 1
     assert ch.zero().parity() is None
 
